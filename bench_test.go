@@ -227,33 +227,19 @@ func solveNProblem(n int) ipm.Problem {
 	return ipm.Problem{Curves: curves, Total: 65536}
 }
 
-// BenchmarkSolveN measures one cold block-size solve as the unit count
-// grows: the arrow-structured O(n) elimination across the thousand-PU
-// range, and the legacy dense (4n+2)² factorization up to n=256 (beyond
-// that a single dense solve takes tens of seconds — the point of the
-// structured path).
+// BenchmarkSolveN measures one cold block-size solve — the arrow-structured
+// O(n) elimination — as the unit count grows across the thousand-PU range.
+// The solver's workspaces persist, but Invalidate drops the previous
+// iterate so no solve warm-starts.
 func BenchmarkSolveN(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256, 1024} {
 		prob := solveNProblem(n)
 		b.Run("arrow/"+itoa(int64(n)), func(b *testing.B) {
-			sv := ipm.NewSolver(ipm.Options{Structured: true})
+			sv := ipm.NewSolver(ipm.Options{})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				sv.Invalidate()
 				res, err := sv.Solve(prob)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.UsedFallback {
-					b.Fatal("unexpected fallback")
-				}
-			}
-		})
-		if n > 256 {
-			continue
-		}
-		b.Run("dense/"+itoa(int64(n)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := ipm.Solve(prob, ipm.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,7 +265,6 @@ func BenchmarkSim10kPU(b *testing.B) {
 		})
 		app := apps.NewMatMul(apps.MatMulConfig{N: totalUnits})
 		s := sched.NewPLBHeC(sched.Config{InitialBlockSize: 16})
-		s.Solver = ipm.Options{Structured: true, WarmStart: true}
 		rep, err := starpu.NewSimSession(clu, app, starpu.SimConfig{}).Run(s)
 		if err != nil {
 			b.Fatal(err)
@@ -299,9 +284,10 @@ func BenchmarkSim10kPU(b *testing.B) {
 	b.ReportMetric(makespan, "sim-s/op")
 }
 
-// warmRebalance runs the Fig. 3 slowdown scenario with the given solver
-// options and reports the solver-side effort metrics.
-func warmRebalance(b *testing.B, opt ipm.Options) {
+// BenchmarkWarmRebalance runs the Fig. 3 slowdown scenario, whose
+// rebalances re-solve warm-started from the previous iterate, and reports
+// the solver-side effort metrics.
+func BenchmarkWarmRebalance(b *testing.B) {
 	var iters, warms, solved float64
 	for i := 0; i < b.N; i++ {
 		app := expt.MakeApp(expt.MM, 32768)
@@ -314,7 +300,6 @@ func warmRebalance(b *testing.B, opt ipm.Options) {
 			b.Fatal(err)
 		}
 		s := sched.NewPLBHeC(sched.Config{InitialBlockSize: expt.InitialBlock(expt.MM, 32768, 2)})
-		s.Solver = opt
 		rep, err := sess.Run(s)
 		if err != nil {
 			b.Fatal(err)
@@ -328,16 +313,6 @@ func warmRebalance(b *testing.B, opt ipm.Options) {
 		b.ReportMetric(iters/solved, "ipm-iters/solve")
 	}
 	b.ReportMetric(warms, "warm-starts/op")
-}
-
-// BenchmarkWarmRebalance contrasts cold and warm-started solving on the
-// Fig. 3 rebalance path: the warm variant should show fewer IPM iterations
-// per solve at unchanged end-to-end behavior.
-func BenchmarkWarmRebalance(b *testing.B) {
-	b.Run("cold", func(b *testing.B) { warmRebalance(b, ipm.Options{}) })
-	b.Run("warm", func(b *testing.B) {
-		warmRebalance(b, ipm.Options{Structured: true, WarmStart: true})
-	})
 }
 
 // BenchmarkHeadlineSpeedup reproduces the §V.a headline cell (E10) and

@@ -10,9 +10,9 @@ import (
 // and storage by exploiting its arrow (bordered block-diagonal) structure
 // instead of factoring the dense (4n+2)² Jacobian.
 //
-// In the variable order u(0..n-1), τ(n), s, λ, z, ν used by kktSystem, the
-// four rows belonging to unit g — stationarity wrt u_g, primal feasibility,
-// and the two complementarity rows — only touch that unit's own four
+// In the step's variable order u(0..n-1), τ(n), s, λ, z, ν, the four rows
+// belonging to unit g — stationarity wrt u_g, primal feasibility, and the
+// two complementarity rows — only touch that unit's own four
 // unknowns (du_g, ds_g, dλ_g, dz_g) plus the two globals dτ and dν:
 //
 //	 B_g · (du_g, ds_g, dλ_g, dz_g)ᵀ + dτ·c_τ + dν·c_ν = r_g
@@ -54,13 +54,12 @@ func (w *arrowWorkspace) resize(n int) {
 	w.wn = w.wn[:4*n]
 }
 
-// arrowSolve computes the Newton direction J·d = −R for the same perturbed
-// KKT system kktSystem assembles, without materializing J. The direction is
-// written into step using the dense layout (du, dτ, ds, dλ, dz, dν), so the
-// rest of the interior-point iteration is path-agnostic. A singular
-// diagonal block or Schur system returns ErrIllConditioned — the same
-// class the dense factorization reports — and the caller decides whether a
-// dense retry is affordable.
+// arrowSolve computes the Newton direction J·d = −R of the perturbed KKT
+// system without materializing J (the dense assembly, kktSystem in
+// arrow_test.go, is the test oracle). The direction is written into step in
+// the layout (du, dτ, ds, dλ, dz, dν). A singular diagonal block or Schur
+// system returns ErrIllConditioned — the same class a dense factorization
+// reports — and the caller falls back to bisection.
 func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step linalg.Vector) error {
 	n := sc.n
 	ws.resize(n)
@@ -82,8 +81,7 @@ func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step li
 		if err := ws.blk[g].Factor(&b); err != nil {
 			return ErrIllConditioned
 		}
-		// Right-hand side is the negated residual, mirroring the dense
-		// path's res.Scale(-1).
+		// Right-hand side is the negated residual.
 		r := [4]float64{
 			-(it.lam[g]*d1 + it.nu - it.z[g]),
 			-(sc.eval(g, it.u[g]) - it.tau + it.s[g]),

@@ -58,7 +58,7 @@ func randomInterior(sc *scaled, rng *rand.Rand) *iterate {
 }
 
 // denseStep computes the Newton direction via the dense Jacobian + LU, the
-// verification oracle for the arrow elimination.
+// verification oracle for the arrow elimination that every solve takes.
 func denseStep(sc *scaled, it *iterate, mu float64, step linalg.Vector) error {
 	dim := 4*sc.n + 2
 	jac := linalg.NewMatrix(dim, dim)
@@ -139,36 +139,77 @@ func TestArrowDegenerateClassifies(t *testing.T) {
 	}
 }
 
-// TestStructuredSolveMatchesLegacy runs the full solver both ways: the
-// structured path must converge to the same distribution within solver
-// tolerance.
-func TestStructuredSolveMatchesLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(15)
-		p := randomProblem(n, rng)
-		legacy, err := Solve(p, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: legacy solve: %v", trial, err)
-		}
-		structured, err := Solve(p, Options{Structured: true})
-		if err != nil {
-			t.Fatalf("trial %d: structured solve: %v", trial, err)
-		}
-		if legacy.UsedFallback != structured.UsedFallback {
-			t.Fatalf("trial %d: fallback divergence (legacy %v structured %v)",
-				trial, legacy.UsedFallback, structured.UsedFallback)
-		}
-		if legacy.UsedFallback {
-			continue // both stalled the same way; bisection is path-free
-		}
-		for g := range legacy.X {
-			if d := math.Abs(legacy.X[g] - structured.X[g]); d > 1e-4*p.Total {
-				t.Fatalf("trial %d: X[%d] legacy=%g structured=%g", trial, g, legacy.X[g], structured.X[g])
-			}
-		}
-		if d := math.Abs(legacy.Tau - structured.Tau); d > 1e-5*math.Max(1, legacy.Tau) {
-			t.Fatalf("trial %d: Tau legacy=%g structured=%g", trial, legacy.Tau, structured.Tau)
-		}
+// kktSystem builds the dense Jacobian and residual of the perturbed KKT
+// conditions at the current iterate (jac is reshaped and zeroed, res
+// overwritten). Variable order: u(0..n-1), tau(n), s(n+1..2n),
+// lam(2n+1..3n), z(3n+1..4n), nu(4n+1).
+func kktSystem(sc *scaled, it *iterate, mu float64, jac *linalg.Matrix, res linalg.Vector) {
+	n := sc.n
+	dim := 4*n + 2
+	jac.Reset(dim, dim)
+	for i := range res {
+		res[i] = 0
 	}
+
+	iU := func(g int) int { return g }
+	iTau := n
+	iS := func(g int) int { return n + 1 + g }
+	iLam := func(g int) int { return 2*n + 1 + g }
+	iZ := func(g int) int { return 3*n + 1 + g }
+	iNu := 4*n + 1
+
+	for g := 0; g < n; g++ {
+		d1 := sc.deriv(g, it.u[g])
+		d2 := sc.deriv2(g, it.u[g])
+
+		// Stationarity wrt u_g: lam_g*E'_g + nu - z_g = 0.
+		r := iU(g)
+		res[r] = it.lam[g]*d1 + it.nu - it.z[g]
+		jac.Set(r, iU(g), it.lam[g]*d2)
+		jac.Set(r, iLam(g), d1)
+		jac.Set(r, iZ(g), -1)
+		jac.Set(r, iNu, 1)
+
+		// Inequality primal feasibility: E_g(u_g) - tau + s_g = 0.
+		r = iS(g)
+		res[r] = sc.eval(g, it.u[g]) - it.tau + it.s[g]
+		jac.Set(r, iU(g), d1)
+		jac.Set(r, iTau, -1)
+		jac.Set(r, iS(g), 1)
+
+		// Complementarity u_g*z_g = mu.
+		r = iZ(g)
+		res[r] = it.u[g]*it.z[g] - mu
+		jac.Set(r, iU(g), it.z[g])
+		jac.Set(r, iZ(g), it.u[g])
+
+		// Complementarity s_g*lam_g = mu.
+		r = iLam(g)
+		res[r] = it.s[g]*it.lam[g] - mu
+		jac.Set(r, iS(g), it.lam[g])
+		jac.Set(r, iLam(g), it.s[g])
+	}
+
+	// Stationarity wrt tau: 1 - sum(lam) = 0.
+	res[iTau] = 1
+	for g := 0; g < n; g++ {
+		res[iTau] -= it.lam[g]
+		jac.Set(iTau, iLam(g), -1)
+	}
+
+	// Equality: sum(u) - 1 = 0.
+	res[iNu] = -1
+	for g := 0; g < n; g++ {
+		res[iNu] += it.u[g]
+		jac.Set(iNu, iU(g), 1)
+	}
+}
+
+// newScaled returns the scaled view of p, as a Solver builds it.
+func newScaled(p Problem) (*scaled, error) {
+	var s scaled
+	if err := s.init(p); err != nil {
+		return nil, err
+	}
+	return &s, nil
 }

@@ -3,8 +3,8 @@
 // split x₁…x_n with Σx_g = Total that makes every processing unit finish at
 // the same time (Eqs. 3–5). The paper solves this with IPOPT's interior
 // point line-search filter method [25]; this package is a from-scratch
-// reimplementation of that method, sized for the small dense systems the
-// scheduler produces (a handful of processing units).
+// reimplementation of that method, from the paper's handful of processing
+// units up to generated clusters of thousands.
 //
 // The NLP is the makespan form: minimize τ subject to
 //
@@ -17,11 +17,13 @@
 //
 // The solver is a primal-dual interior-point method: slacks on the
 // inequalities, log barriers on slacks and bounds, Newton steps on the
-// perturbed KKT system (dense LU), a fraction-to-the-boundary rule, a
+// perturbed KKT system (an O(n) block elimination over its arrow
+// structure, arrow.go), a fraction-to-the-boundary rule, a
 // Wächter–Biegler-style filter line search, and an adaptive barrier-
-// parameter update in the spirit of [25]. A monotone τ-bisection fallback
-// (water-filling) guarantees a usable split whenever Newton stalls on a
-// pathological fitted curve.
+// parameter update in the spirit of [25]. A Solver warm-starts each solve
+// from the previous one's iterate while the active curve set is unchanged.
+// A monotone τ-bisection fallback (water-filling) guarantees a usable split
+// whenever Newton stalls on a pathological fitted curve.
 package ipm
 
 import (
@@ -54,19 +56,15 @@ type Options struct {
 	DisableIPM  bool    // force the bisection fallback (for ablations)
 	DisableFall bool    // forbid the fallback (surface IPM failures)
 
-	// Structured computes each Newton direction with the O(n) arrow-
-	// structured block elimination (arrow.go) instead of factoring the
-	// dense (4n+2)² Jacobian. The two paths agree to solver tolerance but
-	// not bit-for-bit, so the zero value keeps the legacy dense numerics
-	// (and the pinned golden sweeps) unchanged. When an arrow block
-	// factorization breaks down, small systems retry the step densely;
-	// systems too large to afford the dense matrix classify as
-	// ErrIllConditioned and fall through to the usual ladder.
+	// Structured is ignored: every Newton step is the arrow-structured
+	// elimination.
+	//
+	// Deprecated: kept so that existing callers compile.
 	Structured bool
-	// WarmStart lets a Solver seed each solve from the previous solve's
-	// interior iterate (with a feasibility-restoring shift) whenever the
-	// active curve set is unchanged. Ignored by the package-level Solve,
-	// which keeps no state between calls.
+	// WarmStart is ignored: a Solver always warm-starts while the active
+	// curve set is unchanged.
+	//
+	// Deprecated: kept so that existing callers compile.
 	WarmStart bool
 }
 
@@ -91,8 +89,8 @@ type Result struct {
 	Converged    bool // Newton reached tolerance (false when fallback used)
 	UsedFallback bool
 	// WarmStarted reports that the accepted iteration started from a
-	// previous solve's iterate (Solver with Options.WarmStart) rather than
-	// the cold even-split interior point.
+	// previous solve's iterate rather than the cold even-split interior
+	// point.
 	WarmStarted bool
 	KKTResidual float64
 	WallTime    time.Duration
@@ -119,80 +117,10 @@ var ErrNoConverge = errors.New("ipm: iteration budget exhausted without converge
 // ill-conditioned to factor.
 var ErrIllConditioned = errors.New("ipm: ill-conditioned KKT system")
 
-// Solve computes the equal-finish-time distribution.
+// Solve computes the equal-finish-time distribution with a fresh Solver,
+// so it always starts cold and the returned Result.X is the caller's.
 func Solve(p Problem, opt Options) (Result, error) {
-	start := time.Now()
-	opt = opt.withDefaults()
-	n := len(p.Curves)
-	if math.IsNaN(p.Total) || math.IsInf(p.Total, 0) {
-		// NaN would pass the <= 0 check below and poison every division.
-		return Result{}, fmt.Errorf("ipm: total=%g: %w", p.Total, ErrNonFinite)
-	}
-	if n == 0 || p.Total <= 0 {
-		return Result{}, fmt.Errorf("ipm: empty problem (n=%d total=%g)", n, p.Total)
-	}
-	// Exclude units with infinite time curves (failed devices): they get
-	// zero work and the remaining units share the total.
-	if active, excluded := partitionFinite(p); excluded {
-		if len(active) == 0 {
-			return Result{}, ErrInfeasible
-		}
-		sub := Problem{Total: p.Total}
-		for _, g := range active {
-			sub.Curves = append(sub.Curves, p.Curves[g])
-		}
-		res, err := Solve(sub, opt)
-		if err != nil {
-			return Result{}, err
-		}
-		x := make([]float64, n)
-		for i, g := range active {
-			x[g] = res.X[i]
-		}
-		res.X = x
-		res.WallTime = time.Since(start)
-		return res, nil
-	}
-	if n == 1 {
-		x := p.Total
-		return Result{
-			X: []float64{x}, Tau: p.Curves[0].Eval(x),
-			Converged: true, WallTime: time.Since(start),
-		}, nil
-	}
-
-	sc, err := newScaled(p)
-	if err != nil {
-		return Result{}, err
-	}
-
-	ipmErr := error(ErrNoProgress)
-	if !opt.DisableIPM {
-		var st solveState
-		res, err := solveIPM(sc, opt, &st, nil)
-		if err == nil {
-			if verr := validResult(res, p.Total); verr != nil {
-				err = verr
-			} else {
-				res.WallTime = time.Since(start)
-				return res, nil
-			}
-		}
-		ipmErr = err
-	}
-	if opt.DisableFall {
-		return Result{}, ipmErr
-	}
-	res, err := solveBisection(sc)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := validResult(res, p.Total); err != nil {
-		return Result{}, err
-	}
-	res.UsedFallback = true
-	res.WallTime = time.Since(start)
-	return res, nil
+	return NewSolver(opt).Solve(p)
 }
 
 // validResult guards the solver's contract: every returned block size is
@@ -216,35 +144,12 @@ func validResult(res Result, total float64) error {
 	return nil
 }
 
-// partitionFinite returns the indices of curves that evaluate finite at an
-// even split, and whether any curve had to be excluded.
-func partitionFinite(p Problem) (active []int, excluded bool) {
-	even := p.Total / float64(len(p.Curves))
-	for g, c := range p.Curves {
-		v := c.Eval(even)
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			excluded = true
-			continue
-		}
-		active = append(active, g)
-	}
-	return active, excluded
-}
-
 // scaled holds the problem normalized for conditioning: work in units of
 // Total (so Σu = 1) and time in units of a typical finish time.
 type scaled struct {
 	p         Problem
 	n         int
 	timeScale float64
-}
-
-func newScaled(p Problem) (*scaled, error) {
-	var s scaled
-	if err := s.init(p); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // init (re)binds s to p, recomputing the scaling. It allocates nothing, so
@@ -289,10 +194,17 @@ func (s *scaled) deriv(g int, u float64) float64 {
 }
 
 // deriv2 returns a numeric second derivative d²Ê_g/du², guarded for
-// curves whose analytic derivative is noisy.
+// curves whose analytic derivative is noisy. Near u = 0 the lower sample
+// is clamped into the domain, so the difference is divided by the spacing
+// actually taken rather than 2h.
 func (s *scaled) deriv2(g int, u float64) float64 {
 	const h = 1e-5
-	d := (s.deriv(g, u+h) - s.deriv(g, math.Max(u-h, 1e-12))) / (2 * h)
+	lo, span := u-h, 2*h
+	if lo < 1e-12 {
+		lo = 1e-12
+		span = u + h - lo
+	}
+	d := (s.deriv(g, u+h) - s.deriv(g, lo)) / span
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		return 0
 	}

@@ -166,6 +166,25 @@ func TestSolveAllFailed(t *testing.T) {
 	}
 }
 
+// TestDeriv2NearZeroBound: on E(x) = x² the scaled curve is Ê(u) = u², so
+// E″ = 2 everywhere — including within one difference step of u = 0, where
+// the lower sample is clamped into the domain.
+func TestDeriv2NearZeroBound(t *testing.T) {
+	quad := funcCurve{
+		f:  func(x float64) float64 { return x * x },
+		df: func(x float64) float64 { return 2 * x },
+	}
+	sc, err := newScaled(Problem{Curves: []Curve{quad}, Total: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []float64{1e-6, 0.5} {
+		if d := sc.deriv2(0, u); math.Abs(d-2) > 1e-6 {
+			t.Errorf("deriv2 at u=%g = %g, want 2", u, d)
+		}
+	}
+}
+
 func TestSolveEmptyProblem(t *testing.T) {
 	if _, err := Solve(Problem{}, Options{}); err == nil {
 		t.Fatal("expected error for empty problem")

@@ -32,44 +32,29 @@ func resizeVec(v linalg.Vector, n int) linalg.Vector {
 }
 
 // solveState owns every buffer one Newton solve needs. The zero value is
-// ready: buffers are sized on prepare and reused across iterations and —
-// when the state persists in a Solver — across solves, reaching zero
-// allocations in steady state. The package-level Solve constructs a fresh
-// state per call, so its allocation and numeric behavior are unchanged.
+// ready: buffers are sized on prepare and reused across iterations and
+// across a Solver's solves, reaching zero allocations in steady state.
 type solveState struct {
 	it     iterate
 	cand   iterate // line-search trials; only u, tau, s are used
 	filter filterSet
-	res    linalg.Vector
 	step   linalg.Vector
 	x      []float64 // result block sizes (aliased by the returned Result.X)
 	arrow  arrowWorkspace
-	// jac/lu are the dense-path workspace, allocated lazily so the
-	// structured path never pays the O(n²) Jacobian.
-	jac *linalg.Matrix
-	lu  linalg.LU
 }
 
 // prepare sizes the O(n) buffers for an n-unit solve.
 func (st *solveState) prepare(n int) {
-	dim := 4*n + 2
 	st.it.resize(n)
 	st.cand.u = resizeVec(st.cand.u, n)
 	st.cand.s = resizeVec(st.cand.s, n)
-	st.res = resizeVec(st.res, dim)
-	st.step = resizeVec(st.step, dim)
+	st.step = resizeVec(st.step, 4*n+2)
 	if cap(st.x) < n {
 		st.x = make([]float64, n)
 	}
 	st.x = st.x[:n]
 	st.filter.reset()
 }
-
-// maxDenseDim bounds the dense-LU rescue of a failed arrow factorization:
-// past this KKT dimension the dim² Jacobian is too large to materialize (a
-// 10k-PU system would need ~13 GB), so the breakdown classifies as
-// ErrIllConditioned and the caller's degradation ladder takes over.
-const maxDenseDim = 4096
 
 // solveIPM runs the primal-dual interior-point iteration on the scaled
 // problem. Failures come back classified — ErrIllConditioned (KKT system
@@ -78,18 +63,12 @@ const maxDenseDim = 4096
 // exhausted) — so the caller can fall back to bisection and schedulers can
 // pick a degradation rung by error kind.
 //
-// All per-iteration storage — the residual/step vectors, the line-search
-// trial iterate, and either the structured arrow workspace or the (4n+2)²
-// KKT Jacobian with its LU factorization — lives in the caller-provided
-// solveState, reused across iterations, trials, and (for a persistent
-// Solver) whole solves.
-//
-// With opt.Structured the Newton direction comes from the O(n) arrow
-// elimination (arrow.go); the dense factorization remains both the legacy
-// default and the per-iteration rescue when the arrow's block-restricted
-// pivoting breaks down on a system the dense partial pivoting can still
-// handle. warm, when non-nil, seeds the iteration from a previous solve's
-// iterate instead of the cold interior point.
+// Each Newton direction comes from the O(n) arrow elimination (arrow.go).
+// All per-iteration storage — the step vector, the line-search trial
+// iterate and the arrow workspace — lives in the caller-provided
+// solveState, reused across iterations, trials and whole solves. warm, when
+// non-nil, seeds the iteration from a previous solve's iterate instead of
+// the cold interior point.
 func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result, error) {
 	n := sc.n
 	mu := opt.Mu0
@@ -107,8 +86,6 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 	}
 	filter := &st.filter
 
-	dim := 4*n + 2
-	res := st.res
 	step := st.step
 	cand := &st.cand
 
@@ -136,31 +113,9 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 			filter.reset()
 		}
 
-		// Solve the Newton system J*d = -R: structured O(n) arrow
-		// elimination when opted in, dense assembly + LU otherwise (and as
-		// the rescue for an arrow breakdown on systems small enough to
-		// afford the dense matrix).
-		dense := !opt.Structured
-		if opt.Structured {
-			if err := arrowSolve(sc, it, mu, &st.arrow, step); err != nil {
-				if dim > maxDenseDim {
-					return Result{}, ErrIllConditioned
-				}
-				dense = true
-			}
-		}
-		if dense {
-			if st.jac == nil {
-				st.jac = linalg.NewMatrix(dim, dim)
-			}
-			kktSystem(sc, it, mu, st.jac, res)
-			res.Scale(-1)
-			if err := st.lu.Factor(st.jac); err != nil {
-				return Result{}, ErrIllConditioned
-			}
-			if err := st.lu.SolveInto(step, res); err != nil {
-				return Result{}, ErrIllConditioned
-			}
+		// Solve the Newton system J*d = -R.
+		if err := arrowSolve(sc, it, mu, &st.arrow, step); err != nil {
+			return Result{}, err
 		}
 		if !step.IsFinite() {
 			return Result{}, ErrNonFinite
@@ -252,72 +207,6 @@ func initialPointInto(sc *scaled, mu float64, it *iterate) {
 		it.z[g] = mu / even
 	}
 	it.nu = 0
-}
-
-// kktSystem builds the Jacobian and residual of the perturbed KKT
-// conditions at the current iterate into the caller-provided workspace
-// (jac is reshaped and zeroed, res overwritten). Variable order:
-// u(0..n-1), tau(n), s(n+1..2n), lam(2n+1..3n), z(3n+1..4n), nu(4n+1).
-func kktSystem(sc *scaled, it *iterate, mu float64, jac *linalg.Matrix, res linalg.Vector) {
-	n := sc.n
-	dim := 4*n + 2
-	jac.Reset(dim, dim)
-	for i := range res {
-		res[i] = 0
-	}
-
-	iU := func(g int) int { return g }
-	iTau := n
-	iS := func(g int) int { return n + 1 + g }
-	iLam := func(g int) int { return 2*n + 1 + g }
-	iZ := func(g int) int { return 3*n + 1 + g }
-	iNu := 4*n + 1
-
-	for g := 0; g < n; g++ {
-		d1 := sc.deriv(g, it.u[g])
-		d2 := sc.deriv2(g, it.u[g])
-
-		// Stationarity wrt u_g: lam_g*E'_g + nu - z_g = 0.
-		r := iU(g)
-		res[r] = it.lam[g]*d1 + it.nu - it.z[g]
-		jac.Set(r, iU(g), it.lam[g]*d2)
-		jac.Set(r, iLam(g), d1)
-		jac.Set(r, iZ(g), -1)
-		jac.Set(r, iNu, 1)
-
-		// Inequality primal feasibility: E_g(u_g) - tau + s_g = 0.
-		r = iS(g)
-		res[r] = sc.eval(g, it.u[g]) - it.tau + it.s[g]
-		jac.Set(r, iU(g), d1)
-		jac.Set(r, iTau, -1)
-		jac.Set(r, iS(g), 1)
-
-		// Complementarity u_g*z_g = mu.
-		r = iZ(g)
-		res[r] = it.u[g]*it.z[g] - mu
-		jac.Set(r, iU(g), it.z[g])
-		jac.Set(r, iZ(g), it.u[g])
-
-		// Complementarity s_g*lam_g = mu.
-		r = iLam(g)
-		res[r] = it.s[g]*it.lam[g] - mu
-		jac.Set(r, iS(g), it.lam[g])
-		jac.Set(r, iLam(g), it.s[g])
-	}
-
-	// Stationarity wrt tau: 1 - sum(lam) = 0.
-	res[iTau] = 1
-	for g := 0; g < n; g++ {
-		res[iTau] -= it.lam[g]
-		jac.Set(iTau, iLam(g), -1)
-	}
-
-	// Equality: sum(u) - 1 = 0.
-	res[iNu] = -1
-	for g := 0; g < n; g++ {
-		res[iNu] += it.u[g]
-		jac.Set(iNu, iU(g), 1)
-	}
 }
 
 // kktError is the max-norm of the KKT residual with barrier parameter mu

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// Solver is a reusable interior-point solver. Unlike the package-level
-// Solve, it keeps its workspaces — and, with Options.WarmStart, the previous
-// solve's interior iterate — across calls, so repeated solves over the same
-// cluster allocate nothing in steady state and warm-started rebalances
-// converge in a fraction of the cold iteration count.
+// Solver is a reusable interior-point solver. It keeps its workspaces and
+// the previous solve's interior iterate across calls, so repeated solves
+// over the same cluster allocate nothing in steady state, and a solve whose
+// active curve set matches the previous one warm-starts from its iterate
+// and converges in a fraction of the cold iteration count.
 //
 // The returned Result.X aliases solver-owned storage and is valid until the
 // next Solve call; callers that keep distributions (the scheduler copies
@@ -27,7 +27,7 @@ type Solver struct {
 }
 
 // NewSolver returns a Solver with the given options (zero values replaced
-// by the same defaults as Solve).
+// by defaults).
 func NewSolver(opt Options) *Solver {
 	return &Solver{opt: opt.withDefaults()}
 }
@@ -37,12 +37,13 @@ func NewSolver(opt Options) *Solver {
 // active-set signature cannot see (a unit blacklisted, a device replaced).
 func (sv *Solver) Invalidate() { sv.warm.valid = false }
 
-// Solve computes the equal-finish-time distribution, like the package-level
-// Solve but with persistent workspaces and optional warm starting.
+// Solve computes the equal-finish-time distribution. Units whose curves
+// are not finite at the even split get zero work; the rest share Total.
 func (sv *Solver) Solve(p Problem) (Result, error) {
 	start := time.Now()
 	n := len(p.Curves)
 	if math.IsNaN(p.Total) || math.IsInf(p.Total, 0) {
+		// NaN would pass the <= 0 check below and poison every division.
 		return Result{}, fmt.Errorf("ipm: total=%g: %w", p.Total, ErrNonFinite)
 	}
 	if n == 0 || p.Total <= 0 {
@@ -50,9 +51,8 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 	}
 
 	// Active set: curves finite at the even split over the active units,
-	// iterated to a fixpoint — the in-place analogue of Solve's recursive
-	// partitionFinite (shrinking the set raises the even split, which can
-	// expose further non-finite curves).
+	// iterated to a fixpoint (shrinking the set raises the even split, which
+	// can expose further non-finite curves).
 	sv.active = sv.active[:0]
 	for g := range p.Curves {
 		sv.active = append(sv.active, g)
@@ -77,8 +77,6 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 			break
 		}
 	}
-	m := len(sv.active)
-
 	if cap(sv.xfull) < n {
 		sv.xfull = make([]float64, n)
 	}
@@ -87,7 +85,7 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 		sv.xfull[i] = 0
 	}
 
-	if m == 1 {
+	if len(sv.active) == 1 {
 		// One live unit takes everything; nothing to warm start.
 		sv.warm.valid = false
 		g := sv.active[0]
@@ -107,38 +105,22 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 		return Result{}, err
 	}
 
-	useWarm := sv.opt.WarmStart && sv.warm.matches(sv.active)
 	ipmErr := error(ErrNoProgress)
-	solved := false
-	var res Result
 	if !sv.opt.DisableIPM {
-		if useWarm {
-			res, ipmErr = solveIPM(&sv.sc, sv.opt, &sv.st, &sv.warm)
-			if ipmErr == nil {
-				if verr := validResult(res, p.Total); verr != nil {
-					ipmErr = verr
-				} else {
-					solved = true
-				}
-			}
-			// A stale iterate can stall the line search or leave the
-			// region where the curves are finite; retry cold before
-			// surrendering to the bisection fallback.
+		var res Result
+		if sv.warm.matches(sv.active) {
+			res, ipmErr = sv.newton(&sv.warm, p.Total)
 		}
-		if !solved {
-			res, ipmErr = solveIPM(&sv.sc, sv.opt, &sv.st, nil)
-			if ipmErr == nil {
-				if verr := validResult(res, p.Total); verr != nil {
-					ipmErr = verr
-				} else {
-					solved = true
-				}
-			}
+		if ipmErr != nil {
+			// Cold start, or a stale iterate stalled the line search or
+			// left the region where the curves are finite: retry cold
+			// before surrendering to the bisection fallback.
+			res, ipmErr = sv.newton(nil, p.Total)
 		}
-	}
-	if solved {
-		sv.warm.save(&sv.st.it, sv.active, sv.sc.timeScale)
-		return sv.finish(res, n, m, start), nil
+		if ipmErr == nil {
+			sv.warm.save(&sv.st.it, sv.active, sv.sc.timeScale)
+			return sv.finish(res, start), nil
+		}
 	}
 
 	// Newton failed: no iterate worth keeping.
@@ -154,12 +136,23 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 		return Result{}, err
 	}
 	res.UsedFallback = true
-	return sv.finish(res, n, m, start), nil
+	return sv.finish(res, start), nil
+}
+
+// newton runs the interior-point iteration on the active sub-problem from
+// warm (nil: the cold interior point) and checks the solver's contract on
+// the result.
+func (sv *Solver) newton(warm *warmState, total float64) (Result, error) {
+	res, err := solveIPM(&sv.sc, sv.opt, &sv.st, warm)
+	if err == nil {
+		err = validResult(res, total)
+	}
+	return res, err
 }
 
 // finish scatters the active sub-solution back onto the full index space
 // and stamps the wall time.
-func (sv *Solver) finish(res Result, n, m int, start time.Time) Result {
+func (sv *Solver) finish(res Result, start time.Time) Result {
 	for i, g := range sv.active {
 		sv.xfull[g] = res.X[i]
 	}

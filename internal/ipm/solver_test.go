@@ -22,7 +22,7 @@ func (c scaleCurve) Deriv(x float64) float64 { return c.k * c.base.Deriv(x) }
 func TestSolverWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(8, rng)
-	sv := NewSolver(Options{Structured: true, WarmStart: true})
+	sv := NewSolver(Options{})
 
 	first, err := sv.Solve(p)
 	if err != nil {
@@ -72,7 +72,7 @@ func TestSolverWarmStart(t *testing.T) {
 func TestSolverWarmInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomProblem(6, rng)
-	sv := NewSolver(Options{Structured: true, WarmStart: true})
+	sv := NewSolver(Options{})
 	if _, err := sv.Solve(p); err != nil {
 		t.Fatal(err)
 	}
@@ -119,48 +119,25 @@ type infCurve struct{}
 func (infCurve) Eval(x float64) float64  { return math.Inf(1) }
 func (infCurve) Deriv(x float64) float64 { return 0 }
 
-// TestSolverMatchesSolve checks the Solver against the one-shot Solve on
-// fresh problems (cold path, structured off): identical configuration must
-// give identical results.
-func TestSolverMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	sv := NewSolver(Options{})
-	for trial := 0; trial < 20; trial++ {
-		p := randomProblem(2+rng.Intn(10), rng)
-		want, errW := Solve(p, Options{})
-		got, errG := sv.Solve(p)
-		if (errW == nil) != (errG == nil) {
-			t.Fatalf("trial %d: Solve err=%v Solver err=%v", trial, errW, errG)
-		}
-		if errW != nil {
-			continue
-		}
-		for g := range want.X {
-			if want.X[g] != got.X[g] {
-				t.Fatalf("trial %d: X[%d] Solve=%g Solver=%g", trial, g, want.X[g], got.X[g])
-			}
-		}
-		if want.Tau != got.Tau || want.Iterations != got.Iterations {
-			t.Fatalf("trial %d: (tau, iters) Solve=(%g,%d) Solver=(%g,%d)",
-				trial, want.Tau, want.Iterations, got.Tau, got.Iterations)
-		}
-	}
-}
-
-// TestStructuredSolveZeroAlloc pins the steady-state structured solve at
-// zero heap allocations per call (CI zero-alloc gate).
+// TestStructuredSolveZeroAlloc pins a cold structured solve on warm
+// workspaces at zero heap allocations per call (CI zero-alloc gate).
 func TestStructuredSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	p := randomProblem(8, rng)
-	sv := NewSolver(Options{Structured: true})
+	sv := NewSolver(Options{})
 	for i := 0; i < 3; i++ { // warm the workspaces
 		if _, err := sv.Solve(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := sv.Solve(p); err != nil {
+		sv.Invalidate()
+		res, err := sv.Solve(p)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if res.WarmStarted {
+			t.Fatal("solve after Invalidate warm-started")
 		}
 	})
 	if allocs != 0 {
@@ -173,7 +150,7 @@ func TestStructuredSolveZeroAlloc(t *testing.T) {
 func TestWarmRefitZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := randomProblem(16, rng)
-	sv := NewSolver(Options{Structured: true, WarmStart: true})
+	sv := NewSolver(Options{})
 	for i := 0; i < 3; i++ {
 		res, err := sv.Solve(p)
 		if err != nil {

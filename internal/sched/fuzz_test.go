@@ -270,14 +270,12 @@ func FuzzSolverInputs(f *testing.F) {
 				t.Fatalf("%s distribution sums to %g, want %g", tag, sum, total)
 			}
 		}
-		res, err := ipm.Solve(ipm.Problem{Curves: curves, Total: total}, ipm.Options{})
-		check("legacy", res, err)
-		// The structured, warm-started Solver must honor the same contract
-		// on the same garbage; the second pass exercises the warm path.
-		sv := ipm.NewSolver(ipm.Options{Structured: true, WarmStart: true})
-		for pass := 0; pass < 2; pass++ {
+		// The first pass solves cold; the second exercises the warm path
+		// whenever the first one converged.
+		sv := ipm.NewSolver(ipm.Options{})
+		for _, tag := range []string{"cold", "warm"} {
 			res, err := sv.Solve(ipm.Problem{Curves: curves, Total: total})
-			check("structured", res, err)
+			check(tag, res, err)
 		}
 	})
 }

@@ -71,15 +71,11 @@ type PLBHeC struct {
 	// CoverageFactor: probing continues while a unit's anticipated
 	// execution block exceeds this multiple of its largest probe.
 	CoverageFactor float64
-	// Solver configures the interior-point method. The zero value keeps
-	// the legacy stateless dense solver; Structured and/or WarmStart
-	// switch solves to a persistent ipm.Solver whose workspaces — and,
-	// warm-started, the previous rebalance's iterate — carry across
-	// solves.
+	// Solver configures the interior-point method. Start builds the run's
+	// persistent ipm.Solver from it, whose workspaces and previous iterate
+	// carry across solves, so each rebalance warm-starts.
 	Solver ipm.Options
 
-	// solver is the lazily built persistent solver used when the options
-	// opt into the structured or warm-started paths.
 	solver *ipm.Solver
 
 	phase        int // modeling, executing, draining
@@ -208,6 +204,7 @@ func (p *PLBHeC) Start(s *starpu.Session) {
 	for i := range p.regime {
 		p.regime[i] = 1
 	}
+	p.solver = ipm.NewSolver(p.Solver)
 	p.phase = phaseModeling
 	p.round = 1
 	p.mult = 1
@@ -405,7 +402,9 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	// cost (miss fraction × link time), so the equal-finish-time solution
 	// shifts work toward units already holding the data.
 	curves = localityCurves(s, curves)
-	res, err := p.runSolver(ipm.Problem{Curves: curves, Total: remaining})
+	// res.X aliases solver storage until the next solve; it is copied into
+	// p.share below.
+	res, err := p.solver.Solve(ipm.Problem{Curves: curves, Total: remaining})
 	p.stats.solves++
 	s.ChargeSolve()
 	if err != nil {
@@ -443,23 +442,6 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 		p.share[i] = x / remaining
 	}
 	p.noteSolveOK(s)
-}
-
-// runSolver dispatches one block-size solve. With the legacy zero-value
-// options it calls the stateless package solver — bit-for-bit the pinned
-// golden behavior. When the options opt into the structured or warm-started
-// paths it lazily builds a persistent ipm.Solver whose workspaces and
-// previous iterate carry across solves and rebalances. The Result.X of the
-// persistent solver aliases solver storage, which is safe here: the only
-// caller copies it into p.share immediately.
-func (p *PLBHeC) runSolver(prob ipm.Problem) (ipm.Result, error) {
-	if !p.Solver.Structured && !p.Solver.WarmStart {
-		return ipm.Solve(prob, p.Solver)
-	}
-	if p.solver == nil {
-		p.solver = ipm.NewSolver(p.Solver)
-	}
-	return p.solver.Solve(prob)
 }
 
 // submitBlocks hands every unit its first block of the new distribution.
@@ -684,7 +666,7 @@ func (p *PLBHeC) scanFailures(s *starpu.Session) bool {
 			changed = true
 		}
 	}
-	if changed && p.solver != nil {
+	if changed {
 		// Topology changed: the previous iterate describes a different
 		// active set, so the next solve must start cold. (The solver's own
 		// signature check would also catch this; invalidating here keeps

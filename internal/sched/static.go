@@ -13,8 +13,7 @@ import (
 // scheduler could achieve on a stationary cluster, in the spirit of the
 // static profiling algorithm of [17] with oracle profiles.
 type Static struct {
-	Solver ipm.Options
-	stats  map[string]float64
+	stats map[string]float64
 }
 
 // NewStatic returns the oracle scheduler.
@@ -33,7 +32,7 @@ func (st *Static) Start(s *starpu.Session) {
 	for i, pu := range pus {
 		curves[i] = oracleCurve{pu: pu, s: s}
 	}
-	res, err := ipm.Solve(ipm.Problem{Curves: curves, Total: float64(s.Remaining())}, st.Solver)
+	res, err := ipm.Solve(ipm.Problem{Curves: curves, Total: float64(s.Remaining())}, ipm.Options{})
 	if err != nil {
 		// Oracle cannot fail on healthy clusters; degrade to even split.
 		even := float64(s.Remaining()) / float64(len(pus))

@@ -11,7 +11,8 @@
 //   - PerfettoSink buffers them into a Chrome trace_event JSON file that
 //     opens directly in ui.perfetto.dev (one track per processing unit, one
 //     per communication link, async slices for scheduler phases);
-//   - trace.Sink (internal/trace) turns them into the JSONL event trace.
+//   - span.Recorder (internal/telemetry/span) turns them into the causal
+//     span arena behind -explain's critical-path attribution.
 //
 // The whole layer costs ~zero when unused: a nil *Telemetry is a valid
 // no-op receiver, and an attached-but-sinkless bus bails out on one atomic

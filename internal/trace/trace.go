@@ -67,7 +67,13 @@ func FromReport(rep *starpu.Report) []Event {
 			Kind: EventDistribution, Time: d.Time, Label: d.Label, Shares: d.X,
 		})
 	}
-	sortEvents(evs)
+	// Order by time, breaking ties by sequence number.
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Time != evs[j].Time {
+			return evs[i].Time < evs[j].Time
+		}
+		return evs[i].Seq < evs[j].Seq
+	})
 	return evs
 }
 

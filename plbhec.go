@@ -198,7 +198,10 @@ func UnitsShare(rep *Report) []float64 { return metrics.UnitsShare(rep) }
 // problem.
 type SolverCurve = ipm.Curve
 
-// SolverOptions tunes the interior-point method.
+// SolverOptions tunes the interior-point method: tolerance, iteration cap,
+// initial barrier parameter and the fallback switches. Every solve takes
+// the arrow-structured O(n) Newton step; the Structured and WarmStart
+// fields are deprecated and ignored.
 type SolverOptions = ipm.Options
 
 // SolverResult reports a computed distribution.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # scripts/bench.sh — run the root benchmark suite (one Benchmark per paper
-# table/figure, plus the scaling tiers: SolveN's arrow-vs-dense solver
-# sweep, Sim10kPU's generated 10,000-PU cluster, and WarmRebalance's
-# cold-vs-warm solver comparison) with -benchmem and write BENCH_<pr>.json:
+# table/figure, plus the scaling tiers: SolveN's cold-solve sweep over the
+# unit count, Sim10kPU's generated 10,000-PU cluster, and WarmRebalance's
+# warm-started re-solves) with -benchmem and write BENCH_<pr>.json:
 # one machine-readable point of the repo's performance trajectory, carrying
 # ns/op, B/op, allocs/op, and the custom metrics (sim-s, speedup-x,
 # ipm-iters/solve, ...) each benchmark reports.
