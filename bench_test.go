@@ -255,10 +255,13 @@ func BenchmarkSolveN(b *testing.B) {
 // structured warm-started solving, execution — on a generated 10,000-PU
 // cluster (2000 nodes × 1 CPU + 4 GPUs), the thousand-PU tier the
 // structured solver exists for. Work conservation and record sanity are
-// asserted every iteration.
+// asserted every iteration. Next to the simulated makespan it reports the
+// solver's path — solves, bisection fallbacks and the warm-start hit rate —
+// so a time won by a degraded path shows.
 func BenchmarkSim10kPU(b *testing.B) {
 	const totalUnits = 16 << 20
 	var makespan float64
+	var solver starpu.SolverStats
 	for i := 0; i < b.N; i++ {
 		clu := cluster.Synthetic(2000, 4, cluster.Config{
 			Seed: int64(i), NoiseSigma: cluster.DefaultNoiseSigma,
@@ -279,9 +282,16 @@ func BenchmarkSim10kPU(b *testing.B) {
 		if units != totalUnits {
 			b.Fatalf("processed %d units, want %d", units, totalUnits)
 		}
+		if rep.SolverStats == nil {
+			b.Fatal("no solver stats")
+		}
 		makespan = rep.Makespan
+		solver = *rep.SolverStats
 	}
 	b.ReportMetric(makespan, "sim-s/op")
+	b.ReportMetric(solver.Solves, "solves/op")
+	b.ReportMetric(solver.Fallbacks, "fallbacks/op")
+	b.ReportMetric(solver.WarmHitRate(), "warm-hit")
 }
 
 // BenchmarkWarmRebalance runs the Fig. 3 slowdown scenario, whose

@@ -151,17 +151,38 @@ func New(spec Spec, seed int64, noiseSigma float64) *Device {
 	return d
 }
 
+// failureEpoch counts alive → failed transitions across every device in the
+// process; see FailureEpoch.
+var failureEpoch atomic.Uint64
+
+// FailureEpoch returns the number of alive → failed transitions
+// SetSpeedFactor has made on any device in the process. An observer that
+// reads the epoch, then scans Failed() over its devices, and scans again
+// only once the epoch has moved never misses a failure, whichever goroutine
+// or code path set the factor. Recoveries do not move it. The counter is
+// shared by every device, so a failure elsewhere in the process costs an
+// observer one scan that finds nothing.
+func FailureEpoch() uint64 { return failureEpoch.Load() }
+
 // SetSpeedFactor changes the device's throughput multiplier. Factor 0 marks
 // the device as failed. Negative and NaN factors clamp to 0: fault schedules
 // are decoded from arbitrary inputs (fuzzing, severity arithmetic), and an
 // invalid factor must degrade to the worst legal state — failed — rather
 // than drive time backwards or poison the event heap with NaN. Safe to call
 // from any goroutine.
+//
+// When the call moves the device from alive to failed, it advances
+// FailureEpoch exactly once, after the new factor is visible to Failed():
+// an observer that reads the old epoch and then misses the failure in its
+// scan sees the epoch move on its next read.
 func (d *Device) SetSpeedFactor(f float64) {
 	if f < 0 || math.IsNaN(f) {
 		f = 0
 	}
-	d.speedFactor.Store(math.Float64bits(f))
+	old := math.Float64frombits(d.speedFactor.Swap(math.Float64bits(f)))
+	if f == 0 && old != 0 {
+		failureEpoch.Add(1)
+	}
 }
 
 // SpeedFactor returns the current throughput multiplier.

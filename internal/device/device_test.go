@@ -179,6 +179,33 @@ func TestSpeedFactorAndFailure(t *testing.T) {
 	}
 }
 
+// TestFailureEpoch: the epoch moves once per alive → failed transition and
+// on nothing else — repeated kills, recoveries and degradations leave it.
+func TestFailureEpoch(t *testing.T) {
+	d := New(TeslaK20c(), 1, 0)
+	steps := []struct {
+		factor float64
+		moves  bool
+	}{
+		{0.5, false},
+		{0, true},
+		{0, false},
+		{math.NaN(), false}, // clamps to 0: already failed
+		{1, false},
+		{-1, true}, // clamps to 0
+		{math.Copysign(0, -1), false},
+		{1, false},
+		{math.Copysign(0, -1), true}, // -0 reads as failed
+	}
+	for i, st := range steps {
+		before := FailureEpoch()
+		d.SetSpeedFactor(st.factor)
+		if moved := FailureEpoch() != before; moved != st.moves {
+			t.Errorf("step %d: SetSpeedFactor(%v) moved the epoch = %v, want %v", i, st.factor, moved, st.moves)
+		}
+	}
+}
+
 func TestMemoryBoundKernel(t *testing.T) {
 	// A kernel with huge memory traffic per unit must be bandwidth-limited.
 	p := mmProfile()

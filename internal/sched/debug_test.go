@@ -57,10 +57,3 @@ func TestDebugPLBHeC(t *testing.T) {
 			pu.Dev.NominalExecSeconds(app.Profile(), 100))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

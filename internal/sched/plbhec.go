@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 
+	"plbhec/internal/device"
 	"plbhec/internal/ipm"
 	"plbhec/internal/profile"
 	"plbhec/internal/starpu"
@@ -91,9 +92,14 @@ type PLBHeC struct {
 
 	share      []float64 // normalized distribution x_g (recorded for Fig. 6)
 	blockUnits []float64 // per-PU execution block size
-	lastFinish []float64 // per-PU most recent task finish time
+	// roundTotal is Σ blockUnits (one execution round's worth of work),
+	// re-summed in index order at every write to blockUnits.
+	roundTotal float64
 	lastDur    []float64 // per-PU most recent full-block duration
-	blockTime  float64   // EMA of execution-phase task durations
+	// durs holds the extremes of lastDur over the units that take part in
+	// imbalance detection (see trackDur).
+	durs       durRange
+	blockTime  float64 // EMA of execution-phase task durations
 	rebalance  bool
 	rebalCause string // why the pending rebalance triggered (telemetry)
 	overCount  int    // consecutive threshold detections (debounce)
@@ -114,6 +120,9 @@ type PLBHeC struct {
 	// fault-tolerance scenario ("a simple redistribution of the data among
 	// the remaining devices").
 	dead []bool
+	// failEpoch is the device.FailureEpoch value read before the last
+	// failure scan; scanFailures rescans only once the epoch moves.
+	failEpoch uint64
 	// regime tracks, per unit, the EMA ratio of measured to model-predicted
 	// block times. A sustained drift means the unit's speed changed (cloud
 	// QoS); the sample history is rescaled before the rebalance refit so
@@ -195,11 +204,14 @@ func (p *PLBHeC) Start(s *starpu.Session) {
 	p.sampler = profile.NewSampler(n)
 	p.roundTime = make([]float64, n)
 	p.roundUnits = make([]float64, n)
-	p.lastFinish = make([]float64, n)
 	p.lastDur = make([]float64, n)
+	p.durs = newDurRange(n)
 	p.share = make([]float64, n)
 	p.blockUnits = make([]float64, n)
 	p.dead = make([]bool, n)
+	// One less than the current epoch: the first completion always scans,
+	// which catches units that died before the run started.
+	p.failEpoch = device.FailureEpoch() - 1
 	p.regime = make([]float64, n)
 	for i := range p.regime {
 		p.regime[i] = 1
@@ -450,12 +462,7 @@ func (p *PLBHeC) submitBlocks(s *starpu.Session) {
 	if steps < 1 {
 		steps = 1
 	}
-	remaining := float64(s.Remaining())
-	for i := range s.PUs() {
-		p.blockUnits[i] = p.share[i] * remaining / float64(steps)
-		p.lastFinish[i] = 0
-		p.lastDur[i] = 0
-	}
+	p.setBlocks(float64(s.Remaining()), float64(steps))
 	for i, pu := range s.PUs() {
 		if s.Remaining() == 0 {
 			break
@@ -473,7 +480,6 @@ func (p *PLBHeC) submitBlocks(s *starpu.Session) {
 // --- Phase 3: execution and rebalancing -------------------------------------
 
 func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
-	p.lastFinish[rec.PU] = rec.ExecEnd
 	dur := rec.ExecEnd - rec.TransferStart
 	fullBlock := float64(rec.Units) >= 0.9*p.blockUnits[rec.PU]
 	if p.modelsOK && rec.Units > 0 {
@@ -486,6 +492,7 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 		// Tail blocks clamped by the remaining data are intentionally
 		// smaller; only full blocks participate in imbalance detection.
 		p.lastDur[rec.PU] = dur
+		p.trackDur(rec.PU)
 		if p.blockTime == 0 {
 			p.blockTime = dur
 		} else {
@@ -505,19 +512,9 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	// noisy measurement cannot force a synchronization, and suppressed in
 	// the tail (less than one round of work left), where a redistribution
 	// could not be acted on anyway.
-	tail := float64(s.Remaining()) < p.roundUnitsTotal()
+	tail := float64(s.Remaining()) < p.roundTotal
 	if !p.rebalance && p.Threshold > 0 && fullBlock && !tail {
-		over := false
-		for j, d := range p.lastDur {
-			if j == rec.PU || d == 0 || p.blockUnits[j] < 0.5 {
-				continue
-			}
-			if math.Abs(dur-d) > p.Threshold*p.thrScale*p.blockTime {
-				over = true
-				break
-			}
-		}
-		if over {
+		if p.imbalanced(rec.PU, dur, p.Threshold*p.thrScale*p.blockTime) {
 			p.overCount++
 		} else {
 			p.overCount = 0
@@ -558,7 +555,6 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 // drainingFinished handles completions while a rebalance waits for the
 // synchronization point (all pre-detection tasks finished).
 func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
-	p.lastFinish[rec.PU] = rec.ExecEnd
 	if rec.Seq < p.drainSeq {
 		p.drainOld--
 	}
@@ -597,15 +593,11 @@ func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 			// Units still running filler tasks adopt the new block sizes
 			// as they finish; only a fully drained session needs a fresh
 			// submission round.
-			remaining := float64(s.Remaining())
 			steps := float64(p.ExecutionSteps)
 			if steps < 1 {
 				steps = 1
 			}
-			for i := range s.PUs() {
-				p.blockUnits[i] = p.share[i] * remaining / steps
-				p.lastDur[i] = 0
-			}
+			p.setBlocks(float64(s.Remaining()), steps)
 			if s.InFlight() == 0 {
 				p.submitBlocks(s)
 			} else if p.blockUnits[rec.PU] >= 0.5 && !p.dead[rec.PU] {
@@ -651,17 +643,24 @@ func (deadCurve) Eval(x float64) float64 { return math.Inf(1) }
 func (deadCurve) Deriv(x float64) float64 { return 0 }
 
 // scanFailures records newly failed units and reports whether any unit
-// died since the last scan. The session deduplicates the EvFailover
-// emission (NoteDeviceDown), so a death reported first by a fault injector
-// is not counted again here.
+// died since the last scan. It polls the devices only when
+// device.FailureEpoch has moved since the previous scan, so a completion
+// with no failure anywhere costs one atomic load; a failure is still
+// observed at the next completion, however the device was killed. The
+// session deduplicates the EvFailover emission (NoteDeviceDown), so a death
+// reported first by a fault injector is not counted again here.
 func (p *PLBHeC) scanFailures(s *starpu.Session) bool {
+	// Read the epoch before scanning: a device that fails mid-scan moves it
+	// again, and the next completion rescans.
+	epoch := device.FailureEpoch()
+	if epoch == p.failEpoch {
+		return false
+	}
+	p.failEpoch = epoch
 	changed := false
 	for i, pu := range s.PUs() {
 		if !p.dead[i] && pu.Dev.Failed() {
-			p.dead[i] = true
-			p.share[i] = 0
-			p.blockUnits[i] = 0
-			p.stats.failures++
+			p.markDead(i)
 			s.NoteDeviceDown(i)
 			changed = true
 		}
@@ -685,13 +684,107 @@ func l1Distance(a, b []float64) float64 {
 	return d
 }
 
-// roundUnitsTotal is one execution round's worth of work (Σ block sizes).
-func (p *PLBHeC) roundUnitsTotal() float64 {
+// markDead excludes failed unit i from every later distribution and from
+// imbalance detection.
+func (p *PLBHeC) markDead(i int) {
+	p.dead[i] = true
+	p.share[i] = 0
+	p.blockUnits[i] = 0
+	p.trackDur(i)
+	p.sumBlocks()
+	p.stats.failures++
+}
+
+// setBlocks sizes every unit's execution block from the current
+// distribution and forgets the measured block durations, so imbalance
+// detection starts over for the new distribution.
+func (p *PLBHeC) setBlocks(remaining, steps float64) {
+	for i := range p.blockUnits {
+		p.blockUnits[i] = p.share[i] * remaining / steps
+		p.lastDur[i] = 0
+	}
+	p.durs.reset()
+	p.sumBlocks()
+}
+
+// sumBlocks refreshes roundTotal. Every write to blockUnits is followed by
+// a full re-sum in index order, so the per-completion tail check reads the
+// same bits a fresh sum would; a running ± total would drift from it.
+func (p *PLBHeC) sumBlocks() {
 	var sum float64
 	for _, b := range p.blockUnits {
 		sum += b
 	}
-	return sum
+	p.roundTotal = sum
+}
+
+// trackDur refreshes unit i's entry in durs after lastDur[i] or
+// blockUnits[i] changed. A unit takes part in imbalance detection once it
+// has measured a full block (lastDur ≠ 0) and while it still receives
+// blocks (blockUnits not below 0.5). A NaN duration is left out: it never
+// compares over the threshold.
+func (p *PLBHeC) trackDur(i int) {
+	d := p.lastDur[i]
+	p.durs.set(i, d, d != 0 && d == d && !(p.blockUnits[i] < 0.5))
+}
+
+// imbalanced is Algorithm 2's maxDifference test: whether unit pu's
+// full-block duration dur differs by more than thr from that of any other
+// unit taking part in detection. Rounded subtraction is monotone, so
+// checking the two extremes of the others decides it exactly as comparing
+// against each of them would.
+func (p *PLBHeC) imbalanced(pu int, dur, thr float64) bool {
+	hi, lo := p.durs.without(pu)
+	return hi-dur > thr || dur-lo > thr
+}
+
+// durRange is an iterative segment tree over n per-unit values holding the
+// maximum and minimum of the present ones. Node k's children are 2k and
+// 2k+1, leaf i sits at n+i and node 1 is the root. Absent leaves hold
+// -Inf/+Inf, so they never win a comparison. A point update and an
+// all-but-one query each cost O(log n).
+type durRange struct {
+	hi, lo []float64 // node maxima and minima, 2n entries each (0 unused)
+}
+
+func newDurRange(n int) durRange {
+	r := durRange{hi: make([]float64, 2*n), lo: make([]float64, 2*n)}
+	r.reset()
+	return r
+}
+
+// reset marks every leaf absent.
+func (r *durRange) reset() {
+	for i := range r.hi {
+		r.hi[i], r.lo[i] = math.Inf(-1), math.Inf(1)
+	}
+}
+
+// set stores v at leaf i when present is true, or marks leaf i absent.
+func (r *durRange) set(i int, v float64, present bool) {
+	k := len(r.hi)/2 + i
+	if present {
+		r.hi[k], r.lo[k] = v, v
+	} else {
+		r.hi[k], r.lo[k] = math.Inf(-1), math.Inf(1)
+	}
+	for k > 1 {
+		k /= 2
+		r.hi[k] = max(r.hi[2*k], r.hi[2*k+1])
+		r.lo[k] = min(r.lo[2*k], r.lo[2*k+1])
+	}
+}
+
+// without returns the maximum and minimum over every present leaf but i
+// (-Inf and +Inf when there is none). The siblings met on the path from
+// leaf i to the root cover exactly the other leaves.
+func (r *durRange) without(i int) (hi, lo float64) {
+	hi, lo = math.Inf(-1), math.Inf(1)
+	for k := len(r.hi)/2 + i; k > 1; k /= 2 {
+		hi = max(hi, r.hi[k^1])
+		lo = min(lo, r.lo[k^1])
+	}
+	return hi, lo
 }
 
 // keepAlive prevents a stall when work remains but every active unit went
