@@ -8,9 +8,9 @@ import (
 )
 
 // Apply validates the schedule against clu and installs every fault as
-// engine-clock callbacks on sess (which must be a simulated session over
-// clu — the live engine has no controllable clock and Apply returns its
-// ScheduleAt error). Call before Session.Run. Determinism: installation is
+// engine-clock callbacks on sess, a session over clu. On a live session the
+// callbacks fire on the wall clock, where only device faults take effect.
+// Call before Session.Run. Determinism on the simulator: installation is
 // spec-order, callbacks are serialized by the event queue, and nothing here
 // consumes randomness, so the same (schedule, cluster seed) reproduces the
 // same run bit-for-bit.

@@ -113,6 +113,15 @@ func (e *Engine) RunUntil(deadline float64) float64 {
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue) }
 
+// NextTime returns the time of the earliest queued event; ok is false when
+// the queue is empty.
+func (e *Engine) NextTime() (t float64, ok bool) {
+	if len(e.queue) == 0 {
+		return 0, false
+	}
+	return e.queue[0].t, true
+}
+
 func (e *Engine) step() {
 	ev := e.queue[0]
 	e.pop()

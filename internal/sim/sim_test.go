@@ -189,3 +189,25 @@ func TestClockMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNextTime: NextTime reports the earliest queued event without firing
+// it, and nothing once the queue drains.
+func TestNextTime(t *testing.T) {
+	e := New()
+	if _, ok := e.NextTime(); ok {
+		t.Fatal("empty queue reports a next event")
+	}
+	e.At(3, func() {})
+	e.At(1, func() {})
+	if at, ok := e.NextTime(); !ok || at != 1 {
+		t.Fatalf("NextTime = %g, %v; want 1, true", at, ok)
+	}
+	e.RunUntil(2)
+	if at, ok := e.NextTime(); !ok || at != 3 || e.Pending() != 1 {
+		t.Fatalf("after RunUntil(2): NextTime = %g, %v with %d pending; want 3, true, 1", at, ok, e.Pending())
+	}
+	e.Run()
+	if _, ok := e.NextTime(); ok {
+		t.Fatal("drained queue reports a next event")
+	}
+}

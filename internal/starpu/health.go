@@ -126,7 +126,7 @@ func (s *Session) initHealth() {
 
 // healthActive reports whether the run still needs the heartbeat machinery:
 // once the run has failed or every unit is delivered, the pumps stand down
-// so the event queue (sim) and driving loop (live) can drain.
+// so the timer queue can drain.
 func (s *Session) healthActive() bool {
 	return s.violation == nil && (s.remaining > 0 || s.inflight > 0)
 }
@@ -150,20 +150,6 @@ func (s *Session) noteHeartbeat(id int, now float64) {
 	s.hbGen[id]++
 	if s.suspected[id] {
 		s.rejoinUnit(id, now)
-	}
-}
-
-// fireSuspicions scans every unsuspected unit against the detector at now —
-// the live engine's timer-driven suspicion path (the simulator schedules
-// per-unit crossing events instead).
-func (s *Session) fireSuspicions(now float64) {
-	if !s.healthActive() {
-		return
-	}
-	for id := range s.pus {
-		if !s.suspected[id] && s.det.Suspect(id, now) {
-			s.suspectUnit(id, now)
-		}
 	}
 }
 
@@ -232,11 +218,7 @@ func (s *Session) reassignLease(from, seq int) {
 	}
 	detached := s.eng.revokeCopies(from, seq)
 	dropped := s.takeLost(from, seq)
-	if !s.requeueBlockSettled(from, seq, lo, hi, retries, detached == 0 && !dropped) {
-		// Retries exhausted or no target: requeueBlockSettled already failed
-		// the run; settle the global account so the drive loop can exit.
-		s.inflight--
-	}
+	s.requeueBlockSettled(from, seq, lo, hi, retries, detached == 0 && !dropped)
 }
 
 // rejoinUnit restores a suspected unit as a placement target: suspicion and
@@ -309,9 +291,7 @@ func (s *Session) recoverLostBlocks(id int) {
 			s.leases.Promote(seq) // the live backup completes the block
 			continue
 		}
-		if !s.requeueBlockSettled(id, seq, l.Lo, l.Hi, l.Retries, false) {
-			s.inflight--
-		}
+		s.requeueBlockSettled(id, seq, l.Lo, l.Hi, l.Retries, false)
 	}
 	// Anything left refers to blocks no longer owned here; future deaths
 	// re-record as needed, so forget the unit's whole lost set.
@@ -392,33 +372,11 @@ func (s *Session) InjectHeartbeatLoss(id int, until float64) {
 	}
 }
 
-// healthSuspectDeadline returns the earliest pending suspicion crossing
-// among unsuspected units, for the live engine's unified timer. Once the
-// suspicion machinery stands down — run failed or everything delivered —
-// it reports no deadline: fireSuspicions no-ops and heartbeats are dropped
-// in that state, so a frozen, already-past crossing here would spin the
-// drive loop hot instead of letting it block on in-flight completions.
-func (s *Session) healthSuspectDeadline() (float64, bool) {
-	if !s.healthActive() {
-		return 0, false
-	}
-	best, ok := math.Inf(1), false
-	for id := range s.pus {
-		if s.suspected[id] {
-			continue
-		}
-		if at := s.det.SuspectAt(id); at < best {
-			best, ok = at, true
-		}
-	}
-	return best, ok
-}
-
-// startHeartbeatPump primes the simulator's heartbeat machinery: one
-// self-rescheduling beat event per unit, plus the initial suspicion check —
-// so a unit that never beats at all is still caught. Heartbeats and
-// suspicion checks are ordinary engine events, which keeps health runs
-// bit-reproducible. The live engine uses real ticker goroutines instead.
+// startHeartbeatPump primes the heartbeat machinery: one self-rescheduling
+// beat timer per unit, plus the initial suspicion check — so a unit that
+// never beats at all is still caught. Heartbeats and suspicion checks are
+// ordinary engine timers on both engines, which keeps simulated health runs
+// bit-reproducible.
 func (s *Session) startHeartbeatPump() {
 	if s.health == nil {
 		return
@@ -432,11 +390,11 @@ func (s *Session) startHeartbeatPump() {
 	}
 }
 
-// pumpBeat is one simulated heartbeat tick: if the unit is alive and its
-// heartbeat path unbroken, the beat reaches the detector and the unit's
-// suspicion check moves out past the new crossing time. The tick always
-// reschedules itself while the run needs it — a dead or partitioned unit
-// keeps *trying* to beat, so its first beat after healing arrives promptly.
+// pumpBeat is one heartbeat tick: if the unit is alive and its heartbeat
+// path unbroken, the beat reaches the detector and the unit's suspicion
+// check moves out past the new crossing time. The tick always reschedules
+// itself while the run needs it — a dead or partitioned unit keeps *trying*
+// to beat, so its first beat after healing arrives promptly.
 func (s *Session) pumpBeat(id int) {
 	if !s.healthActive() {
 		return // run over or failed: let the event queue drain

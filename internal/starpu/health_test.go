@@ -1,6 +1,7 @@
 package starpu
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -406,21 +407,41 @@ func TestRevokeCopiesSettlesEachCopyOnce(t *testing.T) {
 	}
 }
 
-// TestHealthSuspectDeadlineStandsDownAfterFailure: once the run fails,
-// fireSuspicions no-ops and heartbeats are dropped, so healthSuspectDeadline
-// must report no pending crossing — a frozen, already-past deadline would
-// spin the live drive loop hot (wait <= 0 → fireTimers → continue) instead
-// of letting it block on the in-flight completions it still has to drain.
-func TestHealthSuspectDeadlineStandsDownAfterFailure(t *testing.T) {
+// TestHealthStandsDownAfterFailure: once the run fails, the heartbeat pump
+// and the suspicion checks stop rescheduling, so the timer queue drains
+// instead of keeping the run alive. On the simulator the primed queue must
+// empty without a single suspicion; on the live engine a run whose every
+// worker is dead must fail with ErrFailedDevice instead of waiting forever.
+func TestHealthStandsDownAfterFailure(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 1, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 256})
 	sess := NewSimSession(clu, app, SimConfig{Health: DefaultHealthPolicy()})
-	if _, ok := sess.healthSuspectDeadline(); !ok {
-		t.Fatal("no suspicion crossing armed on a healthy run")
+	e := sess.eng.(*simEngine)
+	if e.eng.Pending() == 0 {
+		t.Fatal("no heartbeat or suspicion timer armed on a healthy session")
 	}
 	sess.fail(ErrFailedDevice)
-	if at, ok := sess.healthSuspectDeadline(); ok {
-		t.Fatalf("suspicion crossing %g still armed after run failure", at)
+	e.eng.Run()
+	if n := e.eng.Pending(); n != 0 {
+		t.Fatalf("%d timers still queued after the run failed", n)
+	}
+	for i, r := range sess.resilience {
+		if r.Suspicions != 0 {
+			t.Errorf("unit %d suspected %d times after the run failed", i, r.Suspicions)
+		}
+	}
+
+	k := &countingKernel{hits: make([]int32, 60)}
+	live := NewLiveSession(k, LiveConfig{
+		Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}},
+		TotalUnits: 60,
+		Health:     liveHealthPolicy(),
+	})
+	for _, pu := range live.PUs() {
+		pu.Dev.SetSpeedFactor(0)
+	}
+	if _, err := live.Run(&fixedScheduler{block: 20}); !errors.Is(err, ErrFailedDevice) {
+		t.Fatalf("want ErrFailedDevice, got %v", err)
 	}
 }
 

@@ -1,12 +1,12 @@
 package starpu
 
 import (
-	"sort"
 	"sync"
 	"time"
 
 	"plbhec/internal/cluster"
 	"plbhec/internal/device"
+	"plbhec/internal/sim"
 	"plbhec/internal/telemetry"
 )
 
@@ -31,9 +31,10 @@ type LiveWorkerSpec struct {
 }
 
 // liveEngine executes real kernels on goroutine workers under wall-clock
-// time. Completions funnel through one channel and are processed serially
-// on the driving goroutine, so scheduler callbacks stay single-threaded
-// exactly as on the simulation engine.
+// time. Completions funnel through one channel and timed callbacks through
+// one timer queue; both are processed serially on the driving goroutine, so
+// scheduler callbacks stay single-threaded exactly as on the simulation
+// engine.
 type liveEngine struct {
 	session *Session
 	kernel  LiveKernel
@@ -42,13 +43,16 @@ type liveEngine struct {
 	// Written once before any assignment is sent; the channel send/receive
 	// pair orders the write before every worker read.
 	kernels []LiveKernel
-	// svcArrivals carries the feeder goroutine's replayed requests into the
-	// driving goroutine (service mode only); closed when the stream ends.
-	svcArrivals chan svcArrival
-	start       time.Time
-	workers     []chan liveAssign
-	complete    chan liveDone
-	specs       []LiveWorkerSpec
+	// timers is the simulator's event queue reused as the live timer queue,
+	// clocked in engine (wall-clock) seconds: retry backoff, watchdog
+	// deadlines, heartbeats, suspicion checks, service arrivals and
+	// ScheduleAt callbacks all go through at, and drive fires whatever is
+	// due. Touched only on the driving goroutine.
+	timers   *sim.Engine
+	start    time.Time
+	workers  []chan liveAssign
+	complete chan liveDone
+	specs    []LiveWorkerSpec
 	// queueBusy accumulates, per worker, the time blocks spent waiting in
 	// the worker's channel between submission and pickup. Written only on
 	// the driving goroutine (drive), so no lock is needed.
@@ -61,25 +65,17 @@ type liveEngine struct {
 	// launches, completions, and watchdog expirations are all serialized
 	// there, so no lock is needed.
 	watch map[int]*liveWatch
-	// stray counts losing copies of already-delivered blocks still running
-	// on workers; drive drains their completions before closing channels.
-	stray int
-	// heartbeats carries worker heartbeat ticks into the driving goroutine
-	// (health mode only; nil otherwise, so its select case never fires).
-	heartbeats chan int
-	// hbStop, when closed, releases every heartbeat goroutine.
-	hbStop chan struct{}
-	// fencePending counts revoked stale copies still queued or running on
-	// workers: real kernels cannot be interrupted, so drive drains their
-	// (fenced) completions before closing channels, exactly like strays.
-	fencePending int
+	// onWorkers counts copies handed to workers whose reports have not come
+	// back yet — including losing speculative copies and fenced stale ones,
+	// which real kernels cannot interrupt. drive drains them all before it
+	// closes the worker channels.
+	onWorkers int
 }
 
 // liveWatch is the watchdog state of one in-flight block.
 type liveWatch struct {
 	pu          int // unit the original copy was launched on
 	lo, hi      int64
-	retries     int
 	deadlineSec float64 // engine seconds; the armed watchdog deadline
 	// specPU is the backup's unit once speculated, -1 while armed, or -2
 	// when disarmed (expired with no healthy target, or the race was
@@ -122,16 +118,18 @@ type LiveConfig struct {
 	AppName string
 	// Retry, when non-nil, enables runtime failover: blocks picked up by a
 	// worker whose device is marked failed bounce back and are requeued on
-	// a survivor. Real computation cannot be interrupted mid-kernel, so a
-	// block already executing when its device is failed still completes.
-	// Nil preserves the legacy behavior (failures are ignored entirely).
+	// a survivor after the policy's backoff, measured on the wall clock.
+	// Real computation cannot be interrupted mid-kernel, so a block already
+	// executing when its device is failed still completes. Nil preserves the
+	// legacy behavior (failures are ignored entirely).
 	Retry *RetryPolicy
 	// Spec, when non-nil, enables tail tolerance: blocks that outlive their
 	// watchdog deadline get a backup copy on another worker, first
 	// completion wins, and the loser's result is discarded. The two copies
 	// execute the same unit range concurrently, so the kernel must tolerate
 	// duplicate execution of a range (idempotent writes or atomic updates —
-	// all kernels in internal/apps qualify). Nil preserves the legacy
+	// all kernels in internal/apps qualify). Composes with service mode,
+	// where each copy runs its own app's kernel. Nil preserves the legacy
 	// behavior exactly.
 	Spec *SpeculationPolicy
 	// Locality, when non-nil, enables data-residency tracking. Live workers
@@ -145,7 +143,7 @@ type LiveConfig struct {
 	// means TotalUnits — every unit its own datum.
 	DataUnits int64
 	// Health, when non-nil, enables heartbeat failure detection: workers
-	// emit periodic heartbeats from ticker goroutines, a failure detector
+	// emit periodic heartbeats as engine timers, a failure detector
 	// (phi-accrual or deadline) suspects units whose heartbeats stop, and a
 	// suspect's blocks are reassigned under fencing leases — a late result
 	// from a falsely-suspected unit is discarded deterministically,
@@ -156,7 +154,9 @@ type LiveConfig struct {
 
 // NewLiveSession builds a session that runs kernel on real goroutine
 // workers. Each worker appears to schedulers as one processing unit of a
-// synthetic single-CPU machine (worker 0's machine is the master).
+// synthetic single-CPU machine. Workers share the master's host memory, so
+// every machine is master-local: no modeled NIC hop (an unset link would
+// otherwise price every transfer to a worker past the first at +Inf).
 func NewLiveSession(kernel LiveKernel, cfg LiveConfig) *Session {
 	if len(cfg.Workers) == 0 {
 		panic("starpu: live session needs at least one worker")
@@ -168,8 +168,9 @@ func NewLiveSession(kernel LiveKernel, cfg LiveConfig) *Session {
 			Cores: 1, ClockGHz: 1, FlopsPerCycle: 1,
 		}
 		machines = append(machines, &cluster.Machine{
-			Name: w.Name,
-			CPU:  device.New(spec, int64(i), 0),
+			Name:     w.Name,
+			IsMaster: true,
+			CPU:      device.New(spec, int64(i), 0),
 		})
 	}
 	clu := cluster.New(machines...)
@@ -193,6 +194,7 @@ func NewLiveSession(kernel LiveKernel, cfg LiveConfig) *Session {
 	le := &liveEngine{
 		session:   s,
 		kernel:    kernel,
+		timers:    sim.New(),
 		start:     time.Now(),
 		complete:  make(chan liveDone, 4*len(cfg.Workers)),
 		specs:     cfg.Workers,
@@ -210,21 +212,20 @@ func NewLiveSession(kernel LiveKernel, cfg LiveConfig) *Session {
 		go le.workerLoop(i, ch)
 	}
 	s.eng = le
-	if s.health != nil {
-		le.heartbeats = make(chan int, 4*len(cfg.Workers))
-		le.hbStop = make(chan struct{})
-		for i := range cfg.Workers {
-			go le.heartbeatLoop(i)
-		}
-	}
+	s.startHeartbeatPump()
 	return s
 }
 
 func (e *liveEngine) now() float64 { return time.Since(e.start).Seconds() }
 
-// at is unsupported on the live engine: callbacks could not be serialized
-// with worker completions without a scheduler-visible clock.
-func (e *liveEngine) at(t float64, fn func()) bool { return false }
+// at queues fn on the timer queue; drive runs it on the driving goroutine
+// once the wall clock reaches t. A time already past runs at the next pass.
+func (e *liveEngine) at(t float64, fn func()) {
+	if now := e.timers.Now(); t < now {
+		t = now
+	}
+	e.timers.At(t, fn)
+}
 
 // linkBusy reports per-worker queue occupancy: the time each block spent
 // waiting between submission and its worker picking it up. The live engine
@@ -272,24 +273,36 @@ func (e *liveEngine) appOf(seq int) int32 {
 	return 0
 }
 
+// launch hands block [lo,hi) to pu's worker. A first launch under a
+// SpeculationPolicy also arms the block's watchdog when a deadline is
+// derivable; requeued copies (retries > 0) are not re-armed.
 func (e *liveEngine) launch(pu *cluster.PU, seq int, lo, hi int64, earliest float64, retries int) {
-	submit := e.now()
-	e.session.fetchBytes(pu.ID, seq, lo, hi)
-	if e.session.spec != nil && retries == 0 {
-		// Arm a watchdog for the block when a deadline is derivable (launch
-		// runs on the driving goroutine, so the map needs no lock).
-		// Requeued copies re-enter through relaunchAfter and are not
-		// re-armed.
-		if wd := e.session.watchdogDeadline(pu.ID, hi-lo); wd > 0 {
-			e.watch[seq] = &liveWatch{
-				pu: pu.ID, lo: lo, hi: hi, retries: retries,
-				deadlineSec: submit + wd, specPU: -1, copies: 1,
-			}
+	s := e.session
+	s.fetchBytes(pu.ID, seq, lo, hi)
+	if s.spec != nil && retries == 0 {
+		if wd := s.watchdogDeadline(pu.ID, hi-lo); wd > 0 {
+			w := &liveWatch{pu: pu.ID, lo: lo, hi: hi, deadlineSec: e.now() + wd, specPU: -1, copies: 1}
+			e.watch[seq] = w
+			e.at(w.deadlineSec, func() { e.watchdogFire(seq, w) })
 		}
 	}
-	e.workers[pu.ID] <- liveAssign{
-		seq: seq, lo: lo, hi: hi, submit: submit, retries: retries, app: e.appOf(seq),
-		token: e.session.leaseTokenFor(pu.ID, seq),
+	e.send(pu.ID, seq, lo, hi, retries, s.leaseTokenFor(pu.ID, seq))
+}
+
+// send hands one copy of block seq to worker pu, stamped with the block's
+// owning app and the copy's fencing token. It never blocks drive: when the
+// worker's queue is full, a goroutine finishes the handoff while
+// completions keep draining.
+func (e *liveEngine) send(pu, seq int, lo, hi int64, retries int, token uint64) {
+	a := liveAssign{
+		seq: seq, lo: lo, hi: hi, submit: e.now(), retries: retries,
+		app: e.appOf(seq), token: token,
+	}
+	e.onWorkers++
+	select {
+	case e.workers[pu] <- a:
+	default:
+		go func(ch chan liveAssign) { ch <- a }(e.workers[pu])
 	}
 }
 
@@ -309,15 +322,13 @@ func (e *liveEngine) dropInFlight(pu int) {}
 // revokeCopies implements engine. The lease pu held on seq moved, so pu's
 // copy — queued, executing, or a bounce in transit — is now stale: its
 // per-unit in-flight account settles here, and its eventual surfacing is
-// fenced (success) or absorbed (bounce) without further settlement, with
-// fencePending keeping the drain loop alive until it does. A copy the
-// bounce path already destroyed left a lost record and counts zero.
+// fenced (success) or absorbed (bounce) without further settlement. A copy
+// the bounce path already destroyed left a lost record and counts zero.
 func (e *liveEngine) revokeCopies(pu, seq int) int {
 	s := e.session
 	if _, ok := s.lost[pu][seq]; ok {
 		return 0
 	}
-	e.fencePending++
 	s.inflightPU[pu]--
 	if w := e.watch[seq]; w != nil {
 		w.copies--
@@ -331,180 +342,39 @@ func (e *liveEngine) revokeCopies(pu, seq int) int {
 	return 1
 }
 
-// relaunchAfter implements engine. Backoff is not modeled in wall-clock
-// time (sleeping the driving goroutine would also stall every healthy
-// completion); the block is resubmitted immediately. The send must not
-// block drive — if the target worker's queue is full, a goroutine finishes
-// the handoff while completions keep draining.
-func (e *liveEngine) relaunchAfter(delay float64, pu *cluster.PU, seq int, lo, hi int64, retries int) {
-	e.session.fetchBytes(pu.ID, seq, lo, hi)
-	a := liveAssign{
-		seq: seq, lo: lo, hi: hi, submit: e.now(), retries: retries, app: e.appOf(seq),
-		token: e.session.leaseTokenFor(pu.ID, seq),
-	}
-	select {
-	case e.workers[pu.ID] <- a:
-	default:
-		go func() { e.workers[pu.ID] <- a }()
-	}
-}
-
+// drive is the live engine's one loop. Each pass fires every due timer,
+// then waits on the next completion or the next timer, whichever comes
+// first. It runs while any copy is still on a worker and, on a healthy run,
+// while blocks are in flight or service arrivals remain; timers still
+// queued after that are dropped. A fired timer leaves the queue, so a
+// deadline in the past cannot spin the loop.
 func (e *liveEngine) drive() error {
-	if e.session.svc != nil {
-		return e.driveService()
-	}
-	if e.session.spec != nil || e.session.leases != nil {
-		return e.driveTimers()
-	}
-	for e.session.inflight > 0 {
-		e.handleLegacyDone(<-e.complete)
-	}
-	for _, ch := range e.workers {
-		close(ch)
-	}
-	return nil
-}
-
-// handleLegacyDone processes one completion report without watchdog state:
-// failed pickups requeue (or settle their in-flight account when the run is
-// already failing), successes deliver to the session.
-func (e *liveEngine) handleLegacyDone(d liveDone) {
-	if d.failed {
-		e.session.NoteDeviceDown(d.rec.PU)
-		if !e.session.requeueBlock(d.rec.PU, d.rec.Seq, d.rec.Lo, d.rec.Hi, d.retries) {
-			// The block cannot be requeued (retries exhausted or no
-			// survivors): the run is failing, settle its in-flight
-			// account so the loop can drain the rest and exit.
-			e.session.inflight--
-		}
-		return
-	}
-	rec := d.rec
-	if rec.TransferEnd > rec.TransferStart {
-		// emitLink merges overlapping queue-wait intervals per worker, so
-		// concurrently queued blocks cannot push LinkBusy past wall time.
-		e.queueBusy[rec.PU] += e.session.emitLink(e.queueName[rec.PU],
-			rec.TransferStart, rec.TransferEnd, rec.Units)
-	}
-	e.session.onComplete(rec)
-}
-
-// startServiceFeeder launches the goroutine that replays the merged arrival
-// stream in wall-clock time, handing each request to the driving goroutine
-// over svcArrivals (closed when the stream ends).
-func (e *liveEngine) startServiceFeeder() {
-	e.svcArrivals = make(chan svcArrival, 64)
-	arrivals := e.session.svc.arrivals
-	go func() {
-		for _, r := range arrivals {
-			if d := time.Duration((r.t - e.now()) * float64(time.Second)); d > 0 {
-				time.Sleep(d)
-			}
-			e.svcArrivals <- r
-		}
-		close(e.svcArrivals)
-	}()
-}
-
-// driveService is the open-system completion loop: it multiplexes worker
-// completions with the feeder's arrivals until the stream is exhausted,
-// nothing is in flight, and the deferred queue has drained (or can no
-// longer drain — every unit dead). Receiving from the nil'd-out arrivals
-// channel blocks forever, so after the stream closes the select degenerates
-// to the completion loop.
-func (e *liveEngine) driveService() error {
-	s := e.session
-	arr := e.svcArrivals
-	for {
-		if arr == nil && s.inflight == 0 {
-			break // stream done, nothing running; any queue leftover has no unit to go to
-		}
-		select {
-		case r, ok := <-arr:
-			if !ok {
-				arr = nil
-				e.svcArrivals = nil
-				continue
-			}
-			s.serviceArrive(r)
-			s.serviceDrain()
-		case d := <-e.complete:
-			e.handleLegacyDone(d)
-		}
-	}
-	for _, ch := range e.workers {
-		close(ch)
-	}
-	return nil
-}
-
-// driveTimers is the completion loop with deadline machinery — watchdog
-// deadlines (speculation), suspicion crossings (health), or both — woken by
-// a single reusable timer armed at the earliest pending deadline. The timer
-// is allocated once and Reset between waits (the old per-iteration
-// time.NewTimer churned an allocation plus a runtime timer on every
-// completion); deadlines already in the past fire inline without arming it
-// at all.
-func (e *liveEngine) driveTimers() error {
-	s := e.session
 	var timer *time.Timer
-	stopTimer := func() {
-		// Reset requires a stopped, drained timer: if Stop reports the timer
-		// already fired, clear the stale tick so the next wait cannot
-		// consume it early.
-		if timer != nil && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+	for {
+		e.timers.RunUntil(e.now())
+		if !e.running() {
+			break
+		}
+		var wake <-chan time.Time
+		if t, ok := e.timers.NextTime(); ok {
+			d := time.Duration((t - e.now()) * float64(time.Second))
+			if timer == nil {
+				timer = time.NewTimer(d)
+			} else {
+				// A stale tick from an earlier wait costs one spurious pass
+				// at most: timers fire from the queue, never from the tick.
+				timer.Reset(d)
 			}
-		}
-	}
-	for s.inflight > 0 {
-		dl, armed := e.nextTimerDeadline()
-		if !armed {
-			select {
-			case d := <-e.complete:
-				e.handleDone(d)
-			case id := <-e.heartbeats:
-				e.acceptHeartbeat(id)
-			}
-			continue
-		}
-		wait := time.Duration((dl - e.now()) * float64(time.Second))
-		if wait <= 0 {
-			e.fireTimers()
-			continue
-		}
-		if timer == nil {
-			timer = time.NewTimer(wait)
-		} else {
-			timer.Reset(wait)
+			wake = timer.C
 		}
 		select {
 		case d := <-e.complete:
-			stopTimer()
 			e.handleDone(d)
-		case id := <-e.heartbeats:
-			stopTimer()
-			e.acceptHeartbeat(id)
-		case <-timer.C:
-			e.fireTimers()
+		case <-wake:
 		}
 	}
-	stopTimer()
-	// Losing copies of delivered blocks and fenced copies of reassigned ones
-	// are real kernels that cannot be interrupted; drain their completions
-	// (discarding heartbeats) so no worker is left blocked on the channel
-	// after the run.
-	for e.stray+e.fencePending > 0 {
-		select {
-		case d := <-e.complete:
-			e.handleDone(d)
-		case <-e.heartbeats:
-		}
-	}
-	if e.hbStop != nil {
-		close(e.hbStop)
+	if timer != nil {
+		timer.Stop()
 	}
 	for _, ch := range e.workers {
 		close(ch)
@@ -512,145 +382,67 @@ func (e *liveEngine) driveTimers() error {
 	return nil
 }
 
-// nextTimerDeadline returns the earliest pending deadline across the armed
-// machinery: watchdog expirations and suspicion crossings.
-func (e *liveEngine) nextTimerDeadline() (float64, bool) {
-	dl, armed := 0.0, false
-	if e.session.spec != nil {
-		dl, armed = e.nextDeadline()
-	}
-	if e.session.leases != nil {
-		if at, ok := e.session.healthSuspectDeadline(); ok && (!armed || at < dl) {
-			dl, armed = at, true
-		}
-	}
-	return dl, armed
-}
-
-// fireTimers services every deadline machine whose moment may have come;
-// each re-checks its own deadlines against the clock, so a wakeup meant for
-// one is harmless to the other.
-func (e *liveEngine) fireTimers() {
-	if e.session.spec != nil {
-		e.fireWatchdogs()
-	}
-	if e.session.leases != nil {
-		e.session.fireSuspicions(e.now())
-	}
-}
-
-// acceptHeartbeat feeds one worker heartbeat into the failure detector.
-// Beats from failed or partitioned units are dropped here, on the driving
-// goroutine — the ticker goroutines touch no session state, they only tick.
-func (e *liveEngine) acceptHeartbeat(id int) {
+// running reports whether drive still has something to wait for. Copies on
+// workers always drain. A failed run waits for nothing else: a block parked
+// on its lease or waiting out a backoff would never be delivered.
+func (e *liveEngine) running() bool {
 	s := e.session
-	if !s.healthActive() {
+	if e.onWorkers > 0 {
+		return true
+	}
+	if s.violation != nil {
+		return false
+	}
+	sv := s.svc
+	return s.inflight > 0 || (sv != nil && sv.next < len(sv.arrivals))
+}
+
+// watchdogFire runs at a block's watchdog deadline. Unless the block was
+// delivered, speculated, or requeued meanwhile, the expiry is charged to the
+// straggling worker and a backup copy goes to the least-loaded healthy one.
+func (e *liveEngine) watchdogFire(seq int, w *liveWatch) {
+	if e.watch[seq] != w || w.done || w.specPU != -1 {
 		return
 	}
-	now := e.now()
-	if !s.pus[id].Dev.Failed() && !s.heartbeatSuppressed(id, now) {
-		s.noteHeartbeat(id, now)
-	}
-}
-
-// heartbeatLoop is one worker's heartbeat ticker: it ticks at the policy
-// period until hbStop closes, handing each tick to the driving goroutine.
-// It deliberately reads no session state (the driving goroutine filters
-// dead and partitioned units), so it needs no synchronization beyond the
-// channels themselves.
-func (e *liveEngine) heartbeatLoop(id int) {
-	t := time.NewTicker(time.Duration(e.session.health.HeartbeatSeconds * float64(time.Second)))
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			select {
-			case e.heartbeats <- id:
-			case <-e.hbStop:
-				return
-			}
-		case <-e.hbStop:
-			return
-		}
-	}
-}
-
-// nextDeadline returns the earliest armed, unexpired watchdog deadline.
-func (e *liveEngine) nextDeadline() (float64, bool) {
-	best, ok := 0.0, false
-	for _, w := range e.watch {
-		if w.done || w.specPU != -1 {
-			continue
-		}
-		if !ok || w.deadlineSec < best {
-			best, ok = w.deadlineSec, true
-		}
-	}
-	return best, ok
-}
-
-// fireWatchdogs speculates every armed block whose deadline has passed:
-// the expiry is charged to the straggling worker and a backup copy goes to
-// the least-loaded healthy one (in sequence order, for reproducible
-// accounting).
-func (e *liveEngine) fireWatchdogs() {
-	now := e.now()
-	var expired []int
-	for seq, w := range e.watch {
-		if !w.done && w.specPU == -1 && w.deadlineSec <= now {
-			expired = append(expired, seq)
-		}
-	}
-	sort.Ints(expired)
 	s := e.session
-	for _, seq := range expired {
-		w := e.watch[seq]
-		s.noteExpiry(w.pu)
-		target := s.pickSpecTarget(w.pu, w.lo, w.hi)
-		if target < 0 {
-			w.specPU = -2 // nowhere healthy to speculate; wait it out
-			continue
-		}
-		w.specPU = target
-		w.copies++
-		s.fetchBytes(target, seq, w.lo, w.hi)
-		s.inflightPU[target]++
-		s.noteSpeculate(w.pu, target, seq, w.hi-w.lo)
-		if s.tel != nil {
-			s.tel.Emit(telemetry.Event{
-				Kind: telemetry.EvTaskSubmit, Time: e.now(),
-				PU: target, Seq: seq, Units: w.hi - w.lo,
-			})
-		}
-		a := liveAssign{
-			seq: seq, lo: w.lo, hi: w.hi, submit: e.now(), retries: w.retries,
-			token: s.grantSpecLease(seq, target),
-		}
-		select {
-		case e.workers[target] <- a:
-		default:
-			go func(ch chan liveAssign) { ch <- a }(e.workers[target])
-		}
+	s.noteExpiry(w.pu)
+	target := s.pickSpecTarget(w.pu, w.lo, w.hi)
+	if target < 0 {
+		w.specPU = -2 // nowhere healthy to speculate; wait it out
+		return
 	}
+	w.specPU = target
+	w.copies++
+	s.fetchBytes(target, seq, w.lo, w.hi)
+	s.inflightPU[target]++
+	s.noteSpeculate(w.pu, target, seq, w.hi-w.lo)
+	if s.tel != nil {
+		s.tel.Emit(telemetry.Event{
+			Kind: telemetry.EvTaskSubmit, Time: e.now(),
+			PU: target, Seq: seq, Units: w.hi - w.lo,
+		})
+	}
+	e.send(target, seq, w.lo, w.hi, 0, s.grantSpecLease(seq, target))
 }
 
-// handleDone processes one completion report under deadline machinery
-// (speculation, health, or both): stray losers of settled races drain
-// first, then bounces, then fencing admission, then delivery — falling back
-// to the legacy paths for blocks without watchdog state.
+// handleDone processes one completion report: stray losers of settled
+// races drain first, then bounces, then fencing admission, then delivery.
+// Blocks without watchdog state (no SpeculationPolicy, no derivable
+// deadline, or a requeued copy) take the same path with w == nil.
 func (e *liveEngine) handleDone(d liveDone) {
+	e.onWorkers--
 	s := e.session
-	w := e.watch[d.rec.Seq]
+	rec := d.rec
+	w := e.watch[rec.Seq]
 	if w != nil && w.done {
 		// The losing copy of an already-delivered block surfacing: its
 		// result is discarded, only its accounts settle. Spec-race losers
 		// resolve here, before the fencing admission check — losing a race
 		// is not a fence event.
-		e.stray--
 		w.copies--
-		s.inflightPU[d.rec.PU]--
+		s.inflightPU[rec.PU]--
 		if w.copies == 0 {
-			delete(e.watch, d.rec.Seq)
+			delete(e.watch, rec.Seq)
 		}
 		return
 	}
@@ -659,74 +451,55 @@ func (e *liveEngine) handleDone(d liveDone) {
 			e.handleFailedLease(d, w)
 			return
 		}
-		if w == nil {
-			// No watchdog state: legacy handling verbatim.
-			s.NoteDeviceDown(d.rec.PU)
-			if !s.requeueBlock(d.rec.PU, d.rec.Seq, d.rec.Lo, d.rec.Hi, d.retries) {
-				s.inflight--
-			}
-			return
-		}
-		if w.copies > 1 {
+		s.NoteDeviceDown(rec.PU)
+		if w != nil && w.copies > 1 {
 			// One copy bounced off a failed device but its twin is alive:
 			// the twin completes the block, so no requeue. The race is
 			// settled without a win/wasted outcome, as on the sim engine.
 			w.copies--
 			w.specPU = -2
-			s.NoteDeviceDown(d.rec.PU)
-			s.inflightPU[d.rec.PU]--
+			s.inflightPU[rec.PU]--
 			return
 		}
-		// Sole copy bounced: legacy requeue path; the watchdog state is
-		// obsolete (requeued copies are not re-armed).
-		delete(e.watch, d.rec.Seq)
-		s.NoteDeviceDown(d.rec.PU)
-		if !s.requeueBlock(d.rec.PU, d.rec.Seq, d.rec.Lo, d.rec.Hi, d.retries) {
-			s.inflight--
-		}
+		// Sole copy bounced: requeue it. Its watchdog state is obsolete
+		// (requeued copies are not re-armed).
+		delete(e.watch, rec.Seq)
+		s.requeueBlock(rec.PU, rec.Seq, rec.Lo, rec.Hi, d.retries)
 		return
 	}
-	if s.leases != nil && !s.admitCompletion(d.rec.PU, d.rec.Seq, d.token) {
+	if s.leases != nil && !s.admitCompletion(rec.PU, rec.Seq, d.token) {
 		// Fenced: a stale copy of a reassigned block completing after its
 		// lease moved. Its result is discarded — the fresh copy delivers
 		// exactly once — and its accounts were settled at revoke time.
-		e.fencePending--
-		s.noteFenced(d.rec.PU, d.rec.Seq, d.rec.Units)
+		s.noteFenced(rec.PU, rec.Seq, rec.Units)
 		return
 	}
-	if w == nil {
-		// No watchdog state: legacy delivery verbatim.
-		rec := d.rec
-		if rec.TransferEnd > rec.TransferStart {
-			e.queueBusy[rec.PU] += s.emitLink(e.queueName[rec.PU],
-				rec.TransferStart, rec.TransferEnd, rec.Units)
+	withinDeadline := false
+	if w != nil {
+		// First completion wins.
+		w.done = true
+		w.copies--
+		if w.specPU >= 0 {
+			s.noteSpecResolved(w.pu, w.specPU, rec.Seq, rec.Units, rec.PU == w.specPU)
 		}
-		s.onComplete(rec)
-		return
+		if w.copies == 0 {
+			delete(e.watch, rec.Seq)
+		}
+		withinDeadline = rec.ExecEnd <= w.deadlineSec
 	}
-	// First completion wins.
-	w.done = true
-	w.copies--
-	if w.specPU >= 0 {
-		s.noteSpecResolved(w.pu, w.specPU, d.rec.Seq, d.rec.Units, d.rec.PU == w.specPU)
-	}
-	if w.copies > 0 {
-		e.stray++
-	} else {
-		delete(e.watch, d.rec.Seq)
-	}
-	rec := d.rec
 	if rec.TransferEnd > rec.TransferStart {
+		// emitLink merges overlapping queue-wait intervals per worker, so
+		// concurrently queued blocks cannot push LinkBusy past wall time.
 		e.queueBusy[rec.PU] += s.emitLink(e.queueName[rec.PU],
 			rec.TransferStart, rec.TransferEnd, rec.Units)
 	}
-	s.observeBlock(rec.PU, rec.Units, rec.ExecEnd-rec.SubmitTime, rec.ExecEnd <= w.deadlineSec)
+	s.observeBlock(rec.PU, rec.Units, rec.ExecEnd-rec.SubmitTime, withinDeadline)
 	s.onComplete(rec)
 }
 
 // handleFailedLease absorbs a bounce under a HealthPolicy. A stale copy —
-// its lease already moved — was settled at revoke time and only releases
-// its drain account here. A copy still holding its lease is destroyed and
+// its lease already moved — was settled at revoke time and needs nothing
+// more. A copy still holding its lease is destroyed and
 // settled now, but the block itself stays parked on the lease until the
 // failure detector suspects the unit (or it recovers and the lost-block
 // recovery path requeues it): the oracle signal at pickup must not
@@ -738,7 +511,6 @@ func (e *liveEngine) handleFailedLease(d liveDone, w *liveWatch) {
 	s := e.session
 	s.NoteDeviceDown(d.rec.PU)
 	if !s.copyHoldsLease(d.rec.PU, d.rec.Seq, d.token) {
-		e.fencePending--
 		return
 	}
 	s.inflightPU[d.rec.PU]--

@@ -8,9 +8,10 @@ import (
 
 // This file is the session side of the runtime's failover machinery: fault
 // observation (down/up transitions, deduplicated across observers), and the
-// requeue path that moves blocks off failed units under a RetryPolicy. The
-// engine side — aborting in-flight work and relaunching — lives in
-// simengine.go / liveengine.go behind the engine interface.
+// requeue path that moves blocks off failed units under a RetryPolicy and
+// relaunches them after the policy's backoff through the engine's timer. The
+// engine side — aborting in-flight work — lives in simengine.go /
+// liveengine.go behind the engine interface.
 
 // NoteDeviceDown records that the unit's device has been observed failed.
 // It returns true the first time a given down-transition is reported —
@@ -108,21 +109,20 @@ func (s *Session) noteFailure(id int) {
 }
 
 // requeueBlock moves a block off fromPU after a failure there: it picks the
-// least-loaded surviving unit and relaunches after the policy's backoff.
-// retries is how many times the block has been requeued before this call.
-// It returns false when the block could not be requeued (retries exhausted,
-// or no eligible target) — the run then fails with ErrFailedDevice and the
-// block never completes, so callers accounting in-flight work must settle
-// it themselves.
-func (s *Session) requeueBlock(fromPU, seq int, lo, hi int64, retries int) bool {
-	return s.requeueBlockSettled(fromPU, seq, lo, hi, retries, true)
+// least-loaded surviving unit and relaunches after the policy's backoff (in
+// engine seconds, so wall-clock on the live engine). retries is how many
+// times the block has been requeued before this call. When the block cannot
+// be requeued (retries exhausted, or no eligible target) the run fails with
+// ErrFailedDevice; both engines then stop waiting for the block.
+func (s *Session) requeueBlock(fromPU, seq int, lo, hi int64, retries int) {
+	s.requeueBlockSettled(fromPU, seq, lo, hi, retries, true)
 }
 
 // requeueBlockSettled is requeueBlock with explicit control over the
 // per-unit in-flight settlement: suspicion- and recovery-driven
 // reassignments pass settle=false when the engine already settled the copy
 // (device death, abandoned partition), so no decrement happens twice.
-func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int, settle bool) bool {
+func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int, settle bool) {
 	s.noteFailure(fromPU)
 	s.resilience[fromPU].Requeues++
 	if settle {
@@ -135,26 +135,34 @@ func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int
 	}
 	if s.retry == nil {
 		s.fail(fmt.Errorf("starpu: block %d requeued without a retry policy: %w", seq, ErrFailedDevice))
-		return false
+		return
 	}
 	next := retries + 1
 	if next > s.retry.MaxRetries {
 		s.fail(fmt.Errorf("starpu: block %d (%d units) exhausted %d retries, last on %s: %w",
 			seq, hi-lo, s.retry.MaxRetries, s.pus[fromPU].Name(), ErrFailedDevice))
-		return false
+		return
 	}
 	target := s.pickRequeueTarget(fromPU, lo, hi)
 	if target < 0 {
 		s.fail(fmt.Errorf("starpu: block %d (%d units): no surviving unit to requeue onto: %w",
 			seq, hi-lo, ErrFailedDevice))
-		return false
+		return
 	}
 	s.inflightPU[target]++
 	if s.leases != nil {
 		s.leases.Grant(seq, target, lo, hi, next)
 	}
-	s.eng.relaunchAfter(s.retry.backoff(next), s.pus[target], seq, lo, hi, next)
-	return true
+	pu := s.pus[target]
+	s.eng.at(s.eng.now()+s.retry.backoff(next), func() {
+		// Under a HealthPolicy the lease may have moved again during the
+		// backoff (the target was itself suspected): the newer copy owns
+		// the block and this relaunch stands down.
+		if s.leases != nil && s.leases.TokenFor(seq, target) == 0 {
+			return
+		}
+		s.eng.launch(pu, seq, lo, hi, 0, next)
+	})
 }
 
 // pickRequeueTarget returns the best surviving unit to requeue block

@@ -167,7 +167,9 @@ type serviceState struct {
 	// window is the live-p99 measurement window (see serviceRefreshP99).
 	window float64
 
-	feeder svcFeeder
+	// feed is serviceFeed as a func value, bound once so that scheduling
+	// each next arrival on the engine's timer allocates nothing.
+	feed func()
 }
 
 // initService builds the service state onto a constructed session. Must run
@@ -217,17 +219,15 @@ func (s *Session) initService(pol ServicePolicy) error {
 		qcap = 1
 	}
 	sv.queue = make([]svcArrival, qcap)
-	sv.feeder.s = s
+	sv.feed = s.serviceFeed
 	s.svc = sv
 	s.appName = "service"
-	// Grow the record log and event heap to the offered-load ceiling so the
-	// steady-state arrival → dispatch → complete cycle stays allocation-free
-	// (the zero-alloc guard test pins this).
+	// Grow the record log to the offered-load ceiling so the steady-state
+	// arrival → dispatch → complete cycle stays allocation-free (the
+	// zero-alloc guard test pins this; NewServiceSimSession grows the event
+	// heap the same way).
 	if cap(s.records) < total {
 		s.records = append(make([]TaskRecord, 0, total+16), s.records...)
-	}
-	if se, ok := s.eng.(*simEngine); ok {
-		se.eng.Grow(total + 4*len(s.pus) + 16)
 	}
 	return nil
 }
@@ -246,20 +246,20 @@ func NewServiceSimSession(clu *cluster.Cluster, pol ServicePolicy, cfg SimConfig
 			"(the open-system drive loop has no fencing admission on its delivery path)")
 	}
 	cfg.EnforceMemory = false
-	s := newSimSession(clu, np.Apps[0].Profile, "service", 0, 0, cfg)
+	s, se := newSimSession(clu, np.Apps[0].Profile, "service", 0, 0, cfg)
 	if err := s.initService(np); err != nil {
 		return nil, err
 	}
+	se.eng.Grow(len(s.svc.arrivals) + 4*len(s.pus) + 16)
 	return s, nil
 }
 
 // NewServiceLiveSession builds a live open-system session: one goroutine
 // worker per cfg.Workers entry, one real kernel per app (kernels[i] executes
 // app i's blocks; each must tolerate arbitrary unit ranges, as the service
-// cursor is global). The feeder goroutine replays the merged arrival stream
-// in wall-clock time. SpeculationPolicy is not supported in live service
-// mode (the watchdog drive loop and the arrival channel cannot both own the
-// timer without a scheduler-visible clock).
+// cursor is global). Arrivals replay the merged stream in wall-clock time
+// through the engine's timer queue; cfg's Retry and Spec compose as on the
+// simulator.
 func NewServiceLiveSession(kernels []LiveKernel, cfg LiveConfig, pol ServicePolicy) (*Session, error) {
 	np, err := pol.normalized()
 	if err != nil {
@@ -267,9 +267,6 @@ func NewServiceLiveSession(kernels []LiveKernel, cfg LiveConfig, pol ServicePoli
 	}
 	if len(kernels) != len(np.Apps) {
 		return nil, runtimeError("service live session: %d kernels for %d apps", len(kernels), len(np.Apps))
-	}
-	if cfg.Spec != nil {
-		return nil, runtimeError("service live session does not support SpeculationPolicy")
 	}
 	if cfg.Health != nil {
 		return nil, runtimeError("service mode does not compose with HealthPolicy " +
@@ -295,7 +292,7 @@ func NewServiceLiveSession(kernels []LiveKernel, cfg LiveConfig, pol ServicePoli
 }
 
 // serviceDispatcher is the built-in scheduler driving service sessions: it
-// starts the arrival feeder, observes completions into the per-app latency
+// starts the arrival stream, observes completions into the per-app latency
 // accounts, and drains the deferred queue as capacity frees up. Service
 // sessions only accept this scheduler (Run enforces it) — placement policy
 // in service mode is the dispatcher's earliest-predicted-finish rule, not a
@@ -310,7 +307,7 @@ func ServiceScheduler() Scheduler { return serviceDispatcher{} }
 func (serviceDispatcher) Name() string { return "service-eta" }
 
 // Start implements Scheduler: service sessions start with nothing in flight
-// (remaining == 0), so the no-initial-work check does not trip; the feeder
+// (remaining == 0), so the no-initial-work check does not trip; the timer
 // scheduled here injects the first arrival.
 func (serviceDispatcher) Start(s *Session) { s.serviceStart() }
 
@@ -329,37 +326,23 @@ func (s *Session) RunService() (*Report, error) {
 	return s.Run(serviceDispatcher{})
 }
 
-// svcFeeder injects the merged arrival stream into the simulation engine:
-// one pooled handler re-schedules itself for the next arrival, so feeding
-// allocates nothing in steady state.
-type svcFeeder struct {
-	s *Session
-}
-
-// Fire implements sim.Handler.
-func (f *svcFeeder) Fire() {
-	s := f.s
+// serviceFeed offers the next request of the merged arrival stream and
+// schedules the one after it on the engine's timer.
+func (s *Session) serviceFeed() {
 	sv := s.svc
 	r := sv.arrivals[sv.next]
 	sv.next++
 	if sv.next < len(sv.arrivals) && s.violation == nil {
-		s.eng.(*simEngine).eng.Schedule(sv.arrivals[sv.next].t, f)
+		s.eng.at(sv.arrivals[sv.next].t, sv.feed)
 	}
 	s.serviceArrive(r)
 	s.serviceDrain()
 }
 
-// serviceStart begins the arrival stream on the session's engine.
+// serviceStart schedules the first arrival on the session's engine.
 func (s *Session) serviceStart() {
-	sv := s.svc
-	if len(sv.arrivals) == 0 {
-		return
-	}
-	switch e := s.eng.(type) {
-	case *simEngine:
-		e.eng.Schedule(sv.arrivals[0].t, &sv.feeder)
-	case *liveEngine:
-		e.startServiceFeeder()
+	if sv := s.svc; len(sv.arrivals) > 0 {
+		s.eng.at(sv.arrivals[0].t, sv.feed)
 	}
 }
 

@@ -2,8 +2,10 @@ package starpu
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"plbhec/internal/apps"
 	"plbhec/internal/cluster"
@@ -267,6 +269,17 @@ func TestServiceLiveSession(t *testing.T) {
 	if atomic.LoadInt64(&bsUnits) == 0 || atomic.LoadInt64(&mmUnits) == 0 {
 		t.Errorf("an app's kernel never ran: bs=%d mm=%d", bsUnits, mmUnits)
 	}
+	// Live workers share host memory: no worker may look unreachable to the
+	// dispatcher's transfer estimate.
+	perWorker := make([]int, len(s.PUs()))
+	for _, r := range rep.Records {
+		perWorker[r.PU]++
+	}
+	for i, n := range perWorker {
+		if n == 0 {
+			t.Errorf("worker %d never got a block: %v", i, perWorker)
+		}
+	}
 }
 
 // TestServiceAdmissionMetricsAgree asserts the plbhec_admitted/shed/
@@ -368,5 +381,75 @@ func TestServiceSteadyStateZeroAlloc(t *testing.T) {
 	if perArrival > 0.5 {
 		t.Errorf("steady state allocates %.2f objects per arrival (short run %d allocs / %d arrivals, long %d / %d), want ~0",
 			perArrival, aShort, nShort, aLong, nLong)
+	}
+}
+
+// TestServiceLiveSpeculation: live service mode composes with
+// SpeculationPolicy. A throttled worker's blocks expire their watchdogs and
+// get backup copies; every copy, backups included, must run its own app's
+// kernel, and admission must still conserve requests.
+func TestServiceLiveSpeculation(t *testing.T) {
+	type span struct{ lo, hi int64 }
+	var mu sync.Mutex
+	ran := [2][]span{}
+	kernel := func(app int) LiveKernel {
+		return kernelFunc(func(lo, hi int64) {
+			mu.Lock()
+			ran[app] = append(ran[app], span{lo, hi})
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+		})
+	}
+	pol := ServicePolicy{
+		Apps: []ServiceApp{
+			{Name: "bs", Profile: apps.NewBlackScholes(apps.BlackScholesConfig{Options: 1 << 14}).Profile(),
+				Arrivals: workload.Spec{Kind: workload.Poisson, Rate: 60, Units: 256, Seed: 1}},
+			{Name: "mm", Profile: apps.NewMatMul(apps.MatMulConfig{N: 512}).Profile(),
+				Arrivals: workload.Spec{Kind: workload.Poisson, Rate: 60, Units: 256, Seed: 2}},
+		},
+		Horizon: 0.3,
+		Seed:    4,
+	}
+	s, err := NewServiceLiveSession([]LiveKernel{kernel(0), kernel(1)}, LiveConfig{
+		Workers: []LiveWorkerSpec{{Name: "fast"}, {Name: "slow", Slowdown: 20}},
+		Spec: &SpeculationPolicy{
+			DeadlineMultiplier: 2, MinDeadlineSeconds: 0.005,
+			MinObservations: 1, SlowAfter: 1 << 20, // never stop feeding the slow worker
+		},
+	}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetPredictor(func(pu int, units float64) float64 { return 0.001 })
+	speculated := [2]int{}
+	tel := telemetry.New()
+	tel.Attach(sinkFunc(func(ev telemetry.Event) {
+		if ev.Kind == telemetry.EvSpeculate && ev.Name == "launch" {
+			speculated[s.svc.blocks[ev.Seq].app]++
+		}
+	}))
+	s.AttachTelemetry(tel)
+	rep, err := s.RunService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkServiceConservation(t, rep.Service)
+	checkExactlyOnce(t, rep.Records, rep.TotalUnits)
+	if speculated[0] == 0 || speculated[1] == 0 {
+		t.Fatalf("scenario no longer speculates both apps' blocks: %v", speculated)
+	}
+	owner := map[span]int{}
+	for _, r := range rep.Records {
+		owner[span{r.Lo, r.Hi}] = int(s.svc.blocks[r.Seq].app)
+	}
+	for app, spans := range ran {
+		for _, sp := range spans {
+			if got, ok := owner[sp]; !ok || got != app {
+				t.Errorf("app %d's kernel ran [%d,%d), a range of app %d (known %v)", app, sp.lo, sp.hi, got, ok)
+			}
+		}
+	}
+	if copies := len(ran[0]) + len(ran[1]); copies <= len(rep.Records) {
+		t.Errorf("%d kernel runs for %d delivered blocks: no backup copy ran", copies, len(rep.Records))
 	}
 }

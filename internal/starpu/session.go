@@ -287,12 +287,17 @@ func (s *Session) charge(sec float64, kind string) {
 
 // ScheduleAt arranges for fn to run at absolute engine time t, serialized
 // with scheduler callbacks. Experiments use it to perturb the environment
-// mid-run (degrade a device's QoS, fail a machine). It returns an error on
-// engines without a controllable clock (the live engine).
+// mid-run (degrade a device's QoS, fail a machine). Call it before Run or
+// from a callback. On the live engine t is wall-clock seconds since the
+// session was built and fn runs on the driving goroutine; a callback still
+// pending when the last block completes is dropped. A time already past
+// runs fn as soon as possible; NaN and +Inf times, which could never fire,
+// are rejected.
 func (s *Session) ScheduleAt(t float64, fn func()) error {
-	if !s.eng.at(t, fn) {
-		return runtimeError("this engine does not support scheduled callbacks")
+	if math.IsNaN(t) || math.IsInf(t, 1) {
+		return runtimeError("ScheduleAt at %v: the callback could never fire", t)
 	}
+	s.eng.at(t, fn)
 	return nil
 }
 

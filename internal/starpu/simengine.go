@@ -97,19 +97,9 @@ func (c *simCompletion) Fire() {
 	deadline := c.deadline
 	backup := c.backup
 	token := c.token
-	if e.session.retry != nil {
-		e.dropOutstanding(c)
-	}
 	// Recycle first: the scheduler callback below may launch new blocks,
 	// which pop from the pool — including this very payload.
-	c.aborted = false
-	c.twin = nil
-	c.backup = false
-	c.deadline = 0
-	c.token = 0
-	c.revoked = false
-	c.gen++
-	e.freeComps = append(e.freeComps, c)
+	e.recycle(c)
 	if aborted {
 		return // the block was requeued or lost its speculation race
 	}
@@ -183,14 +173,16 @@ func NoOverheads() *OverheadModel { return &OverheadModel{} }
 
 // NewSimSession builds a simulated session of app on clu.
 func NewSimSession(clu *cluster.Cluster, app *apps.App, cfg SimConfig) *Session {
-	return newSimSession(clu, app.Profile(), app.Name(), app.TotalUnits(), app.DataUnits(), cfg)
+	s, _ := newSimSession(clu, app.Profile(), app.Name(), app.TotalUnits(), app.DataUnits(), cfg)
+	return s
 }
 
 // newSimSession is the engine-setup core shared by the closed-system
 // constructor above and the service constructor (service.go), which differ
-// only in where profile and totals come from.
+// only in where profile and totals come from. It also returns the engine,
+// so the service constructor can size its event heap.
 func newSimSession(clu *cluster.Cluster, profile device.KernelProfile, appName string,
-	totalUnits, dataUnits int64, cfg SimConfig) *Session {
+	totalUnits, dataUnits int64, cfg SimConfig) (*Session, *simEngine) {
 	ov := DefaultOverheads()
 	if cfg.Overheads != nil {
 		ov = *cfg.Overheads
@@ -262,17 +254,16 @@ func newSimSession(clu *cluster.Cluster, profile device.KernelProfile, appName s
 	}
 	s.eng = se
 	s.startHeartbeatPump()
-	return s
+	return s, se
 }
 
 func (e *simEngine) now() float64 { return e.eng.Now() }
 
-func (e *simEngine) at(t float64, fn func()) bool {
+func (e *simEngine) at(t float64, fn func()) {
 	if t < e.eng.Now() {
 		t = e.eng.Now()
 	}
 	e.eng.At(t, fn)
-	return true
 }
 
 func (e *simEngine) drive() error {
@@ -307,20 +298,8 @@ func (e *simEngine) launch(pu *cluster.PU, seq int, lo, hi int64, earliest float
 		return // typed violation recorded; the queue drains and Run reports it
 	}
 	bytes := e.session.fetchBytes(pu.ID, seq, lo, hi)
-
 	rec.TransferStart = t
-	if nic := e.nicOfPU[pu.ID]; nic != nil && bytes > 0 {
-		hold := pu.Machine.NIC.TransferSeconds(bytes)
-		var s0 float64
-		s0, t = nic.AcquireAfter(t, hold, nil)
-		e.session.emitLink(e.nicName[pu.ID], s0, t, units)
-	}
-	if pcie := e.pcieOfPU[pu.ID]; pcie != nil && bytes > 0 {
-		hold := pu.Machine.PCIe.TransferSeconds(bytes)
-		var s0 float64
-		s0, t = pcie.AcquireAfter(t, hold, nil)
-		e.session.emitLink(e.pcieName[pu.ID], s0, t, units)
-	}
+	t = e.transfer(pu, bytes, units, t)
 	rec.TransferEnd = t
 
 	exec := pu.Dev.ExecSeconds(prof, float64(units))
@@ -344,20 +323,7 @@ func (e *simEngine) launch(pu *cluster.PU, seq int, lo, hi int64, earliest float
 	start, end := e.puRes[pu.ID].AcquireAfter(t, exec, nil)
 	rec.ExecStart, rec.ExecEnd = start, end
 
-	var c *simCompletion
-	if n := len(e.freeComps); n > 0 {
-		c = e.freeComps[n-1]
-		e.freeComps[n-1] = nil
-		e.freeComps = e.freeComps[:n-1]
-	} else {
-		c = &simCompletion{eng: e}
-	}
-	c.rec = rec
-	c.retries = retries
-	c.token = e.session.leaseTokenFor(pu.ID, seq)
-	if e.session.retry != nil {
-		e.outstanding = append(e.outstanding, c)
-	}
+	c := e.acquire(rec, retries, e.session.leaseTokenFor(pu.ID, seq))
 	e.eng.Schedule(end, c)
 	if e.session.spec != nil {
 		// Arm the watchdog only when this copy will actually miss its
@@ -415,22 +381,44 @@ func (e *simEngine) launchBackup(orig *simCompletion, pu *cluster.PU) bool {
 		Units: units, SubmitTime: t, TransferStart: t,
 	}
 	bytes := e.session.fetchBytes(pu.ID, rec.Seq, rec.Lo, rec.Hi)
-	tt := t
+	rec.TransferEnd = e.transfer(pu, bytes, units, t)
+	rec.ExecStart, rec.ExecEnd = e.puRes[pu.ID].AcquireAfter(rec.TransferEnd, exec, nil)
+
+	c := e.acquire(rec, orig.retries, e.session.grantSpecLease(rec.Seq, pu.ID))
+	c.backup = true
+	c.twin = orig
+	orig.twin = c
+	if s := e.session; s.tel != nil {
+		s.tel.Emit(telemetry.Event{
+			Kind: telemetry.EvTaskSubmit, Time: t,
+			PU: pu.ID, Seq: rec.Seq, Units: units,
+		})
+	}
+	e.eng.Schedule(rec.ExecEnd, c)
+	return true
+}
+
+// transfer chains a block's input of the given bytes through pu's links,
+// starting no earlier than t — the NIC for remote machines, then PCIe for
+// GPUs — and returns when the data reaches the device.
+func (e *simEngine) transfer(pu *cluster.PU, bytes float64, units int64, t float64) float64 {
 	if nic := e.nicOfPU[pu.ID]; nic != nil && bytes > 0 {
-		hold := pu.Machine.NIC.TransferSeconds(bytes)
 		var s0 float64
-		s0, tt = nic.AcquireAfter(tt, hold, nil)
-		e.session.emitLink(e.nicName[pu.ID], s0, tt, units)
+		s0, t = nic.AcquireAfter(t, pu.Machine.NIC.TransferSeconds(bytes), nil)
+		e.session.emitLink(e.nicName[pu.ID], s0, t, units)
 	}
 	if pcie := e.pcieOfPU[pu.ID]; pcie != nil && bytes > 0 {
-		hold := pu.Machine.PCIe.TransferSeconds(bytes)
 		var s0 float64
-		s0, tt = pcie.AcquireAfter(tt, hold, nil)
-		e.session.emitLink(e.pcieName[pu.ID], s0, tt, units)
+		s0, t = pcie.AcquireAfter(t, pu.Machine.PCIe.TransferSeconds(bytes), nil)
+		e.session.emitLink(e.pcieName[pu.ID], s0, t, units)
 	}
-	rec.TransferEnd = tt
-	rec.ExecStart, rec.ExecEnd = e.puRes[pu.ID].AcquireAfter(tt, exec, nil)
+	return t
+}
 
+// acquire pops a completion payload from the pool (allocating only when it
+// is dry), fills in the copy's record, retry count and fencing token, and
+// registers it as outstanding under a RetryPolicy.
+func (e *simEngine) acquire(rec TaskRecord, retries int, token uint64) *simCompletion {
 	var c *simCompletion
 	if n := len(e.freeComps); n > 0 {
 		c = e.freeComps[n-1]
@@ -440,22 +428,29 @@ func (e *simEngine) launchBackup(orig *simCompletion, pu *cluster.PU) bool {
 		c = &simCompletion{eng: e}
 	}
 	c.rec = rec
-	c.retries = orig.retries
-	c.backup = true
-	c.twin = orig
-	orig.twin = c
-	c.token = e.session.grantSpecLease(rec.Seq, pu.ID)
+	c.retries = retries
+	c.token = token
 	if e.session.retry != nil {
 		e.outstanding = append(e.outstanding, c)
 	}
-	if s := e.session; s.tel != nil {
-		s.tel.Emit(telemetry.Event{
-			Kind: telemetry.EvTaskSubmit, Time: t,
-			PU: pu.ID, Seq: rec.Seq, Units: units,
-		})
+	return c
+}
+
+// recycle retires a fired or abandoned payload: it leaves the outstanding
+// list, its per-copy state resets, gen advances so stale watchdog closures
+// stand down, and it returns to the pool.
+func (e *simEngine) recycle(c *simCompletion) {
+	if e.session.retry != nil {
+		e.dropOutstanding(c)
 	}
-	e.eng.Schedule(rec.ExecEnd, c)
-	return true
+	c.aborted = false
+	c.twin = nil
+	c.backup = false
+	c.deadline = 0
+	c.token = 0
+	c.revoked = false
+	c.gen++
+	e.freeComps = append(e.freeComps, c)
 }
 
 // dropOutstanding removes c from the outstanding list, preserving launch
@@ -552,19 +547,9 @@ func (e *simEngine) abandonPartitioned(c *simCompletion) {
 	lo, hi, retries := c.rec.Lo, c.rec.Hi, c.retries
 	held := s.leases != nil && s.copyHoldsLease(pu, seq, c.token)
 	if t := c.twin; t != nil {
-		c.twin, t.twin = nil, nil
+		t.twin = nil
 	}
-	if s.retry != nil {
-		e.dropOutstanding(c)
-	}
-	c.aborted = false
-	c.twin = nil
-	c.backup = false
-	c.deadline = 0
-	c.token = 0
-	c.revoked = false
-	c.gen++
-	e.freeComps = append(e.freeComps, c)
+	e.recycle(c)
 	if s.leases != nil {
 		if held {
 			s.inflightPU[pu]--
@@ -580,18 +565,4 @@ func (e *simEngine) abandonPartitioned(c *simCompletion) {
 	}
 	s.fail(fmt.Errorf("starpu: block %d (%d units) stranded behind a permanent partition on %s: %w",
 		seq, hi-lo, s.pus[pu].Name(), ErrFailedDevice))
-}
-
-// relaunchAfter implements engine: the requeued block re-enters launch on
-// its new unit after the backoff delay. Under a HealthPolicy the closure
-// re-checks ownership at fire time: if the lease moved again during the
-// backoff (the target was itself suspected), the newer copy owns the block
-// and this relaunch stands down.
-func (e *simEngine) relaunchAfter(delay float64, pu *cluster.PU, seq int, lo, hi int64, retries int) {
-	e.eng.At(e.eng.Now()+delay, func() {
-		if s := e.session; s.leases != nil && s.leases.TokenFor(seq, pu.ID) == 0 {
-			return
-		}
-		e.launch(pu, seq, lo, hi, 0, retries)
-	})
 }

@@ -11,6 +11,12 @@
 //     (optionally throttled to emulate heterogeneity), validating the
 //     runtime and schedulers end-to-end on actual computation.
 //
+// Both engines keep their timers on the same event queue (sim.Engine): the
+// simulator advances it as its virtual clock, the live engine fires it from
+// the wall clock on its driving goroutine. Retry backoff, watchdogs,
+// heartbeats, service arrivals and ScheduleAt callbacks are therefore one
+// mechanism on either engine.
+//
 // Schedulers see the exact hook surface of the paper's Algorithm 2: they
 // submit blocks, and the runtime calls them back with measured transfer and
 // execution times each time a processing unit finishes a task.
@@ -365,9 +371,17 @@ func (s SolverStats) WarmHitRate() float64 {
 	return 0
 }
 
-// engine abstracts the two execution backends.
+// engine abstracts the two execution backends: a clock, one timer, block
+// launch, and the cancellation hooks the failure machinery needs. Every
+// timed mechanism — retry backoff, watchdogs, heartbeats, suspicion checks,
+// service arrivals, ScheduleAt — goes through at on both engines.
 type engine interface {
 	now() float64
+	// at schedules fn at absolute engine time t (clamped to the engine's
+	// timer clock), serialized with every other scheduler callback. The
+	// simulator runs it on its discrete-event clock; the live engine runs it
+	// on the driving goroutine once the wall clock reaches t.
+	at(t float64, fn func())
 	// launch runs block [lo,hi) on pu, not starting data movement before
 	// earliest, and delivers the completed record to the session's
 	// onComplete, serialized with all other scheduler callbacks. Engines
@@ -394,15 +408,8 @@ type engine interface {
 	// detached copy's per-unit in-flight account is settled here — the
 	// fenced delivery settles nothing. Returns how many copies it detached.
 	revokeCopies(pu, seq int) int
-	// relaunchAfter re-launches a requeued block on pu after delay engine
-	// seconds.
-	relaunchAfter(delay float64, pu *cluster.PU, seq int, lo, hi int64, retries int)
 	// drive processes work until no launched block remains unfinished.
 	drive() error
-	// at schedules fn at absolute engine time t; returns false if the
-	// engine cannot (live engine). Used to inject environment changes
-	// (QoS degradation, device failure) into experiments.
-	at(t float64, fn func()) bool
 	// linkBusy reports per-link occupancy in seconds (nil if untracked).
 	linkBusy() map[string]float64
 }

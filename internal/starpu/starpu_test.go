@@ -1,6 +1,7 @@
 package starpu
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -294,5 +295,34 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("identical configurations produced different makespans")
+	}
+}
+
+// TestScheduleAtRejectsNonFinite: a NaN or +Inf callback time could never
+// fire; both engines reject it with an error instead of panicking inside
+// the event queue, while a -Inf time clamps to now like any past time.
+func TestScheduleAtRejectsNonFinite(t *testing.T) {
+	clu := cluster.TableI(cluster.Config{Machines: 1, Seed: 1})
+	sims := NewSimSession(clu, apps.NewMatMul(apps.MatMulConfig{N: 256}), SimConfig{})
+	live := NewLiveSession(kernelFunc(func(lo, hi int64) {}), LiveConfig{
+		Workers:    []LiveWorkerSpec{{Name: "w"}},
+		TotalUnits: 4,
+	})
+	for name, sess := range map[string]*Session{"sim": sims, "live": live} {
+		for _, at := range []float64{math.NaN(), math.Inf(1)} {
+			if err := sess.ScheduleAt(at, func() { t.Errorf("%s: callback at %g fired", name, at) }); err == nil {
+				t.Errorf("%s: ScheduleAt(%g) accepted", name, at)
+			}
+		}
+		fired := false
+		if err := sess.ScheduleAt(math.Inf(-1), func() { fired = true }); err != nil {
+			t.Errorf("%s: ScheduleAt(-Inf) rejected: %v", name, err)
+		}
+		if _, err := sess.Run(&fixedScheduler{block: 1}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !fired {
+			t.Errorf("%s: the -Inf callback never fired", name)
+		}
 	}
 }

@@ -142,7 +142,8 @@ type TaskRecord = starpu.TaskRecord
 type Distribution = starpu.Distribution
 
 // NewSimSession prepares a simulated run; use it when you need to perturb
-// the environment (Session.ScheduleAt) before Run.
+// the environment (Session.ScheduleAt, which live sessions also accept)
+// before Run.
 func NewSimSession(c *Cluster, app *App, cfg SimConfig) *Session {
 	return starpu.NewSimSession(c, app, cfg)
 }
