@@ -256,8 +256,8 @@ func BenchmarkSolveN(b *testing.B) {
 // cluster (2000 nodes × 1 CPU + 4 GPUs), the thousand-PU tier the
 // structured solver exists for. Work conservation and record sanity are
 // asserted every iteration. Next to the simulated makespan it reports the
-// solver's path — solves, bisection fallbacks and the warm-start hit rate —
-// so a time won by a degraded path shows.
+// solver's path — solves, water-filling fallbacks and the warm-start hit
+// rate — so a time won by a degraded path shows.
 func BenchmarkSim10kPU(b *testing.B) {
 	const totalUnits = 16 << 20
 	var makespan float64

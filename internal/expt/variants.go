@@ -12,7 +12,7 @@ import (
 
 // plbKnobs selects a PLB-HeC ablation variant.
 type plbKnobs struct {
-	bisection   bool // replace the interior-point method with τ-bisection
+	bisection   bool // replace the interior-point method with τ water-filling
 	noRebalance bool // disable threshold-triggered rebalancing
 	oneStep     bool // hand each unit its whole share as one block
 }

@@ -56,10 +56,11 @@ func (w *arrowWorkspace) resize(n int) {
 
 // arrowSolve computes the Newton direction J·d = −R of the perturbed KKT
 // system without materializing J (the dense assembly, kktSystem in
-// arrow_test.go, is the test oracle). The direction is written into step in
-// the layout (du, dτ, ds, dλ, dz, dν). A singular diagonal block or Schur
-// system returns ErrIllConditioned — the same class a dense factorization
-// reports — and the caller falls back to bisection.
+// arrow_test.go, is the test oracle), from the curve values cached in it.e
+// and it.d. The direction is written into step in the layout
+// (du, dτ, ds, dλ, dz, dν). A singular diagonal block or Schur system
+// returns ErrIllConditioned — the same class a dense factorization reports
+// — and the caller falls back to water-filling.
 func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step linalg.Vector) error {
 	n := sc.n
 	ws.resize(n)
@@ -70,7 +71,7 @@ func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step li
 	var s0l, stl, snl float64
 	var s0u, stu, snu float64
 	for g := 0; g < n; g++ {
-		d1 := sc.deriv(g, it.u[g])
+		d1 := it.d[g]
 		d2 := sc.deriv2(g, it.u[g])
 		b := [16]float64{
 			it.lam[g] * d2, 0, d1, -1,
@@ -84,7 +85,7 @@ func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step li
 		// Right-hand side is the negated residual.
 		r := [4]float64{
 			-(it.lam[g]*d1 + it.nu - it.z[g]),
-			-(sc.eval(g, it.u[g]) - it.tau + it.s[g]),
+			-(it.e[g] - it.tau + it.s[g]),
 			-(it.u[g]*it.z[g] - mu),
 			-(it.s[g]*it.lam[g] - mu),
 		}

@@ -31,10 +31,8 @@ func randomProblem(n int, rng *rand.Rand) Problem {
 // magnitudes, the state an IPM passes the KKT solve mid-run.
 func randomInterior(sc *scaled, rng *rand.Rand) *iterate {
 	n := sc.n
-	it := &iterate{
-		u: linalg.NewVector(n), s: linalg.NewVector(n),
-		lam: linalg.NewVector(n), z: linalg.NewVector(n),
-	}
+	it := &iterate{}
+	it.resize(n)
 	sum := 0.0
 	for g := 0; g < n; g++ {
 		it.u[g] = math.Exp(rng.NormFloat64())
@@ -54,6 +52,7 @@ func randomInterior(sc *scaled, rng *rand.Rand) *iterate {
 		it.z[g] = math.Exp(rng.NormFloat64() * 2)
 	}
 	it.nu = rng.NormFloat64()
+	it.evalCurves(sc)
 	return it
 }
 
@@ -127,6 +126,7 @@ func TestArrowDegenerateClassifies(t *testing.T) {
 	// u_0 = z_0 = 0 zeroes the complementarity row of unit 0: the Jacobian
 	// is exactly singular however it is factored.
 	it.u[0], it.z[0] = 0, 0
+	it.evalCurves(sc)
 
 	dim := 4*sc.n + 2
 	step := linalg.NewVector(dim)

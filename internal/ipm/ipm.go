@@ -22,8 +22,8 @@
 // Wächter–Biegler-style filter line search, and an adaptive barrier-
 // parameter update in the spirit of [25]. A Solver warm-starts each solve
 // from the previous one's iterate while the active curve set is unchanged.
-// A monotone τ-bisection fallback (water-filling) guarantees a usable split
-// whenever Newton stalls on a pathological fitted curve.
+// A monotone water-filling fallback on τ (waterfill.go) guarantees a usable
+// split whenever Newton stalls on a pathological fitted curve.
 package ipm
 
 import (
@@ -53,7 +53,7 @@ type Options struct {
 	Tol         float64 // KKT residual tolerance (scaled); default 1e-8
 	MaxIter     int     // Newton iteration cap; default 100
 	Mu0         float64 // initial barrier parameter; default 0.1
-	DisableIPM  bool    // force the bisection fallback (for ablations)
+	DisableIPM  bool    // force the water-filling fallback (for ablations)
 	DisableFall bool    // forbid the fallback (surface IPM failures)
 
 	// Structured is ignored: every Newton step is the arrow-structured
@@ -211,13 +211,8 @@ func (s *scaled) deriv2(g int, u float64) float64 {
 	return d
 }
 
-// result converts a scaled solution back to problem units.
-func (s *scaled) result(u []float64, tau float64) Result {
-	return s.resultInto(make([]float64, s.n), u, tau)
-}
-
-// resultInto is result with caller-provided storage for the block sizes
-// (len n); the returned Result.X aliases x.
+// resultInto converts a scaled solution back to problem units, writing the
+// block sizes into x (len n); the returned Result.X aliases x.
 func (s *scaled) resultInto(x []float64, u []float64, tau float64) Result {
 	// Remove tiny interior-point slack from the bounds and renormalize so
 	// the block sizes sum to exactly Total.

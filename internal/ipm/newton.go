@@ -7,9 +7,13 @@ import (
 )
 
 // iterate is the primal-dual point: scaled work u, makespan tau, inequality
-// slacks s, inequality duals lambda, bound duals z, equality dual nu.
+// slacks s, inequality duals lambda, bound duals z, equality dual nu. e and
+// d cache the curves at u, e_g = Ê_g(u_g) and d_g = Ê′_g(u_g): the Newton
+// loop fills them once per iterate (evalCurves), and the convergence check,
+// the barrier update and the arrow elimination all read them.
 type iterate struct {
 	u, s, lam, z linalg.Vector
+	e, d         linalg.Vector
 	tau, nu      float64
 }
 
@@ -20,6 +24,24 @@ func (it *iterate) resize(n int) {
 	it.s = resizeVec(it.s, n)
 	it.lam = resizeVec(it.lam, n)
 	it.z = resizeVec(it.z, n)
+	it.e = resizeVec(it.e, n)
+	it.d = resizeVec(it.d, n)
+}
+
+// evalCurves fills it.e and it.d at it.u.
+func (it *iterate) evalCurves(sc *scaled) {
+	for g, u := range it.u {
+		it.e[g] = sc.eval(g, u)
+		it.d[g] = sc.deriv(g, u)
+	}
+}
+
+// evalDerivs fills it.d at it.u, for an iterate whose it.e the line search
+// already evaluated.
+func (it *iterate) evalDerivs(sc *scaled) {
+	for g, u := range it.u {
+		it.d[g] = sc.deriv(g, u)
+	}
 }
 
 // resizeVec returns v with length n, reusing its backing array when the
@@ -36,11 +58,12 @@ func resizeVec(v linalg.Vector, n int) linalg.Vector {
 // across a Solver's solves, reaching zero allocations in steady state.
 type solveState struct {
 	it     iterate
-	cand   iterate // line-search trials; only u, tau, s are used
+	cand   iterate // line-search trials; only u, tau, s and e are used
 	filter filterSet
 	step   linalg.Vector
 	x      []float64 // result block sizes (aliased by the returned Result.X)
 	arrow  arrowWorkspace
+	fill   fillState // the water-filling fallback's buffers
 }
 
 // prepare sizes the O(n) buffers for an n-unit solve.
@@ -48,6 +71,7 @@ func (st *solveState) prepare(n int) {
 	st.it.resize(n)
 	st.cand.u = resizeVec(st.cand.u, n)
 	st.cand.s = resizeVec(st.cand.s, n)
+	st.cand.e = resizeVec(st.cand.e, n)
 	st.step = resizeVec(st.step, 4*n+2)
 	if cap(st.x) < n {
 		st.x = make([]float64, n)
@@ -60,8 +84,8 @@ func (st *solveState) prepare(n int) {
 // problem. Failures come back classified — ErrIllConditioned (KKT system
 // would not factor), ErrNonFinite (step or iterate left the reals),
 // ErrNoProgress (line search stalled), ErrNoConverge (iteration budget
-// exhausted) — so the caller can fall back to bisection and schedulers can
-// pick a degradation rung by error kind.
+// exhausted) — so the caller can fall back to water-filling and schedulers
+// can pick a degradation rung by error kind.
 //
 // Each Newton direction comes from the O(n) arrow elimination (arrow.go).
 // All per-iteration storage — the step vector, the line-search trial
@@ -88,6 +112,7 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 
 	step := st.step
 	cand := &st.cand
+	it.evalCurves(sc)
 
 	const (
 		kappaEps   = 10.0  // inner tolerance: E_mu <= kappaEps*mu
@@ -98,7 +123,7 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		// Convergence check with mu = 0 (true KKT residual).
-		e0 := kktError(sc, it, 0)
+		e0 := kktError(it, 0)
 		if e0 <= opt.Tol {
 			out := sc.resultInto(st.x, it.u, it.tau)
 			out.Converged = true
@@ -108,7 +133,7 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 			return out, nil
 		}
 		// Barrier update: tighten mu once the barrier subproblem is solved.
-		for kktError(sc, it, mu) <= kappaEps*mu && mu > opt.Tol/10 {
+		for kktError(it, mu) <= kappaEps*mu && mu > opt.Tol/10 {
 			mu = math.Max(opt.Tol/10, math.Min(kappaMu*mu, math.Pow(mu, thetaMu)))
 			filter.reset()
 		}
@@ -135,7 +160,8 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 
 		// Filter line search on the primal variables. The trial point reuses
 		// the workspace iterate: each trial re-copies the current point, and
-		// acceptance swaps the buffers instead of abandoning them.
+		// acceptance swaps the buffers instead of abandoning them. The
+		// accepted trial's curve values become the next iterate's it.e.
 		accepted := false
 		alpha := aPrimal
 		for trial := 0; trial < 40; trial++ {
@@ -150,6 +176,7 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 				filter.add(th, ph)
 				it.u, cand.u = cand.u, it.u
 				it.s, cand.s = cand.s, it.s
+				it.e, cand.e = cand.e, it.e
 				it.tau = cand.tau
 				accepted = true
 				break
@@ -170,9 +197,10 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 		if !it.u.IsFinite() || !it.s.IsFinite() || !it.lam.IsFinite() || !it.z.IsFinite() {
 			return Result{}, ErrNonFinite
 		}
+		it.evalDerivs(sc)
 	}
 	// Out of iterations: accept only if reasonably converged.
-	e0 := kktError(sc, it, 0)
+	e0 := kktError(it, 0)
 	if e0 <= math.Sqrt(opt.Tol) {
 		out := sc.resultInto(st.x, it.u, it.tau)
 		out.Converged = true
@@ -210,9 +238,10 @@ func initialPointInto(sc *scaled, mu float64, it *iterate) {
 }
 
 // kktError is the max-norm of the KKT residual with barrier parameter mu
-// (mu = 0 gives the true optimality error).
-func kktError(sc *scaled, it *iterate, mu float64) float64 {
-	n := sc.n
+// (mu = 0 gives the true optimality error), from the curve values cached in
+// it.e and it.d.
+func kktError(it *iterate, mu float64) float64 {
+	n := len(it.u)
 	var e float64
 	up := func(v float64) {
 		if a := math.Abs(v); a > e {
@@ -221,9 +250,8 @@ func kktError(sc *scaled, it *iterate, mu float64) float64 {
 	}
 	sumLam, sumU := 0.0, 0.0
 	for g := 0; g < n; g++ {
-		d1 := sc.deriv(g, it.u[g])
-		up(it.lam[g]*d1 + it.nu - it.z[g])
-		up(sc.eval(g, it.u[g]) - it.tau + it.s[g])
+		up(it.lam[g]*it.d[g] + it.nu - it.z[g])
+		up(it.e[g] - it.tau + it.s[g])
 		up(it.u[g]*it.z[g] - mu)
 		up(it.s[g]*it.lam[g] - mu)
 		sumLam += it.lam[g]
@@ -235,11 +263,13 @@ func kktError(sc *scaled, it *iterate, mu float64) float64 {
 }
 
 // meritPair returns the filter coordinates of an iterate: primal
-// infeasibility theta and barrier objective phi.
+// infeasibility theta and barrier objective phi. It leaves the curve values
+// at it.u in it.e.
 func meritPair(sc *scaled, it *iterate, mu float64) (theta, phi float64) {
 	n := sc.n
 	for g := 0; g < n; g++ {
-		theta += math.Abs(sc.eval(g, it.u[g]) - it.tau + it.s[g])
+		it.e[g] = sc.eval(g, it.u[g])
+		theta += math.Abs(it.e[g] - it.tau + it.s[g])
 	}
 	sum := 0.0
 	for _, u := range it.u {

@@ -133,7 +133,7 @@ func TestSolveResultInvariants(t *testing.T) {
 }
 
 // TestSolveStepFunctionFallsBack: a nasty discontinuous curve defeats
-// Newton but the bisection fallback still produces a feasible split.
+// Newton but the water-filling fallback still produces a feasible split.
 func TestSolveStepFunctionFallsBack(t *testing.T) {
 	step := funcCurve{f: func(x float64) float64 {
 		if x > 50 {
@@ -170,10 +170,13 @@ func TestKKTErrorAtOptimum(t *testing.T) {
 		s:   []float64{1e-12, 1e-12},
 		lam: []float64{0.5, 0.5},
 		z:   []float64{0, 0},
+		e:   make([]float64, 2),
+		d:   make([]float64, 2),
 		tau: sc.eval(0, 0.5),
 		nu:  -0.5 * sc.deriv(0, 0.5),
 	}
-	if e := kktError(sc, it, 0); e > 1e-9 {
+	it.evalCurves(sc)
+	if e := kktError(it, 0); e > 1e-9 {
 		t.Errorf("KKT residual at optimum = %g", e)
 	}
 }

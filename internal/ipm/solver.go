@@ -114,7 +114,7 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 		if ipmErr != nil {
 			// Cold start, or a stale iterate stalled the line search or
 			// left the region where the curves are finite: retry cold
-			// before surrendering to the bisection fallback.
+			// before surrendering to the water-filling fallback.
 			res, ipmErr = sv.newton(nil, p.Total)
 		}
 		if ipmErr == nil {
@@ -128,7 +128,7 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 	if sv.opt.DisableFall {
 		return Result{}, ipmErr
 	}
-	res, err := solveBisection(&sv.sc)
+	res, err := solveWaterFill(&sv.sc, &sv.st)
 	if err != nil {
 		return Result{}, err
 	}

@@ -160,12 +160,22 @@ var ErrNeedSamples = errors.New("profile: not enough samples to fit")
 // at — typically the remaining input — so candidate curves that misbehave
 // under extrapolation are rejected.
 func (s *Sampler) FitAll(horizon float64) (Models, error) {
+	return s.FitLive(horizon, nil)
+}
+
+// FitLive is FitAll over the units with dead[pu] false (nil: every unit).
+// A dead unit needs no samples: it keeps the zero Model and an RMSE of 0,
+// and takes no part in MinR2.
+func (s *Sampler) FitLive(horizon float64, dead []bool) (Models, error) {
 	n := s.NumPU()
 	for len(s.fitters) < n {
 		s.fitters = append(s.fitters, nil)
 	}
 	ms := Models{PU: make([]Model, n), MinR2: math.Inf(1), RMSE: make([]float64, n)}
 	for pu := 0; pu < n; pu++ {
+		if pu < len(dead) && dead[pu] {
+			continue
+		}
 		if len(s.Exec[pu]) < 2 {
 			return Models{}, fmt.Errorf("%w: PU %d has %d samples", ErrNeedSamples, pu, len(s.Exec[pu]))
 		}

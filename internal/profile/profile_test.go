@@ -37,6 +37,28 @@ func TestFitAllRequiresSamples(t *testing.T) {
 	}
 }
 
+// TestFitLiveSkipsDeadUnits: a dead unit without samples does not block
+// the fit of the others, and its zero model takes no part in MinR2.
+func TestFitLiveSkipsDeadUnits(t *testing.T) {
+	s := NewSampler(3)
+	fillLinear(s, 0, 0.01, 0.001, 10, 20, 40, 80)
+	fillLinear(s, 2, 0.03, 0.001, 10, 20, 40, 80)
+	s.Add(1, 10, 1, 0) // one sample, then the unit died
+	if _, err := s.FitAll(100); !errors.Is(err, ErrNeedSamples) {
+		t.Fatalf("FitAll: want ErrNeedSamples, got %v", err)
+	}
+	ms, err := s.FitLive(100, []bool{false, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.PU[1].F.Coef != nil || ms.RMSE[1] != 0 {
+		t.Errorf("dead unit got a model: %v (RMSE %g)", ms.PU[1], ms.RMSE[1])
+	}
+	if want := math.Min(ms.PU[0].R2(), ms.PU[2].R2()); ms.MinR2 != want {
+		t.Errorf("MinR2 = %g, want the live units' minimum %g", ms.MinR2, want)
+	}
+}
+
 func fillLinear(s *Sampler, pu int, rate, transferRate float64, sizes ...float64) {
 	for _, x := range sizes {
 		s.Add(pu, x, rate*x, transferRate*x)

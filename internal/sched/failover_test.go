@@ -110,7 +110,7 @@ const (
 )
 
 // obsCluster is noise-free: its solves converge without falling back to
-// bisection, which keeps the tests fast under -race.
+// water-filling, which keeps the tests fast under -race.
 func obsCluster() *cluster.Cluster {
 	return cluster.Synthetic(obsNodes, 3, cluster.Config{Seed: 7})
 }
@@ -124,13 +124,25 @@ func (c failoverCounter) Consume(ev telemetry.Event) {
 	}
 }
 
-// runObserved runs PLB-HeC on sess with a failoverCounter attached and
-// checks that the records tile the work exactly once.
-func runObserved(t *testing.T, sess *starpu.Session) (*starpu.Report, failoverCounter) {
+// fitPasses counts successful curve-fitting passes (pass-level EvFit).
+type fitPasses struct{ n int }
+
+func (c *fitPasses) Consume(ev telemetry.Event) {
+	if ev.Kind == telemetry.EvFit && ev.PU == -1 {
+		c.n++
+	}
+}
+
+// runObserved runs PLB-HeC on sess with a failoverCounter and any extra
+// sinks attached and checks that the records tile the work exactly once.
+func runObserved(t *testing.T, sess *starpu.Session, sinks ...telemetry.Sink) (*starpu.Report, failoverCounter) {
 	t.Helper()
 	tel := telemetry.New()
 	failovers := failoverCounter{}
 	tel.Attach(failovers)
+	for _, s := range sinks {
+		tel.Attach(s)
+	}
 	sess.AttachTelemetry(tel)
 	rep, err := sess.Run(NewPLBHeC(Config{InitialBlockSize: 16}))
 	if err != nil {
@@ -193,8 +205,17 @@ func TestFailureObservation(t *testing.T) {
 		// Start hands every unit a probe block, the dead one included; the
 		// retry policy moves that block to a survivor.
 		sess := starpu.NewSimSession(clu, app, starpu.SimConfig{Retry: starpu.DefaultRetryPolicy()})
-		rep, failovers := runObserved(t, sess)
+		var fits fitPasses
+		rep, failovers := runObserved(t, sess, &fits)
 		checkObserved(t, rep, failovers, obsPU)
+		// The dead unit never gets two samples; PLB-HeC must fit and solve
+		// over the survivors rather than probe until the data runs out.
+		if fits.n < 1 {
+			t.Error("no curve-fitting pass succeeded")
+		}
+		if got := rep.SchedulerStats["solves"]; got < 1 {
+			t.Errorf("solves stat = %g, want at least 1", got)
+		}
 		for _, r := range rep.Records {
 			if r.PU == obsPU {
 				t.Fatalf("record completed on the unit dead from the start: %+v", r)

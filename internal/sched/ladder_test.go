@@ -9,7 +9,7 @@ import (
 	"plbhec/internal/starpu"
 )
 
-// TestLadderSolverFailureCompletes: with the IPM and its bisection fallback
+// TestLadderSolverFailureCompletes: with the IPM and its water-filling fallback
 // both disabled every solve fails, so the scheduler must descend the
 // degradation ladder (last-good → hdss → greedy) instead of aborting — the
 // run completes, covers every unit, and the ladder transitions land in

@@ -19,15 +19,19 @@ func emitPhase(s *starpu.Session, name string) {
 }
 
 // emitFit publishes one curve-fitting pass: a per-unit event carrying that
-// unit's RMSE (Value) and R² (Aux), then one pass-level event (PU = -1)
-// carrying the worst R² so sinks can count passes exactly once.
-func emitFit(s *starpu.Session, ms profile.Models) {
+// unit's RMSE (Value) and R² (Aux) for every unit not dead (the pass did
+// not fit those), then one pass-level event (PU = -1) carrying the worst R²
+// so sinks can count passes exactly once.
+func emitFit(s *starpu.Session, ms profile.Models, dead []bool) {
 	tel := s.Telemetry()
 	if !tel.Enabled() {
 		return
 	}
 	now := s.Now()
 	for i := range ms.PU {
+		if dead[i] {
+			continue
+		}
 		tel.Emit(telemetry.Event{
 			Kind: telemetry.EvFit, Time: now, PU: i,
 			Value: ms.RMSE[i], Aux: ms.PU[i].R2(),
@@ -271,12 +275,12 @@ func (p *PLBHeC) modelingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	needMoreRounds := p.round < 4
 	if !needMoreRounds {
 		// Try to fit after the fourth round and after each extra round.
-		ms, err := p.sampler.FitAll(float64(s.Remaining()))
+		ms, err := p.sampler.FitLive(float64(s.Remaining()), p.dead)
 		p.stats.fits++
 		s.ChargeFit()
 		if err == nil {
 			p.models, p.modelsOK = ms, true
-			emitFit(s, ms)
+			emitFit(s, ms, p.dead)
 			capUnits := p.ModelDataCap * float64(s.TotalUnits())
 			if p.usedUnits >= capUnits || p.round >= p.MaxModelRounds {
 				p.beginExecution(s)
@@ -572,9 +576,9 @@ func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 				p.regime[i] = 1
 			}
 		}
-		if ms, err := p.sampler.FitAll(float64(s.Remaining())); err == nil {
+		if ms, err := p.sampler.FitLive(float64(s.Remaining()), p.dead); err == nil {
 			p.models, p.modelsOK = ms, true
-			emitFit(s, ms)
+			emitFit(s, ms, p.dead)
 		}
 		p.stats.fits++
 		s.ChargeFit()

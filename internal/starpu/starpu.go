@@ -350,7 +350,7 @@ type SolverStats struct {
 	Solves       float64 // attempted equation-system solves (incl. failed)
 	WarmStarts   float64 // successful solves seeded from the previous iterate
 	ColdStarts   float64 // successful solves started from scratch
-	Fallbacks    float64 // solves that fell back to bisection
+	Fallbacks    float64 // solves that fell back to water-filling
 	Iterations   float64 // cumulative Newton iterations across successful solves
 	SolveSeconds float64 // cumulative host wall-clock time in the solver
 }

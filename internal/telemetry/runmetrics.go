@@ -87,7 +87,7 @@ func NewRunMetrics(reg *Registry, puNames []string) *RunMetrics {
 	reg.Help("plbhec_ipm_solves_total", "Block-size equation-system solves")
 	reg.Help("plbhec_ipm_iterations", "Newton iterations of the latest interior-point solve")
 	reg.Help("plbhec_ipm_kkt_residual", "KKT residual of the latest interior-point solve")
-	reg.Help("plbhec_ipm_fallbacks_total", "Solves that fell back to bisection")
+	reg.Help("plbhec_ipm_fallbacks_total", "Solves that fell back to water-filling")
 	reg.Help("plbhec_ipm_warm_starts_total", "Successful solves seeded from the previous solve's iterate")
 	reg.Help("plbhec_ipm_cold_starts_total", "Successful solves started from the cold interior point")
 	reg.Help("plbhec_solve_seconds", "Cumulative host wall-clock seconds spent in the block-size solver")
@@ -244,7 +244,7 @@ func (m *RunMetrics) Consume(ev Event) {
 		switch ev.Name {
 		case "fallback":
 			m.fallbacks.Inc()
-			m.coldStarts.Inc() // bisection is always a cold path
+			m.coldStarts.Inc() // water-filling is always a cold path
 		case "ipm-warm":
 			m.warmStarts.Inc()
 		case "ipm":
