@@ -174,7 +174,7 @@ func BenchmarkFig7Idleness(b *testing.B) {
 	b.ReportMetric(idle, "idle-frac")
 }
 
-// BenchmarkIPMSolve measures the interior-point solver on an 8-unit fitted
+// BenchmarkIPMSolve measures the block-size solver on an 8-unit fitted
 // system — the paper's reported scheduler overhead (E9: 170 ms ± 32 ms with
 // IPOPT on their master node).
 func BenchmarkIPMSolve(b *testing.B) {
@@ -195,12 +195,8 @@ func BenchmarkIPMSolve(b *testing.B) {
 	prob := ipm.Problem{Curves: ms.Curves(), Total: 65536}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ipm.Solve(prob, ipm.Options{})
-		if err != nil {
+		if _, err := ipm.Solve(prob, ipm.Options{}); err != nil {
 			b.Fatal(err)
-		}
-		if res.UsedFallback {
-			b.Fatal("unexpected fallback")
 		}
 	}
 }
@@ -209,8 +205,7 @@ func BenchmarkIPMSolve(b *testing.B) {
 // (affine plus logarithmic, strictly increasing).
 type benchCurve struct{ a, b, c float64 }
 
-func (c benchCurve) Eval(x float64) float64  { return c.a + c.b*x + c.c*math.Log(x+1) }
-func (c benchCurve) Deriv(x float64) float64 { return c.b + c.c/(x+1) }
+func (c benchCurve) Eval(x float64) float64 { return c.a + c.b*x + c.c*math.Log(x+1) }
 
 // solveNProblem builds an n-unit block-size problem with per-unit speeds
 // spanning ~3 orders of magnitude, like a maximally heterogeneous cluster.
@@ -227,37 +222,42 @@ func solveNProblem(n int) ipm.Problem {
 	return ipm.Problem{Curves: curves, Total: 65536}
 }
 
-// BenchmarkSolveN measures one cold block-size solve — the arrow-structured
-// O(n) elimination — as the unit count grows across the thousand-PU range.
-// The solver's workspaces persist, but Invalidate drops the previous
-// iterate so no solve warm-starts.
+// BenchmarkSolveN measures one block-size solve as the unit count grows
+// across the thousand-PU range, on a Solver whose workspaces persist. It
+// fails on a solver error or a split that does not sum to the total, and
+// reports the water-filling τ steps per solve.
 func BenchmarkSolveN(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256, 1024} {
 		prob := solveNProblem(n)
-		b.Run("arrow/"+itoa(int64(n)), func(b *testing.B) {
+		b.Run(itoa(int64(n)), func(b *testing.B) {
 			sv := ipm.NewSolver(ipm.Options{})
+			steps := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sv.Invalidate()
 				res, err := sv.Solve(prob)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.UsedFallback {
-					b.Fatal("unexpected fallback")
+				var sum float64
+				for _, x := range res.X {
+					sum += x
 				}
+				if math.Abs(sum-prob.Total) > 1e-6*prob.Total {
+					b.Fatalf("split sums to %g, want %g", sum, prob.Total)
+				}
+				steps += res.Iterations
 			}
+			b.ReportMetric(float64(steps)/float64(b.N), "tau-steps/op")
 		})
 	}
 }
 
 // BenchmarkSim10kPU runs the full PLB-HeC pipeline — probing, fitting,
-// structured warm-started solving, execution — on a generated 10,000-PU
-// cluster (2000 nodes × 1 CPU + 4 GPUs), the thousand-PU tier the
-// structured solver exists for. Work conservation and record sanity are
+// water-filling solves, execution — on a generated 10,000-PU cluster
+// (2000 nodes × 1 CPU + 4 GPUs). Work conservation and record sanity are
 // asserted every iteration. Next to the simulated makespan it reports the
-// solver's path — solves, water-filling fallbacks and the warm-start hit
-// rate — so a time won by a degraded path shows.
+// solves, the failed ones (each a degradation-ladder descent) and the τ
+// steps per solve, so a time won by a degraded path shows.
 func BenchmarkSim10kPU(b *testing.B) {
 	const totalUnits = 16 << 20
 	var makespan float64
@@ -290,15 +290,15 @@ func BenchmarkSim10kPU(b *testing.B) {
 	}
 	b.ReportMetric(makespan, "sim-s/op")
 	b.ReportMetric(solver.Solves, "solves/op")
-	b.ReportMetric(solver.Fallbacks, "fallbacks/op")
-	b.ReportMetric(solver.WarmHitRate(), "warm-hit")
+	b.ReportMetric(solver.Solves-solver.ColdStarts, "failed-solves/op")
+	b.ReportMetric(solver.MeanIterations(), "tau-steps/solve")
 }
 
 // BenchmarkWarmRebalance runs the Fig. 3 slowdown scenario, whose
-// rebalances re-solve warm-started from the previous iterate, and reports
-// the solver-side effort metrics.
+// rebalances re-solve the block sizes, and reports the solves and the τ
+// steps per solve.
 func BenchmarkWarmRebalance(b *testing.B) {
-	var iters, warms, solved float64
+	var steps, solves float64
 	for i := 0; i < b.N; i++ {
 		app := expt.MakeApp(expt.MM, 32768)
 		clu := cluster.TableI(cluster.Config{
@@ -314,15 +314,11 @@ func BenchmarkWarmRebalance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st := rep.SchedulerStats
-		warms = st["solverWarmStarts"]
-		iters = st["solverIterations"]
-		solved = warms + st["solverColdStarts"]
+		solves = rep.SolverStats.Solves
+		steps = rep.SolverStats.MeanIterations()
 	}
-	if solved > 0 {
-		b.ReportMetric(iters/solved, "ipm-iters/solve")
-	}
-	b.ReportMetric(warms, "warm-starts/op")
+	b.ReportMetric(solves, "solves/op")
+	b.ReportMetric(steps, "tau-steps/solve")
 }
 
 // BenchmarkHeadlineSpeedup reproduces the §V.a headline cell (E10) and

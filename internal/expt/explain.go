@@ -79,15 +79,13 @@ func WriteAttribution(w io.Writer, an *span.Analysis, puNames []string) {
 }
 
 // WriteSolverStats renders one solver-stats line for schedulers that run a
-// block-size solver (nil st — non-solver schedulers — prints nothing). The
-// warm hit rate and mean iteration count make the warm-start savings
-// visible directly in -explain output.
+// block-size solver (nil st — non-solver schedulers — prints nothing).
 func WriteSolverStats(w io.Writer, st *starpu.SolverStats) {
 	if st == nil {
 		return
 	}
-	fmt.Fprintf(w, "  solver: %.0f solves, warm hit rate %.0f%%, mean %.1f iterations/solve, %.2f ms host time\n",
-		st.Solves, 100*st.WarmHitRate(), st.MeanIterations(), 1e3*st.SolveSeconds)
+	fmt.Fprintf(w, "  solver: %.0f solves, %.0f failed, mean %.1f τ steps/solve, %.2f ms host time\n",
+		st.Solves, st.Solves-st.ColdStarts, st.MeanIterations(), 1e3*st.SolveSeconds)
 }
 
 // puName resolves a unit index to its cluster name ("master" for -1).

@@ -12,13 +12,13 @@ func init() {
 	register(Experiment{
 		ID:    "solver",
 		Paper: "§V.a (solver overhead)",
-		Desc:  "Interior-point solve wall time per system size (paper: 170 ms ± 32.3 ms with IPOPT, 8 PUs, MM 65536)",
+		Desc:  "Block-size solve wall time per system size (paper: 170 ms ± 32.3 ms with IPOPT, 8 PUs, MM 65536)",
 		Run:   runSolver,
 	})
 	register(Experiment{
 		ID:    "ablation",
 		Paper: "DESIGN.md ablations",
-		Desc:  "PLB-HeC design-choice ablations: solver path, charged overheads, rebalancing",
+		Desc:  "PLB-HeC design-choice ablations: charged overheads, rebalancing, execution steps",
 		Run:   runAblation,
 	})
 }
@@ -29,22 +29,20 @@ type solverCurve struct{ a, b, c float64 }
 func (s solverCurve) Eval(x float64) float64 {
 	return s.a + s.b*x + s.c*math.Log(x+1)
 }
-func (s solverCurve) Deriv(x float64) float64 { return s.b + s.c/(x+1) }
 
-// runSolver measures our interior-point solver on realistic fitted systems
+// runSolver measures our water-filling solver on realistic fitted systems
 // of 2–16 processing units, the analogue of the paper's reported IPOPT
 // solve time (170 ms mean, 32.3 ms std).
 func runSolver(o Options) error {
-	t := NewTable("Interior-point solve wall time (ours, vs paper's IPOPT 170 ms ± 32.3 ms)",
-		"Units n", "Mean ms", "Std ms", "Max ms", "Iterations", "Fallbacks")
+	t := NewTable("Block-size solve wall time (ours, vs paper's IPOPT 170 ms ± 32.3 ms)",
+		"Units n", "Mean ms", "Std ms", "Max ms", "τ steps")
 	reps := 50
 	if o.Quick {
 		reps = 10
 	}
 	rng := stats.NewRNG(99)
 	for _, n := range []int{2, 4, 8, 16} {
-		var times, iters []float64
-		fallbacks := 0
+		var times, steps []float64
 		for r := 0; r < reps; r++ {
 			curves := make([]ipm.Curve, n)
 			for g := 0; g < n; g++ {
@@ -57,14 +55,11 @@ func runSolver(o Options) error {
 				return err
 			}
 			times = append(times, res.WallTime.Seconds()*1000)
-			iters = append(iters, float64(res.Iterations))
-			if res.UsedFallback {
-				fallbacks++
-			}
+			steps = append(steps, float64(res.Iterations))
 		}
 		ts := stats.Summarize(times)
 		t.AddRow(n, fmt.Sprintf("%.3f", ts.Mean), fmt.Sprintf("%.3f", ts.Std),
-			fmt.Sprintf("%.3f", ts.Max), fmt.Sprintf("%.1f", stats.Mean(iters)), fallbacks)
+			fmt.Sprintf("%.3f", ts.Max), fmt.Sprintf("%.1f", stats.Mean(steps)))
 	}
 	if err := t.Emit(o, "solver"); err != nil {
 		return err
@@ -75,8 +70,8 @@ func runSolver(o Options) error {
 }
 
 // runAblation quantifies PLB-HeC's design choices on the headline scenario:
-// interior-point solve vs bisection fallback, charged overheads on/off, and
-// rebalancing on/off.
+// charged overheads on/off, rebalancing on/off, and one execution step per
+// unit.
 func runAblation(o Options) error {
 	size := o.size(MM, 65536)
 	base := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 5000}
@@ -99,11 +94,6 @@ func runAblation(o Options) error {
 	noOv.NoOverheads = true
 	if r, err := pool.RunCell(noOv, PLBHeC); err == nil {
 		add("no charged fit/solve overheads", r)
-	} else {
-		return err
-	}
-	if r, err := runPLBVariant(pool, base, func(p *plbKnobs) { p.bisection = true }); err == nil {
-		add("bisection fallback instead of IPM", r)
 	} else {
 		return err
 	}

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 
-	"plbhec/internal/ipm"
 	"plbhec/internal/metrics"
 	"plbhec/internal/sched"
 	"plbhec/internal/starpu"
@@ -12,7 +11,6 @@ import (
 
 // plbKnobs selects a PLB-HeC ablation variant.
 type plbKnobs struct {
-	bisection   bool // replace the interior-point method with τ water-filling
 	noRebalance bool // disable threshold-triggered rebalancing
 	oneStep     bool // hand each unit its whole share as one block
 }
@@ -32,9 +30,6 @@ func runPLBVariant(r *Runner, sc Scenario, tweak func(*plbKnobs)) (*Result, erro
 		sess := starpu.NewSimSession(sc.Cluster(i), app, starpu.SimConfig{})
 		sess.SetContext(r.Context())
 		p := sched.NewPLBHeC(sched.Config{InitialBlockSize: InitialBlock(sc.Kind, sc.Size, sc.Machines)})
-		if knobs.bisection {
-			p.Solver = ipm.Options{DisableIPM: true}
-		}
 		if knobs.noRebalance {
 			p.Threshold = 0
 		}

@@ -182,7 +182,7 @@ type Fitter struct {
 // NewFitter returns an empty incremental fitter over the paper's candidate
 // basis sets.
 func NewFitter() *Fitter {
-	f := &Fitter{sets: candidateSets()}
+	f := &Fitter{sets: candidateSets}
 	f.accs = make([]setAccum, len(f.sets))
 	f.coef = make([]linalg.Vector, len(f.sets))
 	maxP := 2
@@ -218,6 +218,9 @@ func samePrefix(old, cur []float64) bool {
 // Fit is the incremental equivalent of FitSamplesOver(xs, ys, useHi): same
 // candidate sets, same selection score, same fallback — only the per-set
 // least-squares solve runs on incrementally accumulated normal equations.
+// It never returns a model that decreases on [min(xs), useHi]: candidates
+// that do are skipped, and when none is left it returns the line with its
+// slope floored at 0.
 // xs must extend the previously fitted stream (append-only); any other
 // change restarts the accumulation automatically.
 func (f *Fitter) Fit(xs, ys []float64, useHi float64) (Model, error) {
@@ -265,12 +268,11 @@ func (f *Fitter) Fit(xs, ys []float64, useHi float64) (Model, error) {
 		if err != nil {
 			continue
 		}
-		// Prefer parsimony on near-ties; penalize non-monotone candidates —
-		// identical scoring to FitSamplesOver.
-		score := m.AdjR2 - 0.002*float64(len(bases))
 		if !m.MonotoneNonDecreasing(lo, useHi) {
-			score -= 1
+			continue
 		}
+		// Prefer parsimony on near-ties.
+		score := m.AdjR2 - 0.002*float64(len(bases))
 		if score > bestScore {
 			best, bestScore, found = m, score, true
 		}
@@ -281,11 +283,29 @@ func (f *Fitter) Fit(xs, ys []float64, useHi float64) (Model, error) {
 	f.ys = append(f.ys, ys[len(f.ys):]...)
 
 	if !found {
-		// Every candidate was skipped (e.g. only 2 points): fall back to
-		// the line, which needs two points and never explodes.
-		return fitBasis([]Basis{basisOne, basisX}, xs, ys, scale)
+		// Every candidate was skipped (only 2 points, or none is
+		// non-decreasing): fall back to the line, which needs two points
+		// and never explodes.
+		return risingLine(xs, ys, scale)
 	}
 	return best, nil
+}
+
+// risingLine fits the {1, x} line with its slope floored at 0: where the
+// least-squares slope is negative, the best non-decreasing line is the
+// constant mean.
+func risingLine(xs, ys []float64, scale float64) (Model, error) {
+	m, err := fitBasis([]Basis{basisOne, basisX}, xs, ys, scale)
+	if err != nil || m.Coef[1] >= 0 {
+		return m, err
+	}
+	var mean float64
+	for _, y := range ys {
+		mean += y
+	}
+	m.Coef[0], m.Coef[1] = mean/float64(len(ys)), 0
+	m.R2, m.AdjR2 = rsquared(m, xs, ys, 2)
+	return m, nil
 }
 
 // fitSet updates candidate set i's accumulator with the stream tail and

@@ -59,8 +59,8 @@ func (w *arrowWorkspace) resize(n int) {
 // arrow_test.go, is the test oracle), from the curve values cached in it.e
 // and it.d. The direction is written into step in the layout
 // (du, dτ, ds, dλ, dz, dν). A singular diagonal block or Schur system
-// returns ErrIllConditioned — the same class a dense factorization reports
-// — and the caller falls back to water-filling.
+// returns errIllConditioned — the same class a dense factorization reports
+// — and the Newton iteration stops.
 func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step linalg.Vector) error {
 	n := sc.n
 	ws.resize(n)
@@ -72,7 +72,7 @@ func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step li
 	var s0u, stu, snu float64
 	for g := 0; g < n; g++ {
 		d1 := it.d[g]
-		d2 := sc.deriv2(g, it.u[g])
+		d2 := deriv2(sc, g, it.u[g])
 		b := [16]float64{
 			it.lam[g] * d2, 0, d1, -1,
 			d1, 1, 0, 0,
@@ -80,7 +80,7 @@ func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step li
 			0, it.lam[g], it.s[g], 0,
 		}
 		if err := ws.blk[g].Factor(&b); err != nil {
-			return ErrIllConditioned
+			return errIllConditioned
 		}
 		// Right-hand side is the negated residual.
 		r := [4]float64{
@@ -118,12 +118,12 @@ func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step li
 	// 2×2 elimination with row pivoting.
 	if math.Abs(a11) >= math.Abs(a21) {
 		if a11 == 0 {
-			return ErrIllConditioned
+			return errIllConditioned
 		}
 		m := a21 / a11
 		den := a22 - m*a12
 		if den == 0 {
-			return ErrIllConditioned
+			return errIllConditioned
 		}
 		dnu = (b2 - m*b1) / den
 		dtau = (b1 - a12*dnu) / a11
@@ -131,7 +131,7 @@ func arrowSolve(sc *scaled, it *iterate, mu float64, ws *arrowWorkspace, step li
 		m := a11 / a21
 		den := a12 - m*a22
 		if den == 0 {
-			return ErrIllConditioned
+			return errIllConditioned
 		}
 		dnu = (b1 - m*b2) / den
 		dtau = (b2 - a22*dnu) / a21

@@ -66,10 +66,10 @@ func denseStep(sc *scaled, it *iterate, mu float64, step linalg.Vector) error {
 	res.Scale(-1)
 	var lu linalg.LU
 	if err := lu.Factor(jac); err != nil {
-		return ErrIllConditioned
+		return errIllConditioned
 	}
 	if err := lu.SolveInto(step, res); err != nil {
-		return ErrIllConditioned
+		return errIllConditioned
 	}
 	return nil
 }
@@ -130,12 +130,12 @@ func TestArrowDegenerateClassifies(t *testing.T) {
 
 	dim := 4*sc.n + 2
 	step := linalg.NewVector(dim)
-	if err := denseStep(sc, it, 1e-3, step); !errors.Is(err, ErrIllConditioned) {
-		t.Fatalf("dense err = %v, want ErrIllConditioned", err)
+	if err := denseStep(sc, it, 1e-3, step); !errors.Is(err, errIllConditioned) {
+		t.Fatalf("dense err = %v, want errIllConditioned", err)
 	}
 	var ws arrowWorkspace
-	if err := arrowSolve(sc, it, 1e-3, &ws, step); !errors.Is(err, ErrIllConditioned) {
-		t.Fatalf("arrow err = %v, want ErrIllConditioned", err)
+	if err := arrowSolve(sc, it, 1e-3, &ws, step); !errors.Is(err, errIllConditioned) {
+		t.Fatalf("arrow err = %v, want errIllConditioned", err)
 	}
 }
 
@@ -159,8 +159,8 @@ func kktSystem(sc *scaled, it *iterate, mu float64, jac *linalg.Matrix, res lina
 	iNu := 4*n + 1
 
 	for g := 0; g < n; g++ {
-		d1 := sc.deriv(g, it.u[g])
-		d2 := sc.deriv2(g, it.u[g])
+		d1 := deriv(sc, g, it.u[g])
+		d2 := deriv2(sc, g, it.u[g])
 
 		// Stationarity wrt u_g: lam_g*E'_g + nu - z_g = 0.
 		r := iU(g)

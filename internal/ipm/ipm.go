@@ -1,29 +1,31 @@
-// Package ipm implements the nonlinear solver behind the paper's block-size
-// selection (§III.C): given fitted per-unit time curves E_g, find the work
-// split x₁…x_n with Σx_g = Total that makes every processing unit finish at
-// the same time (Eqs. 3–5). The paper solves this with IPOPT's interior
-// point line-search filter method [25]; this package is a from-scratch
-// reimplementation of that method, from the paper's handful of processing
-// units up to generated clusters of thousands.
+// Package ipm implements the solver behind the paper's block-size selection
+// (§III.C): given fitted per-unit time curves E_g, find the work split
+// x₁…x_n with Σx_g = Total that makes every processing unit finish at the
+// same time (Eqs. 3–5), from the paper's handful of processing units up to
+// generated clusters of thousands.
 //
-// The NLP is the makespan form: minimize τ subject to
+// The problem is the makespan form: choose x_g ≥ 0 with Σ x_g = Total to
+// minimize τ, the latest finish time E_g(x_g) over the units that get work
+// (x_g > 0). At the optimum every such unit finishes at τ — exactly the
+// equal-finish-time condition (Eq. 4). The paper writes it as the NLP
 //
-//	E_g(x_g) − τ ≤ 0   (g = 1…n)
-//	Σ x_g = Total
-//	x_g ≥ 0
+//	minimize τ  subject to  E_g(x_g) − τ ≤ 0 (g = 1…n),  Σ x_g = Total,  x_g ≥ 0
 //
-// whose KKT conditions at the optimum give E_g(x_g) = τ for every unit with
-// x_g > 0 — exactly the equal-finish-time condition (Eq. 4).
+// and solves it with IPOPT's interior-point method [25], which finds a KKT
+// point. This package solves it exactly in one dimension instead. Let
+// x_g(τ) be the most work unit g can finish within τ. When every E_g is
+// non-decreasing, x_g(τ) is non-decreasing in τ, and any split with
+// makespan τ gives each unit at most x_g(τ). So τ* = min{τ : Σ_g x_g(τ) ≥
+// Total} is the global optimum, and the split x_g(τ*) attains it. A Solver
+// finds τ* by water-filling (waterfill.go): a safeguarded bracket on τ,
+// with each x_g(τ) the root of E_g(x) = τ. The curves the scheduler passes
+// in are non-decreasing on [smallest probe, Total] by construction
+// (package fit rejects every candidate model that dips there).
 //
-// The solver is a primal-dual interior-point method: slacks on the
-// inequalities, log barriers on slacks and bounds, Newton steps on the
-// perturbed KKT system (an O(n) block elimination over its arrow
-// structure, arrow.go), a fraction-to-the-boundary rule, a
-// Wächter–Biegler-style filter line search, and an adaptive barrier-
-// parameter update in the spirit of [25]. A Solver warm-starts each solve
-// from the previous one's iterate while the active curve set is unchanged.
-// A monotone water-filling fallback on τ (waterfill.go) guarantees a usable
-// split whenever Newton stalls on a pathological fitted curve.
+// The tests keep a primal-dual interior-point method of IPOPT's family as an
+// oracle (newton_oracle_test.go). Wherever it converges it finds the same τ,
+// or max_g E_g(0) when that is larger: the NLP above also asks units that
+// get no work to finish by τ.
 package ipm
 
 import (
@@ -37,8 +39,6 @@ import (
 type Curve interface {
 	// Eval returns the modeled time to handle a block of size x.
 	Eval(x float64) float64
-	// Deriv returns dE/dx at x.
-	Deriv(x float64) float64
 }
 
 // Problem is the block-size selection instance.
@@ -48,50 +48,27 @@ type Problem struct {
 	Total float64
 }
 
-// Options tunes the solver. The zero value is replaced by defaults.
+// Options is accepted for compatibility; the solver has nothing to tune.
 type Options struct {
-	Tol         float64 // KKT residual tolerance (scaled); default 1e-8
-	MaxIter     int     // Newton iteration cap; default 100
-	Mu0         float64 // initial barrier parameter; default 0.1
-	DisableIPM  bool    // force the water-filling fallback (for ablations)
-	DisableFall bool    // forbid the fallback (surface IPM failures)
-
-	// Structured is ignored: every Newton step is the arrow-structured
-	// elimination.
+	// Structured is ignored.
 	//
 	// Deprecated: kept so that existing callers compile.
 	Structured bool
-	// WarmStart is ignored: a Solver always warm-starts while the active
-	// curve set is unchanged.
+	// WarmStart is ignored: water-filling keeps no state between solves.
 	//
 	// Deprecated: kept so that existing callers compile.
 	WarmStart bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Mu0 <= 0 {
-		o.Mu0 = 0.1
-	}
-	return o
-}
-
 // Result reports the computed distribution.
 type Result struct {
-	X            []float64 // block sizes, Σ = Total
-	Tau          float64   // common finish time
-	Iterations   int
-	Converged    bool // Newton reached tolerance (false when fallback used)
-	UsedFallback bool
-	// WarmStarted reports that the accepted iteration started from a
-	// previous solve's iterate rather than the cold even-split interior
-	// point.
-	WarmStarted bool
+	X   []float64 // block sizes, Σ = Total
+	Tau float64   // common finish time
+	// Iterations counts the water-filling τ steps: the trial makespans
+	// tried after the two initial bracket ends.
+	Iterations int
+	// KKTResidual is |Σ x_g(τ) − Total| / Total at the returned τ, before
+	// the split is rescaled to sum to Total exactly.
 	KKTResidual float64
 	WallTime    time.Duration
 }
@@ -100,25 +77,13 @@ type Result struct {
 // are +Inf — every device failed).
 var ErrInfeasible = errors.New("ipm: infeasible block-size problem")
 
-// ErrNoProgress is returned when the Newton line search stalls (no
-// acceptable step) and the fallback is disabled.
-var ErrNoProgress = errors.New("ipm: line search stalled")
-
 // ErrNonFinite is returned when the problem contains non-finite inputs
-// (NaN/Inf total or curves) or the iteration produces non-finite values —
+// (NaN/Inf total or curves) or the solve produces non-finite values —
 // chaos-corrupted profiles classify here instead of yielding garbage.
 var ErrNonFinite = errors.New("ipm: non-finite inputs or iterates")
 
-// ErrNoConverge is returned when the Newton iteration exhausts its
-// iteration budget without reaching tolerance.
-var ErrNoConverge = errors.New("ipm: iteration budget exhausted without convergence")
-
-// ErrIllConditioned is returned when the KKT system is singular or too
-// ill-conditioned to factor.
-var ErrIllConditioned = errors.New("ipm: ill-conditioned KKT system")
-
-// Solve computes the equal-finish-time distribution with a fresh Solver,
-// so it always starts cold and the returned Result.X is the caller's.
+// Solve computes the equal-finish-time distribution with a fresh Solver, so
+// the returned Result.X is the caller's.
 func Solve(p Problem, opt Options) (Result, error) {
 	return NewSolver(opt).Solve(p)
 }
@@ -188,34 +153,11 @@ func (s *scaled) eval(g int, u float64) float64 {
 	return v
 }
 
-// deriv returns dÊ_g/du.
-func (s *scaled) deriv(g int, u float64) float64 {
-	return s.p.Curves[g].Deriv(u*s.p.Total) * s.p.Total / s.timeScale
-}
-
-// deriv2 returns a numeric second derivative d²Ê_g/du², guarded for
-// curves whose analytic derivative is noisy. Near u = 0 the lower sample
-// is clamped into the domain, so the difference is divided by the spacing
-// actually taken rather than 2h.
-func (s *scaled) deriv2(g int, u float64) float64 {
-	const h = 1e-5
-	lo, span := u-h, 2*h
-	if lo < 1e-12 {
-		lo = 1e-12
-		span = u + h - lo
-	}
-	d := (s.deriv(g, u+h) - s.deriv(g, lo)) / span
-	if math.IsNaN(d) || math.IsInf(d, 0) {
-		return 0
-	}
-	return d
-}
-
 // resultInto converts a scaled solution back to problem units, writing the
 // block sizes into x (len n); the returned Result.X aliases x.
 func (s *scaled) resultInto(x []float64, u []float64, tau float64) Result {
-	// Remove tiny interior-point slack from the bounds and renormalize so
-	// the block sizes sum to exactly Total.
+	// Clip negative shares and renormalize so the block sizes sum to
+	// exactly Total.
 	var sum float64
 	for i, ui := range u {
 		if ui < 0 {

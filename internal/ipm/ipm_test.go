@@ -6,7 +6,8 @@ import (
 	"testing/quick"
 )
 
-// funcCurve adapts plain functions to the Curve interface.
+// funcCurve adapts plain functions to the Curve interface, with the
+// derivative the Newton oracle uses (a central difference when df is nil).
 type funcCurve struct {
 	f  func(x float64) float64
 	df func(x float64) float64
@@ -82,9 +83,6 @@ func TestSolveTwoLinearCurves(t *testing.T) {
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.UsedFallback {
-		t.Error("expected pure IPM solve for benign linear curves")
 	}
 	checkSolution(t, p, res, 1e-4)
 	if math.Abs(res.X[0]-3) > 1e-3 || math.Abs(res.X[1]-1) > 1e-3 {
@@ -179,7 +177,7 @@ func TestDeriv2NearZeroBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range []float64{1e-6, 0.5} {
-		if d := sc.deriv2(0, u); math.Abs(d-2) > 1e-6 {
+		if d := deriv2(sc, 0, u); math.Abs(d-2) > 1e-6 {
 			t.Errorf("deriv2 at u=%g = %g, want 2", u, d)
 		}
 	}
@@ -194,22 +192,21 @@ func TestSolveEmptyProblem(t *testing.T) {
 	}
 }
 
+// TestBisectionFallbackMatchesIPM: the water-filling solve matches the
+// interior-point oracle on a benign two-unit problem.
 func TestBisectionFallbackMatchesIPM(t *testing.T) {
 	p := Problem{Curves: []Curve{linear(1, 0.2), linear(4, 0.1)}, Total: 50}
-	ipmRes, err := Solve(p, Options{DisableFall: true})
+	ipmRes, err := solveNewton(p, newtonOptions{})
 	if err != nil {
-		t.Fatalf("IPM path failed: %v", err)
+		t.Fatalf("IPM oracle failed: %v", err)
 	}
-	bisRes, err := Solve(p, Options{DisableIPM: true})
+	res, err := Solve(p, Options{})
 	if err != nil {
-		t.Fatalf("bisection path failed: %v", err)
-	}
-	if !bisRes.UsedFallback {
-		t.Error("bisection path should report UsedFallback")
+		t.Fatalf("water-filling failed: %v", err)
 	}
 	for g := range ipmRes.X {
-		if math.Abs(ipmRes.X[g]-bisRes.X[g]) > 1e-2*p.Total {
-			t.Errorf("unit %d: IPM %g vs bisection %g", g, ipmRes.X[g], bisRes.X[g])
+		if math.Abs(ipmRes.X[g]-res.X[g]) > 1e-2*p.Total {
+			t.Errorf("unit %d: IPM %g vs water-filling %g", g, ipmRes.X[g], res.X[g])
 		}
 	}
 }

@@ -1,10 +1,86 @@
 package ipm
 
 import (
+	"errors"
 	"math"
 
 	"plbhec/internal/linalg"
 )
+
+// This file is a test oracle the water-filling solver is checked against:
+// a primal-dual interior-point method, a from-scratch reimplementation of
+// the IPOPT method [25] the paper uses. It solves the
+// same scaled makespan NLP with slacks on the inequalities, log barriers on
+// slacks and bounds, Newton steps on the perturbed KKT system (the O(n)
+// arrow elimination of arrow_oracle_test.go), a fraction-to-the-boundary
+// rule, a Wächter–Biegler-style filter line search, and an adaptive barrier-
+// parameter update. It needs each curve's derivative (derivCurve) and finds
+// a KKT point at best.
+
+// derivCurve is a Curve with an analytic derivative, which the Newton
+// oracle needs; curves without one get a central difference.
+type derivCurve interface {
+	Curve
+	Deriv(x float64) float64
+}
+
+// newtonOptions tunes the oracle.
+type newtonOptions struct {
+	Tol     float64 // KKT residual tolerance (scaled); default 1e-8
+	MaxIter int     // Newton iteration cap; default 100
+	Mu0     float64 // initial barrier parameter; default 0.1
+}
+
+func (o newtonOptions) withDefaults() newtonOptions {
+	if o.Tol <= 0 {
+		o.Tol = 1e-8
+	}
+	if o.MaxIter <= 0 {
+		o.MaxIter = 100
+	}
+	if o.Mu0 <= 0 {
+		o.Mu0 = 0.1
+	}
+	return o
+}
+
+// The oracle's failure classes.
+var (
+	errNoProgress     = errors.New("ipm: line search stalled")
+	errNoConverge     = errors.New("ipm: iteration budget exhausted without convergence")
+	errIllConditioned = errors.New("ipm: ill-conditioned KKT system")
+)
+
+// deriv returns dÊ_g/du.
+func deriv(s *scaled, g int, u float64) float64 {
+	x := u * s.p.Total
+	var d float64
+	if c, ok := s.p.Curves[g].(derivCurve); ok {
+		d = c.Deriv(x)
+	} else {
+		h := 1e-6 * (math.Abs(x) + 1)
+		d = (s.p.Curves[g].Eval(x+h) - s.p.Curves[g].Eval(x-h)) / (2 * h)
+	}
+	return d * s.p.Total / s.timeScale
+}
+
+// deriv2 returns a numeric second derivative d²Ê_g/du², guarded for
+// curves whose analytic derivative is noisy. Near u = 0 the lower sample
+// is clamped into the domain, so the difference is divided by the spacing
+// actually taken rather than 2h.
+func deriv2(s *scaled, g int, u float64) float64 {
+	const h = 1e-5
+	lo, span := u-h, 2*h
+	if lo < 1e-12 {
+		lo = 1e-12
+		span = u + h - lo
+	}
+	d := (deriv(s, g, u+h) - deriv(s, g, lo)) / span
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		return 0
+	}
+	return d
+}
 
 // iterate is the primal-dual point: scaled work u, makespan tau, inequality
 // slacks s, inequality duals lambda, bound duals z, equality dual nu. e and
@@ -32,7 +108,7 @@ func (it *iterate) resize(n int) {
 func (it *iterate) evalCurves(sc *scaled) {
 	for g, u := range it.u {
 		it.e[g] = sc.eval(g, u)
-		it.d[g] = sc.deriv(g, u)
+		it.d[g] = deriv(sc, g, u)
 	}
 }
 
@@ -40,74 +116,45 @@ func (it *iterate) evalCurves(sc *scaled) {
 // already evaluated.
 func (it *iterate) evalDerivs(sc *scaled) {
 	for g, u := range it.u {
-		it.d[g] = sc.deriv(g, u)
+		it.d[g] = deriv(sc, g, u)
 	}
 }
 
-// resizeVec returns v with length n, reusing its backing array when the
-// capacity allows.
-func resizeVec(v linalg.Vector, n int) linalg.Vector {
-	if cap(v) < n {
-		return linalg.NewVector(n)
-	}
-	return v[:n]
-}
-
-// solveState owns every buffer one Newton solve needs. The zero value is
-// ready: buffers are sized on prepare and reused across iterations and
-// across a Solver's solves, reaching zero allocations in steady state.
-type solveState struct {
+// newtonState owns every buffer one Newton solve needs. The zero value is
+// ready: buffers are sized on prepare and reused across iterations.
+type newtonState struct {
 	it     iterate
 	cand   iterate // line-search trials; only u, tau, s and e are used
 	filter filterSet
 	step   linalg.Vector
 	x      []float64 // result block sizes (aliased by the returned Result.X)
 	arrow  arrowWorkspace
-	fill   fillState // the water-filling fallback's buffers
 }
 
 // prepare sizes the O(n) buffers for an n-unit solve.
-func (st *solveState) prepare(n int) {
+func (st *newtonState) prepare(n int) {
 	st.it.resize(n)
 	st.cand.u = resizeVec(st.cand.u, n)
 	st.cand.s = resizeVec(st.cand.s, n)
 	st.cand.e = resizeVec(st.cand.e, n)
 	st.step = resizeVec(st.step, 4*n+2)
-	if cap(st.x) < n {
-		st.x = make([]float64, n)
-	}
-	st.x = st.x[:n]
+	st.x = resizeVec(st.x, n)
 	st.filter.reset()
 }
 
 // solveIPM runs the primal-dual interior-point iteration on the scaled
-// problem. Failures come back classified — ErrIllConditioned (KKT system
-// would not factor), ErrNonFinite (step or iterate left the reals),
-// ErrNoProgress (line search stalled), ErrNoConverge (iteration budget
-// exhausted) — so the caller can fall back to water-filling and schedulers
-// can pick a degradation rung by error kind.
-//
-// Each Newton direction comes from the O(n) arrow elimination (arrow.go).
-// All per-iteration storage — the step vector, the line-search trial
-// iterate and the arrow workspace — lives in the caller-provided
-// solveState, reused across iterations, trials and whole solves. warm, when
-// non-nil, seeds the iteration from a previous solve's iterate instead of
-// the cold interior point.
-func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result, error) {
+// problem from the cold interior point. Failures come back classified —
+// errIllConditioned (KKT system would not factor), ErrNonFinite (step or
+// iterate left the reals), errNoProgress (line search stalled),
+// errNoConverge (iteration budget exhausted).
+func solveIPM(sc *scaled, opt newtonOptions, st *newtonState) (Result, error) {
+	opt = opt.withDefaults()
 	n := sc.n
 	mu := opt.Mu0
 
 	st.prepare(n)
 	it := &st.it
-	if warm != nil {
-		wmu, ok := warmPointInto(sc, warm, opt, it)
-		if !ok {
-			return Result{}, ErrNonFinite
-		}
-		mu = wmu
-	} else {
-		initialPointInto(sc, mu, it)
-	}
+	initialPointInto(sc, mu, it)
 	filter := &st.filter
 
 	step := st.step
@@ -126,10 +173,8 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 		e0 := kktError(it, 0)
 		if e0 <= opt.Tol {
 			out := sc.resultInto(st.x, it.u, it.tau)
-			out.Converged = true
 			out.Iterations = iter - 1
 			out.KKTResidual = e0
-			out.WarmStarted = warm != nil
 			return out, nil
 		}
 		// Barrier update: tighten mu once the barrier subproblem is solved.
@@ -187,7 +232,7 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 			}
 		}
 		if !accepted {
-			return Result{}, ErrNoProgress
+			return Result{}, errNoProgress
 		}
 		// Dual variables take the (possibly longer) dual step length.
 		it.lam.AddScaled(aDual, dlam)
@@ -203,13 +248,11 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 	e0 := kktError(it, 0)
 	if e0 <= math.Sqrt(opt.Tol) {
 		out := sc.resultInto(st.x, it.u, it.tau)
-		out.Converged = true
 		out.Iterations = opt.MaxIter
 		out.KKTResidual = e0
-		out.WarmStarted = warm != nil
 		return out, nil
 	}
-	return Result{}, ErrNoConverge
+	return Result{}, errNoConverge
 }
 
 // initialPointInto places the iterate strictly inside the feasible region:
@@ -342,4 +385,39 @@ func (f *filterSet) add(theta, phi float64) {
 		}
 	}
 	f.entries = append(kept, [2]float64{theta, phi})
+}
+
+// solveNewton runs the interior-point oracle from its cold starting point
+// on the units a Solver keeps active, and scatters the split back onto
+// every unit.
+func solveNewton(p Problem, opt newtonOptions) (Result, error) {
+	var sv Solver
+	if err := sv.activeSet(p); err != nil {
+		return Result{}, err
+	}
+	x := make([]float64, len(p.Curves))
+	if len(sv.active) == 1 {
+		g := sv.active[0]
+		x[g] = p.Total
+		return Result{X: x, Tau: p.Curves[g].Eval(p.Total)}, nil
+	}
+	for _, g := range sv.active {
+		sv.curves = append(sv.curves, p.Curves[g])
+	}
+	if err := sv.sc.init(Problem{Curves: sv.curves, Total: p.Total}); err != nil {
+		return Result{}, err
+	}
+	var st newtonState
+	res, err := solveIPM(&sv.sc, opt, &st)
+	if err == nil {
+		err = validResult(res, p.Total)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	for i, g := range sv.active {
+		x[g] = res.X[i]
+	}
+	res.X = x
+	return res, nil
 }

@@ -104,17 +104,17 @@ func TestSolveManyUnits(t *testing.T) {
 	}
 }
 
-// TestSolveResultInvariants: whichever path solves, the result satisfies
-// the problem's constraints.
+// TestSolveResultInvariants: the result satisfies the problem's
+// constraints.
 func TestSolveResultInvariants(t *testing.T) {
-	f := func(ipmOff bool, s1, s2, s3 uint8) bool {
+	f := func(s1, s2, s3 uint8) bool {
 		curves := []Curve{
 			linear(0.1+float64(s1)/50, float64(s1%3)/100),
 			linear(0.1+float64(s2)/50, float64(s2%3)/100),
 			linear(0.1+float64(s3)/50, float64(s3%3)/100),
 		}
 		p := Problem{Curves: curves, Total: 100}
-		res, err := Solve(p, Options{DisableIPM: ipmOff})
+		res, err := Solve(p, Options{})
 		if err != nil {
 			return false
 		}
@@ -132,8 +132,8 @@ func TestSolveResultInvariants(t *testing.T) {
 	}
 }
 
-// TestSolveStepFunctionFallsBack: a nasty discontinuous curve defeats
-// Newton but the water-filling fallback still produces a feasible split.
+// TestSolveStepFunctionFallsBack: a nasty discontinuous curve, which
+// defeats Newton, still gets a feasible split.
 func TestSolveStepFunctionFallsBack(t *testing.T) {
 	step := funcCurve{f: func(x float64) float64 {
 		if x > 50 {
@@ -173,7 +173,7 @@ func TestKKTErrorAtOptimum(t *testing.T) {
 		e:   make([]float64, 2),
 		d:   make([]float64, 2),
 		tau: sc.eval(0, 0.5),
-		nu:  -0.5 * sc.deriv(0, 0.5),
+		nu:  -0.5 * deriv(sc, 0, 0.5),
 	}
 	it.evalCurves(sc)
 	if e := kktError(it, 0); e > 1e-9 {
@@ -181,20 +181,9 @@ func TestKKTErrorAtOptimum(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Tol <= 0 || o.MaxIter <= 0 || o.Mu0 <= 0 {
-		t.Errorf("defaults not applied: %+v", o)
-	}
-	custom := Options{Tol: 1e-4, MaxIter: 7, Mu0: 0.5}.withDefaults()
-	if custom.Tol != 1e-4 || custom.MaxIter != 7 || custom.Mu0 != 0.5 {
-		t.Errorf("custom values overridden: %+v", custom)
-	}
-}
-
 // TestSolveConcaveCurves: E_g(x) = a·√x is monotone but concave — the
-// barrier problem is nonconvex. Whichever path handles it, the result must
-// stay feasible with near-equal times.
+// barrier problem is nonconvex. The result must stay feasible with
+// near-equal times.
 func TestSolveConcaveCurves(t *testing.T) {
 	sqrtCurve := func(a float64) Curve {
 		return funcCurve{f: func(x float64) float64 {

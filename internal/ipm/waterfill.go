@@ -2,10 +2,10 @@ package ipm
 
 import "math"
 
-// This file is the robust fallback: water-filling on the makespan. For
-// monotone time curves the work x_g(τ) a unit can finish within τ is
-// monotone in τ, so the τ with capacity(τ) = Σ x_g(τ) = 1 is the root of a
-// monotone function of one variable, and each x_g(τ) is the root of
+// This file is the solver: water-filling on the makespan. For
+// non-decreasing time curves the work x_g(τ) a unit can finish within τ is
+// non-decreasing in τ, so the τ with capacity(τ) = Σ x_g(τ) = 1 is the root
+// of a monotone function of one variable, and each x_g(τ) is the root of
 // E_g(x) = τ. Both roots are found by safeguarded regula falsi (the
 // Illinois variant, with a bisection step whenever a secant step fails to
 // halve the bracket), and each unit searches only between its answers at
@@ -29,7 +29,7 @@ func (f *fillEnd) resize(n int) {
 	f.e = resizeVec(f.e, n)
 }
 
-// fillState owns the fallback's buffers, reused across a Solver's solves.
+// fillState owns the water-filling buffers, reused across a Solver's solves.
 type fillState struct {
 	e0, e1        []float64 // Ê_g(ε) and Ê_g(1)
 	lo, hi, trial fillEnd   // answers at the bracket ends and at the trial τ
@@ -43,23 +43,20 @@ func (w *fillState) resize(n int) {
 	w.trial.resize(n)
 }
 
-// solveWaterFill returns the equal-finish-time split whose capacity reaches
-// 1 at the smallest τ the bracket resolves. Result.X aliases st.x.
-func solveWaterFill(sc *scaled, st *solveState) (Result, error) {
-	tau, capacity, err := st.fill.solve(sc)
-	if err != nil {
-		return Result{}, err
+// resizeVec returns v with length n, reusing its backing array when the
+// capacity allows. Contents are unspecified; callers overwrite them.
+func resizeVec(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
 	}
-	st.x = resizeVec(st.x, sc.n)
-	res := sc.resultInto(st.x, st.fill.hi.x, tau)
-	res.KKTResidual = math.Abs(capacity - 1)
-	return res, nil
+	return v[:n]
 }
 
 // solve brackets the scaled makespan τ at which the capacity Σ x_g(τ)
-// reaches 1 to within 1e-14·(1+τ), and returns the upper end τ and its
-// capacity, leaving u_g = x_g(τ) in w.hi.x.
-func (w *fillState) solve(sc *scaled) (tau, capacity float64, err error) {
+// reaches 1 to within 1e-14·(1+τ), and returns the upper end τ, its
+// capacity and the number of trial τ passes after the two initial bracket
+// ends, leaving u_g = x_g(τ) in w.hi.x.
+func (w *fillState) solve(sc *scaled) (tau, capacity float64, steps int, err error) {
 	n := sc.n
 	w.resize(n)
 
@@ -84,7 +81,7 @@ func (w *fillState) solve(sc *scaled) (tau, capacity float64, err error) {
 		}
 	}
 	if !finite {
-		return 0, 0, ErrInfeasible
+		return 0, 0, 0, ErrInfeasible
 	}
 	if hi <= lo {
 		hi = lo + 1
@@ -100,6 +97,7 @@ func (w *fillState) solve(sc *scaled) (tau, capacity float64, err error) {
 		w.lo, w.hi = w.hi, w.lo
 		hi *= 2
 		capHi = w.pass(sc, hi, &w.lo, nil, &w.hi)
+		steps++
 	}
 
 	// Regula falsi on capacity(τ) − 1, which is < 0 at lo and ≥ 0 at hi.
@@ -115,8 +113,9 @@ func (w *fillState) solve(sc *scaled) (tau, capacity float64, err error) {
 			w.lo, w.trial = w.trial, w.lo
 		}
 		r.update(t, c-1, c < 1)
+		steps++
 	}
-	return r.b, capHi, nil
+	return r.b, capHi, steps, nil
 }
 
 // pass computes x_g(τ) for every unit into out and returns the capacity

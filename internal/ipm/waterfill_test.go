@@ -111,7 +111,7 @@ func TestWaterFillMatchesBisection(t *testing.T) {
 				t.Fatalf("n=%d trial %d: bisection: %v", n, trial, err)
 			}
 			var w fillState
-			tau, _, err := w.solve(sc)
+			tau, _, _, err := w.solve(sc)
 			if err != nil {
 				t.Fatalf("n=%d trial %d: water-filling: %v", n, trial, err)
 			}
@@ -130,8 +130,7 @@ func TestWaterFillMatchesBisection(t *testing.T) {
 				}
 			}
 
-			var st solveState
-			res, err := solveWaterFill(sc, &st)
+			res, err := Solve(p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,14 +150,10 @@ func TestWaterFillMatchesBisection(t *testing.T) {
 func TestFallbackZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	p := randomFittedProblem(64, rng)
-	sv := NewSolver(Options{DisableIPM: true})
+	sv := NewSolver(Options{})
 	for i := 0; i < 3; i++ {
-		res, err := sv.Solve(p)
-		if err != nil {
+		if _, err := sv.Solve(p); err != nil {
 			t.Fatal(err)
-		}
-		if !res.UsedFallback {
-			t.Fatal("DisableIPM solve did not use the fallback")
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -182,8 +177,8 @@ func (c countingCurve) Eval(x float64) float64 {
 	return c.Curve.Eval(x)
 }
 
-// BenchmarkFallbackSolve times a water-filling solve (DisableIPM) at a warm
-// size, reporting the curve evaluations it makes next to ns/op.
+// BenchmarkFallbackSolve times a water-filling solve at a warm size,
+// reporting the curve evaluations and τ steps it makes next to ns/op.
 func BenchmarkFallbackSolve(b *testing.B) {
 	for _, n := range []int{1024, 10000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
@@ -193,19 +188,151 @@ func BenchmarkFallbackSolve(b *testing.B) {
 			for g, c := range p.Curves {
 				p.Curves[g] = countingCurve{Curve: c, evals: &evals}
 			}
-			sv := NewSolver(Options{DisableIPM: true})
+			sv := NewSolver(Options{})
 			if _, err := sv.Solve(p); err != nil {
 				b.Fatal(err)
 			}
 			evals = 0
+			steps := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sv.Solve(p); err != nil {
+				res, err := sv.Solve(p)
+				if err != nil {
 					b.Fatal(err)
 				}
+				steps += res.Iterations
 			}
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+			b.ReportMetric(float64(steps)/float64(b.N), "tau-steps/op")
 		})
 	}
+}
+
+// stairCurve is a non-decreasing staircase, E(x) = b·x + h·⌊x/w⌋: its
+// derivative b says nothing about the jumps, which stalls Newton.
+type stairCurve struct{ b, h, w float64 }
+
+func (c stairCurve) Eval(x float64) float64  { return c.b*x + c.h*math.Floor(x/c.w) }
+func (c stairCurve) Deriv(x float64) float64 { return c.b }
+
+// makespan is the latest finish time over the units a split gives work.
+func makespan(p Problem, x []float64) float64 {
+	m := 0.0
+	for g, xg := range x {
+		if xg > 0 {
+			m = math.Max(m, p.Curves[g].Eval(xg))
+		}
+	}
+	return m
+}
+
+// TestWaterFillMatchesNewton checks the water-filling solver against the
+// interior-point oracle (newton_oracle_test.go) on random
+// fitted-shape problems from 2 to 10,000 units, a tenth of them with some
+// staircase curves.
+//
+// The oracle solves the NLP as written, where every active unit, even one
+// that gets no work, must have E_g(0) ≤ τ; water-filling counts only the
+// units that get work. So wherever Newton converges, its τ equals
+// max(τ*, max_g E_g(0)) to the oracle's tolerance, in scaled time. Wherever
+// it stalls, no random feasible split, and no small move of work between
+// two units of the water-filling split, finishes before τ*.
+func TestWaterFillMatchesNewton(t *testing.T) {
+	oracleTol := newtonOptions{}.withDefaults().Tol
+	rng := rand.New(rand.NewSource(17))
+	var converged, stalled int
+	for _, n := range []int{2, 3, 5, 8, 17, 64, 257, 1000, 10000} {
+		trials := 1
+		if n <= 1000 {
+			trials = 20
+		}
+		for trial := 0; trial < trials; trial++ {
+			p := randomFittedProblem(n, rng)
+			if trial%10 == 9 {
+				for g := range p.Curves {
+					if rng.Intn(4) == 0 {
+						b := math.Exp(rng.Float64()*5.7) * 1e-4 / float64(n)
+						p.Curves[g] = stairCurve{b: b, h: b * p.Total / float64(n), w: p.Total / float64(n) * (0.5 + rng.Float64())}
+					}
+				}
+			}
+			res, err := Solve(p, Options{})
+			if err != nil {
+				t.Fatalf("n=%d trial %d: %v", n, trial, err)
+			}
+			tau := res.Tau
+			if got := makespan(p, res.X); got > tau*(1+1e-12) {
+				t.Fatalf("n=%d trial %d: split finishes at %g, after τ = %g", n, trial, got, tau)
+			}
+
+			// The active units' scaled view, as the solver built it.
+			var sv Solver
+			if err := sv.activeSet(p); err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range sv.active {
+				sv.curves = append(sv.curves, p.Curves[g])
+			}
+			sc := &sv.sc
+			if err := sc.init(Problem{Curves: sv.curves, Total: p.Total}); err != nil {
+				t.Fatal(err)
+			}
+			// τ* lies in the final bracket, at most 1e-14·(1+τ̂) below τ in
+			// scaled time; no split finishes before its lower end.
+			lower := tau - 2e-14*(sc.timeScale+tau)
+
+			oracle, err := solveNewton(p, newtonOptions{})
+			if err == nil {
+				converged++
+				want := tau / sc.timeScale
+				for g := range sv.curves {
+					want = math.Max(want, sc.eval(g, 0))
+				}
+				if d := math.Abs(oracle.Tau/sc.timeScale - want); d > 100*oracleTol {
+					t.Fatalf("n=%d trial %d: Newton τ %.10g, water-filling τ %.10g (scaled gap %g)",
+						n, trial, oracle.Tau/sc.timeScale, want, d)
+				}
+				continue
+			}
+			stalled++
+			// Random feasible splits over the units that can take work.
+			x := make([]float64, n)
+			for k := 0; k < 200; k++ {
+				var sum float64
+				for g := range x {
+					x[g] = 0
+					if !math.IsInf(p.Curves[g].Eval(p.Total/float64(n)), 1) {
+						x[g] = -math.Log(rng.Float64())
+						sum += x[g]
+					}
+				}
+				for g := range x {
+					x[g] *= p.Total / sum
+				}
+				if m := makespan(p, x); m < lower {
+					t.Fatalf("n=%d trial %d: a random split finishes at %g, before τ = %g", n, trial, m, tau)
+				}
+			}
+			// Small moves of work between two units of the optimal split.
+			for k := 0; k < 200; k++ {
+				copy(x, res.X)
+				i, j := rng.Intn(n), rng.Intn(n)
+				if i == j || x[i] == 0 || math.IsInf(p.Curves[j].Eval(p.Total), 1) {
+					continue
+				}
+				d := x[i] * rng.Float64() * 0.01
+				x[i] -= d
+				x[j] += d
+				if m := makespan(p, x); m < lower {
+					t.Fatalf("n=%d trial %d: moving %g units %d→%d finishes at %g, before τ = %g",
+						n, trial, d, i, j, m, tau)
+				}
+			}
+		}
+	}
+	if converged == 0 || stalled == 0 {
+		t.Fatalf("Newton converged on %d and stalled on %d problems; want both", converged, stalled)
+	}
+	t.Logf("Newton converged on %d problems and stalled on %d", converged, stalled)
 }

@@ -6,8 +6,8 @@ import "math"
 // systems, the per-PU diagonal block size of the PLB-HeC KKT arrow
 // structure. It is a value type with fixed-size storage, so a slice of LU4
 // is one contiguous allocation and Factor/SolveInto never touch the heap —
-// the structured interior-point solver factors n of these per Newton
-// iteration.
+// the interior-point test oracle of package ipm factors n of these per
+// Newton iteration.
 type LU4 struct {
 	a   [16]float64 // packed L (unit lower) and U, row-major
 	piv [4]int8     // row swapped with row k at elimination step k

@@ -1,8 +1,9 @@
 // Package linalg provides the dense linear-algebra primitives used by the
-// curve-fitting (least squares via QR) and interior-point (KKT systems via
-// LU) layers of the PLB-HeC reproduction. It is deliberately small: dense
-// column-major-free matrices, decompositions with partial pivoting, and the
-// triangular solves they need. Everything is float64 and stdlib-only.
+// curve-fitting layer of the PLB-HeC reproduction (least squares via QR and
+// Cholesky) and by the interior-point test oracle (KKT systems via LU). It
+// is deliberately small: dense column-major-free matrices, decompositions
+// with partial pivoting, and the triangular solves they need. Everything is
+// float64 and stdlib-only.
 package linalg
 
 import (

@@ -103,18 +103,6 @@ func (m Model) Eval(x float64) float64 {
 	return v
 }
 
-// Deriv returns dE_p/dx, consistent with the floored and capped Eval.
-func (m Model) Deriv(x float64) float64 {
-	v := m.F.Eval(x) + m.G.Eval(x)
-	if v < m.FloorRate*x {
-		return m.FloorRate
-	}
-	if x > m.MaxSample && m.CapRate > 0 && v > m.CapRate*x {
-		return m.CapRate
-	}
-	return m.F.Deriv(x) + m.G.Deriv(x)
-}
-
 // R2 returns the determination coefficient of the processing-time fit,
 // which is what Algorithm 1's quality test examines.
 func (m Model) R2() float64 { return m.F.R2 }
@@ -134,7 +122,7 @@ type Models struct {
 	RMSE []float64
 }
 
-// Curves adapts the models to the interior-point solver's interface.
+// Curves adapts the models to the block-size solver's interface.
 func (ms Models) Curves() []ipm.Curve {
 	cs := make([]ipm.Curve, len(ms.PU))
 	for i := range ms.PU {
@@ -199,6 +187,11 @@ func (s *Sampler) FitLive(horizon float64, dead []bool) (Models, error) {
 			// A degenerate transfer fit (e.g. all-zero times on the live
 			// engine) collapses to G = 0 rather than failing the model.
 			g = fit.Linear{}
+		} else if g.A1 < 0 {
+			// A falling line would make E_p fall as the block grows, and the
+			// solver's optimum needs non-decreasing curves: the best
+			// non-decreasing line is the constant mean.
+			g = fit.Linear{A2: mean(tys)}
 		}
 		floor, cap, maxX := rateBounds(s.Exec[pu])
 		ms.PU[pu] = Model{F: f, G: g, FloorRate: floor, CapRate: cap, MaxSample: maxX}
@@ -207,6 +200,15 @@ func (s *Sampler) FitLive(horizon float64, dead []bool) (Models, error) {
 		}
 	}
 	return ms, nil
+}
+
+// mean is the arithmetic mean of ys (len ≥ 2 here).
+func mean(ys []float64) float64 {
+	var sum float64
+	for _, y := range ys {
+		sum += y
+	}
+	return sum / float64(len(ys))
 }
 
 // rmse is the root-mean-square residual of the fitted curve over the

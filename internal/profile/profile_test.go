@@ -129,6 +129,8 @@ func TestCapPreventsExplodingExtrapolation(t *testing.T) {
 	}
 }
 
+// TestDerivConsistentWithEval: where neither rate bound binds, E_p's slope
+// is the slope of F, which the monotonicity check reads, plus G's A1.
 func TestDerivConsistentWithEval(t *testing.T) {
 	s := NewSampler(1)
 	fillLinear(s, 0, 0.01, 0.001, 8, 16, 32, 64, 128)
@@ -137,11 +139,41 @@ func TestDerivConsistentWithEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := ms.PU[0]
-	for _, x := range []float64{10, 50, 500} {
+	for _, x := range []float64{10, 50, 120} {
 		h := x * 1e-5
 		numeric := (m.Eval(x+h) - m.Eval(x-h)) / (2 * h)
-		if got := m.Deriv(x); math.Abs(got-numeric) > 1e-3*(math.Abs(numeric)+1e-9) {
-			t.Errorf("Deriv(%g) = %g, numeric %g", x, got, numeric)
+		if got := m.F.Slope(x) + m.G.A1; math.Abs(got-numeric) > 1e-3*(math.Abs(numeric)+1e-9) {
+			t.Errorf("slope(%g) = %g, numeric %g", x, got, numeric)
+		}
+	}
+}
+
+// TestFallingTransferFloored: transfer samples that fall as the block grows
+// fit a line with a negative slope. FitLive replaces it with the constant
+// mean, so E_p stays non-decreasing from the smallest probe to the horizon.
+func TestFallingTransferFloored(t *testing.T) {
+	s := NewSampler(1)
+	for _, x := range []float64{8, 16, 32, 64, 128} {
+		s.Add(0, x, 0.001*x, 0.05-1e-4*x)
+	}
+	const horizon = 4096
+	ms, err := s.FitAll(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ms.PU[0]
+	if m.G.A1 < 0 {
+		t.Fatalf("transfer slope A1 = %g, want ≥ 0", m.G.A1)
+	}
+	if want := 0.05 - 1e-4*(8+16+32+64+128)/5.0; math.Abs(m.G.A2-want) > 1e-12 {
+		t.Errorf("transfer intercept %g, want the mean %g", m.G.A2, want)
+	}
+	prev := m.Eval(8)
+	for x := 8.0; x <= horizon; x += 0.25 {
+		if e := m.Eval(x); e < prev {
+			t.Fatalf("E_p falls from %g to %g at x = %g", prev, e, x)
+		} else {
+			prev = e
 		}
 	}
 }

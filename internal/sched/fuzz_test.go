@@ -270,10 +270,9 @@ func FuzzSolverInputs(f *testing.F) {
 				t.Fatalf("%s distribution sums to %g, want %g", tag, sum, total)
 			}
 		}
-		// The first pass solves cold; the second exercises the warm path
-		// whenever the first one converged.
+		// The second pass reuses the first one's workspaces.
 		sv := ipm.NewSolver(ipm.Options{})
-		for _, tag := range []string{"cold", "warm"} {
+		for _, tag := range []string{"first", "reused"} {
 			res, err := sv.Solve(ipm.Problem{Curves: curves, Total: total})
 			check(tag, res, err)
 		}

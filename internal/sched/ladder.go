@@ -8,13 +8,14 @@ import (
 	"plbhec/internal/starpu"
 )
 
-// This file is PLB-HeC's solver degradation ladder. The interior-point
-// solve can fail in classified ways (ipm.ErrNonFinite on chaos-corrupted
-// profiles, ipm.ErrIllConditioned, ipm.ErrNoConverge); instead of poisoning
-// the distribution or collapsing straight to an even split, the scheduler
-// descends one rung at a time through strictly simpler strategies:
+// This file is PLB-HeC's solver degradation ladder. The block-size solve
+// can fail in classified ways (ipm.ErrNonFinite on chaos-corrupted
+// profiles, ipm.ErrInfeasible when no unit can take work); instead of
+// poisoning the distribution or collapsing straight to an even split, the
+// scheduler descends one rung at a time through strictly simpler
+// strategies:
 //
-//	rung 0  plb-hec     the fitted equation system, solved by IPM
+//	rung 0  plb-hec     the fitted equation system, solved by water-filling
 //	rung 1  last-good   the most recent successful distribution,
 //	                    renormalized over the surviving units
 //	rung 2  hdss        log-curve throughput weights (the HDSS scheme),

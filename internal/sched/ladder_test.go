@@ -5,21 +5,19 @@ import (
 
 	"plbhec/internal/apps"
 	"plbhec/internal/cluster"
-	"plbhec/internal/ipm"
 	"plbhec/internal/starpu"
 )
 
-// TestLadderSolverFailureCompletes: with the IPM and its water-filling fallback
-// both disabled every solve fails, so the scheduler must descend the
-// degradation ladder (last-good → hdss → greedy) instead of aborting — the
-// run completes, covers every unit, and the ladder transitions land in
-// Report.SolverFallbacks and the scheduler stats.
+// TestLadderSolverFailureCompletes: with every solve failing, the scheduler
+// must descend the degradation ladder (last-good → hdss → greedy) instead
+// of aborting — the run completes, covers every unit, and the ladder
+// transitions land in Report.SolverFallbacks and the scheduler stats.
 func TestLadderSolverFailureCompletes(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 3})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 4096})
 	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{})
 	p := NewPLBHeC(Config{InitialBlockSize: 16})
-	p.Solver = ipm.Options{DisableIPM: true, DisableFall: true}
+	p.failSolves = true
 	rep, err := sess.Run(p)
 	if err != nil {
 		t.Fatalf("run must survive a dead solver via the ladder: %v", err)

@@ -26,9 +26,6 @@ type localityCurve struct {
 // Eval implements ipm.Curve.
 func (c localityCurve) Eval(x float64) float64 { return c.base.Eval(x) + c.lat + c.rate*x }
 
-// Deriv implements ipm.Curve.
-func (c localityCurve) Deriv(x float64) float64 { return c.base.Deriv(x) + c.rate }
-
 // localityCurves wraps each unit's curve with its transfer-cost term when
 // the session tracks residency; with locality disabled (or for dead units)
 // the curves pass through untouched.

@@ -49,7 +49,7 @@ func emitFit(s *starpu.Session, ms profile.Models, dead []bool) {
 //     further (doubling the multiplier) until every fit reaches R² ≥ 0.7 or
 //     20% of the data has been consumed.
 //  2. Block-size selection (§III.C): the fitted equation system (Eq. 5) is
-//     solved with the interior-point method under Σx = remaining, x ≥ 0,
+//     solved by water-filling under Σx = remaining, x ≥ 0,
 //     equal-finish-time conditions; unit g receives blocks of size
 //     x_g/ExecutionSteps.
 //  3. Execution and rebalancing (§III.D): units re-request blocks of their
@@ -76,12 +76,18 @@ type PLBHeC struct {
 	// CoverageFactor: probing continues while a unit's anticipated
 	// execution block exceeds this multiple of its largest probe.
 	CoverageFactor float64
-	// Solver configures the interior-point method. Start builds the run's
-	// persistent ipm.Solver from it, whose workspaces and previous iterate
-	// carry across solves, so each rebalance warm-starts.
+	// Solver is passed to ipm.NewSolver, which ignores it: the water-filling
+	// solver has nothing to tune.
+	//
+	// Deprecated: kept so that existing callers compile.
 	Solver ipm.Options
 
+	// solver is the run's block-size solver; its workspaces carry across
+	// solves.
 	solver *ipm.Solver
+	// failSolves makes every solve fail, so tests can drive the
+	// degradation ladder.
+	failSolves bool
 
 	phase        int // modeling, executing, draining
 	sampler      *profile.Sampler
@@ -149,14 +155,13 @@ type PLBHeC struct {
 func (p *PLBHeC) FirstModels() profile.Models { return p.firstModels }
 
 type plbStats struct {
-	fits, solves, rebalances, fallbacks float64
-	solverSeconds                       float64
-	// warm/cold count successful solves by starting point; iters is the
-	// cumulative Newton iteration count across them, so warm-start savings
-	// show up as a lower iters/(warm+cold) mean.
-	warm, cold, iters float64
-	modelRounds       float64
-	failures          float64
+	fits, solves, rebalances float64
+	solverSeconds            float64
+	// solved counts successful solves and steps the water-filling τ steps
+	// they took.
+	solved, steps float64
+	modelRounds   float64
+	failures      float64
 	// ladder counts failed solves handled by the degradation ladder.
 	ladder float64
 }
@@ -188,11 +193,9 @@ func (p *PLBHeC) Stats() map[string]float64 {
 		"fits":             p.stats.fits,
 		"solves":           p.stats.solves,
 		"rebalances":       p.stats.rebalances,
-		"solverFallback":   p.stats.fallbacks,
 		"solverSeconds":    p.stats.solverSeconds,
-		"solverWarmStarts": p.stats.warm,
-		"solverColdStarts": p.stats.cold,
-		"solverIterations": p.stats.iters,
+		"solverSolved":     p.stats.solved,
+		"solverIterations": p.stats.steps,
 		"modelRounds":      p.stats.modelRounds,
 		"modelUnits":       p.usedUnits,
 		"failures":         p.stats.failures,
@@ -404,7 +407,7 @@ func (p *PLBHeC) beginExecution(s *starpu.Session) {
 	p.submitBlocks(s)
 }
 
-// solveDistribution runs the interior-point solve of Eq. 5 over the
+// solveDistribution solves the equal-finish-time system of Eq. 5 over the
 // remaining units and derives per-unit block sizes.
 func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	remaining := float64(s.Remaining())
@@ -421,36 +424,28 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	// res.X aliases solver storage until the next solve; it is copied into
 	// p.share below.
 	res, err := p.solver.Solve(ipm.Problem{Curves: curves, Total: remaining})
+	if p.failSolves {
+		err = ipm.ErrNonFinite
+	}
 	p.stats.solves++
 	s.ChargeSolve()
 	if err != nil {
 		s.Telemetry().Emit(telemetry.Event{
 			Kind: telemetry.EvSolve, Time: s.Now(), PU: -1, Name: "failed",
 		})
-		// Classified solver failure (non-finite inputs, ill-conditioning,
-		// no convergence): descend the degradation ladder — last-good
-		// distribution, then HDSS throughput weights, then even split.
+		// Classified solver failure (non-finite inputs, every unit dead):
+		// descend the degradation ladder — last-good distribution, then
+		// HDSS throughput weights, then even split.
 		p.degrade(s)
 		return
 	}
 	p.stats.solverSeconds += res.WallTime.Seconds()
-	p.stats.iters += float64(res.Iterations)
-	method := "ipm"
-	switch {
-	case res.UsedFallback:
-		p.stats.fallbacks++
-		p.stats.cold++
-		method = "fallback"
-	case res.WarmStarted:
-		p.stats.warm++
-		method = "ipm-warm"
-	default:
-		p.stats.cold++
-	}
+	p.stats.solved++
+	p.stats.steps += float64(res.Iterations)
 	// End carries the solve's host wall time (not engine time): EvSolve is
 	// rendered as an instant, so the field is free for the metric.
 	s.Telemetry().Emit(telemetry.Event{
-		Kind: telemetry.EvSolve, Time: s.Now(), PU: -1, Name: method,
+		Kind: telemetry.EvSolve, Time: s.Now(), PU: -1, Name: "waterfill",
 		Value: float64(res.Iterations), Aux: res.KKTResidual,
 		End: res.WallTime.Seconds(),
 	})
@@ -643,9 +638,6 @@ type deadCurve struct{}
 // Eval implements ipm.Curve.
 func (deadCurve) Eval(x float64) float64 { return math.Inf(1) }
 
-// Deriv implements ipm.Curve.
-func (deadCurve) Deriv(x float64) float64 { return 0 }
-
 // scanFailures records newly failed units and reports whether any unit
 // died since the last scan. It polls the devices only when
 // device.FailureEpoch has moved since the previous scan, so a completion
@@ -668,13 +660,6 @@ func (p *PLBHeC) scanFailures(s *starpu.Session) bool {
 			s.NoteDeviceDown(i)
 			changed = true
 		}
-	}
-	if changed {
-		// Topology changed: the previous iterate describes a different
-		// active set, so the next solve must start cold. (The solver's own
-		// signature check would also catch this; invalidating here keeps
-		// the rule explicit and covers future share-preserving exclusions.)
-		p.solver.Invalidate()
 	}
 	return changed
 }

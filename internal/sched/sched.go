@@ -2,7 +2,7 @@
 // evaluates (§IV):
 //
 //   - PLBHeC — the paper's contribution: online performance-curve modeling,
-//     block-size selection by an interior-point solve of the fitted
+//     block-size selection by an exact water-filling solve of the fitted
 //     equation system, and threshold-triggered rebalancing (Algorithm 2).
 //   - Greedy — StarPU's default: fixed-size blocks to any idle unit.
 //   - HDSS — Belviranli et al. [19]: adaptive phase fitting log-curve

@@ -80,9 +80,3 @@ func (c oracleCurve) Eval(x float64) float64 {
 	t += c.pu.NominalTransferSeconds(x * prof.TransferBytesPerUnit)
 	return t
 }
-
-// Deriv implements ipm.Curve by central difference.
-func (c oracleCurve) Deriv(x float64) float64 {
-	h := x*1e-6 + 1e-6
-	return (c.Eval(x+h) - c.Eval(x-h)) / (2 * h)
-}

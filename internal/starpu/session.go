@@ -423,9 +423,7 @@ func (s *Session) Run(sched Scheduler) (*Report, error) {
 	if st := rep.SchedulerStats; st["solves"] > 0 {
 		rep.SolverStats = &SolverStats{
 			Solves:       st["solves"],
-			WarmStarts:   st["solverWarmStarts"],
-			ColdStarts:   st["solverColdStarts"],
-			Fallbacks:    st["solverFallback"],
+			ColdStarts:   st["solverSolved"],
 			Iterations:   st["solverIterations"],
 			SolveSeconds: st["solverSeconds"],
 		}

@@ -84,7 +84,7 @@ type StatsReporter interface {
 // OverheadModel charges the master's scheduling computations to the clock.
 // The simulation engine advances virtual time by these amounts whenever the
 // scheduler reports a fit or a solve, reproducing the paper's inclusion of
-// the interior-point solve (~170 ms) in measured execution time. The live
+// its IPOPT solve (~170 ms) in measured execution time. The live
 // engine ignores it — real computation already takes real time.
 type OverheadModel struct {
 	FitSeconds   float64 // per curve-fitting pass over all PUs
@@ -92,7 +92,7 @@ type OverheadModel struct {
 }
 
 // DefaultOverheads reflect our measured solver costs (see EXPERIMENTS.md):
-// curve fitting is microseconds; the interior-point solve is charged at the
+// curve fitting is microseconds; the block-size solve is charged at the
 // paper's reported 170 ms so simulated schedules carry the same overhead
 // the authors measured with IPOPT.
 func DefaultOverheads() OverheadModel {
@@ -342,31 +342,23 @@ type Report struct {
 }
 
 // SolverStats summarizes the block-size solver's activity over one run:
-// attempt counts, how the successful solves started, the Newton work they
-// did, and the host wall time spent. Warm vs cold is the scale story: a
-// warm-started rebalance re-enters the interior-point endgame directly, so
-// MeanIterations drops and large-cluster rebalances stay cheap.
+// attempts, successes, the water-filling τ steps they took, and the host
+// wall time spent. Every solve is a water-filling solve from scratch, so
+// WarmStarts and Fallbacks are always 0; they, and the name ColdStarts,
+// stay until the repository benchmark, which reads them, is updated.
 type SolverStats struct {
 	Solves       float64 // attempted equation-system solves (incl. failed)
-	WarmStarts   float64 // successful solves seeded from the previous iterate
-	ColdStarts   float64 // successful solves started from scratch
-	Fallbacks    float64 // solves that fell back to water-filling
-	Iterations   float64 // cumulative Newton iterations across successful solves
+	WarmStarts   float64 // always 0
+	ColdStarts   float64 // successful solves
+	Fallbacks    float64 // always 0
+	Iterations   float64 // cumulative water-filling τ steps across successful solves
 	SolveSeconds float64 // cumulative host wall-clock time in the solver
 }
 
-// MeanIterations is the average Newton iteration count per successful solve.
+// MeanIterations is the average τ step count per successful solve.
 func (s SolverStats) MeanIterations() float64 {
-	if d := s.WarmStarts + s.ColdStarts; d > 0 {
-		return s.Iterations / d
-	}
-	return 0
-}
-
-// WarmHitRate is the fraction of successful solves that warm-started.
-func (s SolverStats) WarmHitRate() float64 {
-	if d := s.WarmStarts + s.ColdStarts; d > 0 {
-		return s.WarmStarts / d
+	if s.ColdStarts > 0 {
+		return s.Iterations / s.ColdStarts
 	}
 	return 0
 }

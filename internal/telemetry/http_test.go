@@ -18,7 +18,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	rm.Consume(Event{Kind: EvTaskSubmit, Time: 0, PU: 1, Units: 64})
 	rm.Consume(Event{Kind: EvTaskComplete, Time: 0, TransferStart: 0, TransferEnd: 0.1,
 		ExecStart: 0.1, End: 0.6, PU: 1, Units: 64})
-	rm.Consume(Event{Kind: EvSolve, Time: 1, Name: "ipm", Value: 17, Aux: 2e-9})
+	rm.Consume(Event{Kind: EvSolve, Time: 1, Name: "waterfill", Value: 17, Aux: 2e-9})
 	rm.Consume(Event{Kind: EvDistribution, Time: 1, Name: "a", Shares: []float64{0.25, 0.75}})
 	rm.Consume(Event{Kind: EvDistribution, Time: 2, Name: "b", Shares: []float64{0.5, 0.5}})
 

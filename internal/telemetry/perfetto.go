@@ -208,7 +208,7 @@ func (p *PerfettoSink) Write(w io.Writer) error {
 				instant(ev, tidSched, "fit", map[string]any{"pu": ev.PU, "rmse": ev.Value, "r2": ev.Aux})
 			}
 		case EvSolve:
-			instant(ev, tidSched, "solve: "+ev.Name, map[string]any{"iterations": ev.Value, "residual": ev.Aux})
+			instant(ev, tidSched, "solve: "+ev.Name, map[string]any{"tau_steps": ev.Value, "residual": ev.Aux})
 		case EvCoverage:
 			instant(ev, tidSched, "coverage", map[string]any{"ratio": ev.Value})
 		case EvRebalance:

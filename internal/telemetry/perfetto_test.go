@@ -16,7 +16,7 @@ func feedPerfetto() *PerfettoSink {
 		ExecStart: 0.3, End: 1.1, PU: 0, Seq: 0, Units: 64})
 	p.Consume(Event{Kind: EvFit, Time: 1.2, PU: 0, Value: 0.01, Aux: 0.95})
 	p.Consume(Event{Kind: EvFit, Time: 1.2, PU: -1})
-	p.Consume(Event{Kind: EvSolve, Time: 1.4, Name: "ipm", Value: 12, Aux: 1e-9})
+	p.Consume(Event{Kind: EvSolve, Time: 1.4, Name: "waterfill", Value: 12, Aux: 1e-9})
 	p.Consume(Event{Kind: EvDistribution, Time: 1.5, Name: "modeling-phase", Shares: []float64{0.3, 0.7}})
 	p.Consume(Event{Kind: EvPhase, Time: 1.5, Name: "executing"})
 	p.Consume(Event{Kind: EvTaskComplete, Time: 1.5, TransferStart: 1.5, TransferEnd: 1.6,

@@ -37,8 +37,7 @@ type RunMetrics struct {
 	phases map[string]*Counter
 	phase  *Gauge
 
-	fits, solves, fallbacks    *Counter
-	warmStarts, coldStarts     *Counter
+	fits, solves, coldStarts   *Counter
 	solveSeconds               *Counter
 	ipmIterations, ipmResidual *Gauge
 	coverage                   *Gauge
@@ -85,11 +84,9 @@ func NewRunMetrics(reg *Registry, puNames []string) *RunMetrics {
 	reg.Help("plbhec_fit_rmse_seconds", "RMSE of the latest execution-time fit per processing unit")
 	reg.Help("plbhec_fit_r2", "R-squared of the latest execution-time fit per processing unit")
 	reg.Help("plbhec_ipm_solves_total", "Block-size equation-system solves")
-	reg.Help("plbhec_ipm_iterations", "Newton iterations of the latest interior-point solve")
-	reg.Help("plbhec_ipm_kkt_residual", "KKT residual of the latest interior-point solve")
-	reg.Help("plbhec_ipm_fallbacks_total", "Solves that fell back to water-filling")
-	reg.Help("plbhec_ipm_warm_starts_total", "Successful solves seeded from the previous solve's iterate")
-	reg.Help("plbhec_ipm_cold_starts_total", "Successful solves started from the cold interior point")
+	reg.Help("plbhec_ipm_iterations", "Water-filling tau steps of the latest block-size solve")
+	reg.Help("plbhec_ipm_kkt_residual", "Capacity residual |sum x_g(tau) - Total|/Total of the latest block-size solve")
+	reg.Help("plbhec_ipm_cold_starts_total", "Successful block-size solves (each starts from scratch)")
 	reg.Help("plbhec_solve_seconds", "Cumulative host wall-clock seconds spent in the block-size solver")
 	reg.Help("plbhec_model_coverage_ratio", "Fraction of the input consumed by the modeling phase")
 	reg.Help("plbhec_distribution_changes_total", "Recorded block-size distributions")
@@ -145,8 +142,6 @@ func NewRunMetrics(reg *Registry, puNames []string) *RunMetrics {
 	m.phase = reg.Gauge("plbhec_sched_phase")
 	m.fits = reg.Counter("plbhec_model_fits_total")
 	m.solves = reg.Counter("plbhec_ipm_solves_total")
-	m.fallbacks = reg.Counter("plbhec_ipm_fallbacks_total")
-	m.warmStarts = reg.Counter("plbhec_ipm_warm_starts_total")
 	m.coldStarts = reg.Counter("plbhec_ipm_cold_starts_total")
 	m.solveSeconds = reg.Counter("plbhec_solve_seconds")
 	m.ipmIterations = reg.Gauge("plbhec_ipm_iterations")
@@ -241,16 +236,8 @@ func (m *RunMetrics) Consume(ev Event) {
 		m.ipmIterations.Set(ev.Value)
 		m.ipmResidual.Set(ev.Aux)
 		m.solveSeconds.Add(ev.End) // End carries the solve's host wall time
-		switch ev.Name {
-		case "fallback":
-			m.fallbacks.Inc()
-			m.coldStarts.Inc() // water-filling is always a cold path
-		case "ipm-warm":
-			m.warmStarts.Inc()
-		case "ipm":
+		if ev.Name != "failed" {
 			m.coldStarts.Inc()
-			// "failed" solves count toward neither: no distribution was
-			// produced.
 		}
 	case EvCoverage:
 		m.coverage.Set(ev.Value)

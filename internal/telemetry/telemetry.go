@@ -45,9 +45,9 @@ const (
 	// EvFit reports one per-unit curve fit: Time, PU, Value (RMSE of the
 	// execution-time fit), Aux (R²).
 	EvFit
-	// EvSolve reports one block-size solve: Time, Value (solver
-	// iterations), Aux (KKT residual), Name ("ipm", "ipm-warm" for a
-	// warm-started solve, "fallback", "failed"). End carries the solve's
+	// EvSolve reports one block-size solve: Time, Value (water-filling τ
+	// steps), Aux (capacity residual), Name ("waterfill", or "failed" when
+	// the solve returned an error). End carries the solve's
 	// host wall-clock seconds (not engine time) on successful solves —
 	// EvSolve renders as an instant, so the span field is free.
 	EvSolve

@@ -199,10 +199,8 @@ func UnitsShare(rep *Report) []float64 { return metrics.UnitsShare(rep) }
 // problem.
 type SolverCurve = ipm.Curve
 
-// SolverOptions tunes the interior-point method: tolerance, iteration cap,
-// initial barrier parameter and the fallback switches. Every solve takes
-// the arrow-structured O(n) Newton step; the Structured and WarmStart
-// fields are deprecated and ignored.
+// SolverOptions is accepted for compatibility: the water-filling solver has
+// nothing to tune, and both of its fields are deprecated and ignored.
 type SolverOptions = ipm.Options
 
 // SolverResult reports a computed distribution.
@@ -210,7 +208,8 @@ type SolverResult = ipm.Result
 
 // SolveBlockSizes solves the paper's equal-finish-time block distribution
 // (Eqs. 3–5): Σx = total, every curve evaluated at its share takes the
-// same time.
+// same time. For non-decreasing curves the result is the global optimum:
+// no split of total finishes sooner.
 func SolveBlockSizes(curves []SolverCurve, total float64, opt SolverOptions) (SolverResult, error) {
 	return ipm.Solve(ipm.Problem{Curves: curves, Total: total}, opt)
 }

@@ -83,8 +83,7 @@ func TestPublicAPILive(t *testing.T) {
 // TestPublicAPISolver drives the exposed block-size solver directly.
 type lineCurve struct{ a float64 }
 
-func (c lineCurve) Eval(x float64) float64  { return c.a * x }
-func (c lineCurve) Deriv(x float64) float64 { return c.a }
+func (c lineCurve) Eval(x float64) float64 { return c.a * x }
 
 func TestPublicAPISolver(t *testing.T) {
 	res, err := plbhec.SolveBlockSizes(

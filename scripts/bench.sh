@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # scripts/bench.sh — run the root benchmark suite (one Benchmark per paper
-# table/figure, plus the scaling tiers: SolveN's cold-solve sweep over the
-# unit count, Sim10kPU's generated 10,000-PU cluster, and WarmRebalance's
-# warm-started re-solves) with -benchmem and write BENCH_<pr>.json:
-# one machine-readable point of the repo's performance trajectory, carrying
-# ns/op, B/op, allocs/op, and the custom metrics (sim-s, speedup-x,
-# ipm-iters/solve, ...) each benchmark reports.
+# table/figure, plus the scaling tiers: SolveN's solve sweep over the unit
+# count, Sim10kPU's generated 10,000-PU cluster, and WarmRebalance's
+# re-solves under a mid-run slowdown) with -benchmem and write
+# BENCH_<pr>.json: one machine-readable point of the repo's performance
+# trajectory, carrying ns/op, B/op, allocs/op, and the custom metrics
+# (sim-s, speedup-x, tau-steps/solve, ...) each benchmark reports.
 #
 # Usage: scripts/bench.sh [pr-number]
 #   pr-number  trajectory point to write (default: next after the highest
