@@ -20,6 +20,11 @@ type Lease struct {
 	// (long-gone) original assignment.
 	Lo, Hi  int64
 	Retries int
+
+	// Lost marks a primary whose copy died with its unit: the copy was
+	// settled then, and the block waits on the lease for the failure
+	// detector or the unit's recovery to move it.
+	Lost bool
 }
 
 // LeaseTable maps block seq → lease. Not safe for concurrent use; both
@@ -79,6 +84,7 @@ func (t *LeaseTable) Promote(seq int) bool {
 	}
 	l.Owner, l.Token = l.SpecOwner, l.SpecToken
 	l.SpecOwner, l.SpecToken = -1, 0
+	l.Lost = false
 	return true
 }
 

@@ -121,14 +121,6 @@ func (s *Session) initHealth() {
 	for i := range s.physDownAt {
 		s.physDownAt[i] = -1
 	}
-	s.lost = make([]map[int]struct{}, n)
-}
-
-// healthActive reports whether the run still needs the heartbeat machinery:
-// once the run has failed or every unit is delivered, the pumps stand down
-// so the timer queue can drain.
-func (s *Session) healthActive() bool {
-	return s.violation == nil && (s.remaining > 0 || s.inflight > 0)
 }
 
 // heartbeatSuppressed reports whether a fault currently blocks the unit's
@@ -179,7 +171,7 @@ func (s *Session) suspectUnit(id int, now float64) {
 	primary, spec := s.leases.Holdings(id)
 	for _, seq := range spec {
 		s.leases.ClearSpec(seq)
-		s.eng.revokeCopies(id, seq)
+		s.revoke(id, seq)
 	}
 	for _, seq := range primary {
 		s.reassignLease(id, seq)
@@ -192,33 +184,29 @@ func (s *Session) suspectUnit(id int, now float64) {
 // is requeued on a fresh target under a fresh token. Either way every copy
 // the suspect holds is fenced.
 //
-// Per-unit in-flight settlement: a still-live copy is settled by
-// revokeCopies at the moment it is detached; a copy the engine already
-// destroyed (device death, abandoned partition) was settled then and left a
-// markLost record; a block with no copy at all (relaunch still pending in
-// backoff) is settled through requeueBlockSettled. Exactly one of the three
-// applies per copy.
+// Per-unit in-flight settlement: a running copy is settled by revoke at the
+// moment it is detached; a copy that died with its unit was settled then
+// and left its lease marked lost; a block with no copy at all (relaunch
+// still pending in backoff) is settled through requeueBlockSettled. Exactly
+// one of the three applies per copy.
 func (s *Session) reassignLease(from, seq int) {
 	l := s.leases.Get(seq)
 	if l == nil || l.Owner != from {
 		return
 	}
-	lo, hi, retries := l.Lo, l.Hi, l.Retries
+	lo, hi, retries, lost := l.Lo, l.Hi, l.Retries, l.Lost
 	if sp := l.SpecOwner; sp >= 0 {
 		if !s.suspected[sp] && !s.pus[sp].Dev.Failed() {
 			// Promote the live backup; the old primary's copy is now stale.
 			s.leases.Promote(seq)
-			if s.eng.revokeCopies(from, seq) == 0 {
-				s.takeLost(from, seq) // destroyed at death: consume the record
-			}
+			s.revoke(from, seq)
 			return
 		}
 		s.leases.ClearSpec(seq)
-		s.eng.revokeCopies(sp, seq)
+		s.revoke(sp, seq)
 	}
-	detached := s.eng.revokeCopies(from, seq)
-	dropped := s.takeLost(from, seq)
-	s.requeueBlockSettled(from, seq, lo, hi, retries, detached == 0 && !dropped)
+	detached := s.revoke(from, seq)
+	s.requeueBlockSettled(from, seq, lo, hi, retries, detached == 0 && !lost)
 }
 
 // rejoinUnit restores a suspected unit as a placement target: suspicion and
@@ -252,25 +240,6 @@ func (s *Session) liftBlacklist(id int, now float64) {
 	}
 }
 
-// markLost records that the engine already settled (and destroyed) the
-// suspect's copy of seq — at device death or permanent-partition abandon —
-// so the eventual lease reassignment must not settle it again.
-func (s *Session) markLost(pu, seq int) {
-	if s.lost[pu] == nil {
-		s.lost[pu] = make(map[int]struct{})
-	}
-	s.lost[pu][seq] = struct{}{}
-}
-
-// takeLost consumes a markLost record, reporting whether one existed.
-func (s *Session) takeLost(pu, seq int) bool {
-	if _, ok := s.lost[pu][seq]; ok {
-		delete(s.lost[pu], seq)
-		return true
-	}
-	return false
-}
-
 // recoverLostBlocks requeues the still-leased blocks whose copies died with
 // the unit, for brown-outs shorter than the detector's suspicion latency:
 // without this, a block lost in a quick down/up flap would wedge until the
@@ -283,25 +252,16 @@ func (s *Session) recoverLostBlocks(id int) {
 	}
 	primary, _ := s.leases.Holdings(id)
 	for _, seq := range primary {
-		if !s.takeLost(id, seq) {
+		l := s.leases.Get(seq)
+		if !l.Lost {
 			continue // the copy is still running (e.g. partition-held)
 		}
-		l := s.leases.Get(seq)
 		if sp := l.SpecOwner; sp >= 0 && !s.suspected[sp] && !s.pus[sp].Dev.Failed() {
 			s.leases.Promote(seq) // the live backup completes the block
 			continue
 		}
 		s.requeueBlockSettled(id, seq, l.Lo, l.Hi, l.Retries, false)
 	}
-	// Anything left refers to blocks no longer owned here; future deaths
-	// re-record as needed, so forget the unit's whole lost set.
-	s.lost[id] = nil
-}
-
-// admitCompletion checks a delivered completion against the lease table.
-// A fenced delivery — stale token after a reassignment — returns false.
-func (s *Session) admitCompletion(pu, seq int, token uint64) bool {
-	return s.leases.Admit(seq, pu, token)
 }
 
 // noteFenced accounts one fenced (discarded) late completion.
@@ -331,13 +291,6 @@ func (s *Session) grantSpecLease(seq, pu int) uint64 {
 	return s.leases.GrantSpec(seq, pu)
 }
 
-// copyHoldsLease reports whether a copy of seq stamped with token still
-// holds a live slot on pu. Token 0 (issued before health state existed, or
-// with health off) never holds.
-func (s *Session) copyHoldsLease(pu, seq int, token uint64) bool {
-	return token != 0 && s.leases.TokenFor(seq, pu) == token
-}
-
 // Suspected reports whether the failure detector currently suspects unit
 // id. Always false without a HealthPolicy.
 func (s *Session) Suspected(id int) bool {
@@ -345,12 +298,15 @@ func (s *Session) Suspected(id int) bool {
 }
 
 // InjectPartition cuts unit id off from the master until the given engine
-// time (+Inf: permanently): heartbeats stop and, in the simulator,
-// completions are held at the partition boundary and delivered only after
-// it heals — where a meanwhile-reassigned block's stale result is fenced.
-// The fault package installs these from Partition specs; tests may call it
-// directly before or during a run.
+// time (+Inf: permanently): heartbeats stop, and completions are held at
+// the partition boundary and delivered only after it heals — where a
+// meanwhile-reassigned block's stale result is fenced. The fault package
+// installs these from Partition specs; tests may call it directly before or
+// during a run. An out-of-range id is ignored.
 func (s *Session) InjectPartition(id int, until float64) {
+	if id < 0 || id >= len(s.pus) {
+		return
+	}
 	if s.partUntil == nil {
 		s.partUntil = make([]float64, len(s.pus))
 	}
@@ -363,7 +319,11 @@ func (s *Session) InjectPartition(id int, until float64) {
 // engine time (+Inf: permanently) while its completions still flow — the
 // pure false-positive stimulus: the detector will suspect a perfectly
 // healthy unit, its blocks get reassigned, and its late results are fenced.
+// An out-of-range id is ignored.
 func (s *Session) InjectHeartbeatLoss(id int, until float64) {
+	if id < 0 || id >= len(s.pus) {
+		return
+	}
 	if s.hbLossUntil == nil {
 		s.hbLossUntil = make([]float64, len(s.pus))
 	}
@@ -396,7 +356,7 @@ func (s *Session) startHeartbeatPump() {
 // itself while the run needs it — a dead or partitioned unit keeps *trying*
 // to beat, so its first beat after healing arrives promptly.
 func (s *Session) pumpBeat(id int) {
-	if !s.healthActive() {
+	if !s.running() {
 		return // run over or failed: let the event queue drain
 	}
 	now := s.eng.now()
@@ -426,7 +386,7 @@ func (s *Session) scheduleSuspectCheck(id int, gen uint64) {
 // arrived since it was armed and the detector confirms, the unit is
 // suspected.
 func (s *Session) suspectCheck(id int, gen uint64) {
-	if !s.healthActive() || s.hbGen[id] != gen || s.suspected[id] {
+	if !s.running() || s.hbGen[id] != gen || s.suspected[id] {
 		return
 	}
 	if now := s.eng.now(); s.det.Suspect(id, now) {

@@ -291,12 +291,13 @@ func liveHealthPolicy() *HealthPolicy {
 }
 
 // TestHealthLiveDetectsDeadWorker: a live worker dead from the start emits
-// no heartbeats; the deadline detector suspects it and its bounced block —
-// parked on the lease, since the pickup oracle must not shortcut detection —
-// is reassigned and completed by the survivors.
+// no heartbeats, and the deadline detector suspects it. Its block bounces
+// at pickup and, as on the simulator for a launch onto a dead unit, is
+// requeued at once and completed by the survivors. The kernel sleeps, so
+// the run outlasts the 50 ms detection timeout.
 func TestHealthLiveDetectsDeadWorker(t *testing.T) {
 	const units = 300
-	k := &countingKernel{hits: make([]int32, units)}
+	k := &countingSleepKernel{hits: make([]int32, units), perUnit: time.Millisecond}
 	sess := NewLiveSession(k, LiveConfig{
 		Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}, {Name: "w2"}},
 		TotalUnits: units,
@@ -305,11 +306,27 @@ func TestHealthLiveDetectsDeadWorker(t *testing.T) {
 	})
 	tel := telemetry.New()
 	tel.Attach(telemetry.NewRunMetrics(tel.Registry(), []string{"w0/worker", "w1/worker", "w2/worker"}))
+	// The block bounced off the dead worker is requeued before the
+	// detector rules on the worker, not parked until it does.
+	requeuedAt, suspectedAt := -1.0, -1.0
+	tel.Attach(sinkFunc(func(ev telemetry.Event) {
+		switch {
+		case ev.PU != 1:
+		case ev.Kind == telemetry.EvRequeue && requeuedAt < 0:
+			requeuedAt = ev.Time
+		case ev.Kind == telemetry.EvSuspect:
+			suspectedAt = ev.Time
+		}
+	}))
 	sess.AttachTelemetry(tel)
 	sess.PUs()[1].Dev.SetSpeedFactor(0)
 	rep, err := sess.Run(&fixedScheduler{block: 50})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if requeuedAt < 0 || suspectedAt < 0 || requeuedAt >= suspectedAt {
+		t.Errorf("bounced block requeued at %g, worker suspected at %g: want the requeue first",
+			requeuedAt, suspectedAt)
 	}
 	checkExactlyOnce(t, rep.Records, units)
 	for i, h := range k.hits {
@@ -370,22 +387,54 @@ func TestHealthLiveFalseSuspicionFences(t *testing.T) {
 	checkHealthMetricsAgree(t, rep, tel.Registry())
 }
 
-// TestRevokeCopiesSettlesEachCopyOnce: a revoked copy stays outstanding
-// (un-aborted, stale token) until its completion fires. If the lease is
-// re-granted to the same unit after a rejoin and that unit is suspected
-// again, the second revocation wave must settle only the new copy — the
-// stale one was settled at the first revocation, and decrementing
+// TestHealthLivePartitionHoldsCompletion: a live worker cut off by a finite
+// partition finishes its block, but the result is held at the partition
+// boundary, as on the simulator. The detector suspects the silent worker,
+// the block is reassigned and delivered by the other worker, and when the
+// partition heals the held result is fenced.
+func TestHealthLivePartitionHoldsCompletion(t *testing.T) {
+	const units = 10
+	k := kernelFunc(func(lo, hi int64) { time.Sleep(20 * time.Millisecond) })
+	sess := NewLiveSession(k, LiveConfig{
+		Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}},
+		TotalUnits: units,
+		AppName:    "sleep",
+		Health:     liveHealthPolicy(),
+	})
+	sess.InjectPartition(1, 0.2)
+	rep, err := sess.Run(&callbackScheduler{start: func(s *Session) { s.Assign(s.PUs()[1], units) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExactlyOnce(t, rep.Records, units)
+	if r := rep.Records[0]; r.PU != 0 {
+		t.Errorf("block delivered from worker %d, want the reassigned copy on worker 0", r.PU)
+	}
+	res := rep.Resilience[1]
+	if res.Suspicions != 1 || res.FalseSuspects != 1 {
+		t.Errorf("Suspicions = %d, FalseSuspects = %d, want 1 and 1", res.Suspicions, res.FalseSuspects)
+	}
+	if res.FencedCompletions != 1 {
+		t.Errorf("FencedCompletions = %d, want 1 (the held result must be fenced at the heal)", res.FencedCompletions)
+	}
+	checkSettled(t, sess)
+}
+
+// TestRevokeCopiesSettlesEachCopyOnce: a revoked copy stays in the copy
+// table (running on, with a stale token) until its engine hands it back. If
+// the lease is re-granted to the same unit after a rejoin and that unit is
+// suspected again, the second revocation wave must settle only the new copy
+// — the stale one was settled at the first revocation, and decrementing
 // inflightPU for it again would skew load-based placement negative.
 func TestRevokeCopiesSettlesEachCopyOnce(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 1, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 256})
 	sess := NewSimSession(clu, app, SimConfig{Health: DefaultHealthPolicy()})
-	e := sess.eng.(*simEngine)
 	const pu, seq = 0, 5
-	stale := &simCompletion{eng: e, rec: TaskRecord{PU: pu, Seq: seq}, token: 1}
-	e.outstanding = append(e.outstanding, stale)
+	stale := sess.newCopy(pu, seq, 0, 1, 0)
+	stale.token = 1
 	sess.inflightPU[pu] = 1
-	if got := e.revokeCopies(pu, seq); got != 1 {
+	if got := sess.revoke(pu, seq); got != 1 {
 		t.Fatalf("first revocation detached %d copies, want 1", got)
 	}
 	if sess.inflightPU[pu] != 0 {
@@ -393,17 +442,17 @@ func TestRevokeCopiesSettlesEachCopyOnce(t *testing.T) {
 	}
 	// The lease is re-granted to the unit and a fresh copy launches while the
 	// stale copy is still in flight; a second suspicion revokes again.
-	fresh := &simCompletion{eng: e, rec: TaskRecord{PU: pu, Seq: seq}, token: 3}
-	e.outstanding = append(e.outstanding, fresh)
+	fresh := sess.newCopy(pu, seq, 0, 1, 0)
+	fresh.token = 3
 	sess.inflightPU[pu] = 1
-	if got := e.revokeCopies(pu, seq); got != 1 {
+	if got := sess.revoke(pu, seq); got != 1 {
 		t.Fatalf("second revocation detached %d copies, want 1 (stale copy already settled)", got)
 	}
 	if sess.inflightPU[pu] != 0 {
 		t.Fatalf("inflightPU = %d after second revocation, want 0 (double-settled)", sess.inflightPU[pu])
 	}
-	if !stale.revoked || !fresh.revoked {
-		t.Fatal("both copies must carry the revoked mark")
+	if stale.state != copyRevoked || fresh.state != copyRevoked {
+		t.Fatal("both copies must be marked revoked")
 	}
 }
 
@@ -462,25 +511,5 @@ func TestHealthPolicyNormalization(t *testing.T) {
 	d := DefaultHealthPolicy().normalized()
 	if *d != *DefaultHealthPolicy() {
 		t.Errorf("DefaultHealthPolicy not fixed under normalization: %+v", d)
-	}
-}
-
-// TestHealthServiceModeRejected: HealthPolicy does not compose with the
-// open-system service mode, on either engine.
-func TestHealthServiceModeRejected(t *testing.T) {
-	pol := ServicePolicy{Apps: []ServiceApp{{
-		Profile: apps.NewMatMul(apps.MatMulConfig{N: 256}).Profile(),
-	}}, Horizon: 1}
-	clu := cluster.TableI(cluster.Config{Machines: 1, Seed: 1})
-	if _, err := NewServiceSimSession(clu, pol, SimConfig{Health: DefaultHealthPolicy()}); err == nil {
-		t.Error("sim service session accepted a HealthPolicy")
-	}
-	k := &countingKernel{hits: make([]int32, 256)}
-	_, err := NewServiceLiveSession([]LiveKernel{k}, LiveConfig{
-		Workers: []LiveWorkerSpec{{Name: "w0"}},
-		Health:  DefaultHealthPolicy(),
-	}, pol)
-	if err == nil {
-		t.Error("live service session accepted a HealthPolicy")
 	}
 }

@@ -1,13 +1,13 @@
 package starpu
 
 import (
+	"math"
 	"sync"
 	"time"
 
 	"plbhec/internal/cluster"
 	"plbhec/internal/device"
 	"plbhec/internal/sim"
-	"plbhec/internal/telemetry"
 )
 
 // LiveKernel is a real computation decomposed into work units; Execute must
@@ -38,16 +38,16 @@ type LiveWorkerSpec struct {
 type liveEngine struct {
 	session *Session
 	kernel  LiveKernel
-	// kernels, in service mode, maps app index → kernel; block app indices
-	// travel in liveAssign. Nil outside service mode (kernel serves all).
-	// Written once before any assignment is sent; the channel send/receive
-	// pair orders the write before every worker read.
+	// kernels, in service mode, maps app index → kernel; nil outside
+	// service mode (kernel serves all). Written once before any copy is
+	// sent; the channel send/receive pair orders the write before every
+	// worker read.
 	kernels []LiveKernel
 	// timers is the simulator's event queue reused as the live timer queue,
 	// clocked in engine (wall-clock) seconds: retry backoff, watchdog
-	// deadlines, heartbeats, suspicion checks, service arrivals and
-	// ScheduleAt callbacks all go through at, and drive fires whatever is
-	// due. Touched only on the driving goroutine.
+	// deadlines, heartbeats, suspicion checks, service arrivals, partition
+	// holds and ScheduleAt callbacks all go through at, and drive fires
+	// whatever is due. Touched only on the driving goroutine.
 	timers   *sim.Engine
 	start    time.Time
 	workers  []chan liveAssign
@@ -60,51 +60,23 @@ type liveEngine struct {
 	// queueName holds each worker's precomputed telemetry label
 	// ("<name>/queue"), so per-completion emission never concatenates.
 	queueName []string
-	// watch tracks watchdog state per in-flight block sequence number
-	// (speculation mode only). Touched only on the driving goroutine:
-	// launches, completions, and watchdog expirations are all serialized
-	// there, so no lock is needed.
-	watch map[int]*liveWatch
-	// onWorkers counts copies handed to workers whose reports have not come
-	// back yet — including losing speculative copies and fenced stale ones,
-	// which real kernels cannot interrupt. drive drains them all before it
-	// closes the worker channels.
-	onWorkers int
 }
 
-// liveWatch is the watchdog state of one in-flight block.
-type liveWatch struct {
-	pu          int // unit the original copy was launched on
-	lo, hi      int64
-	deadlineSec float64 // engine seconds; the armed watchdog deadline
-	// specPU is the backup's unit once speculated, -1 while armed, or -2
-	// when disarmed (expired with no healthy target, or the race was
-	// settled by a device failure).
-	specPU int
-	copies int  // live copies of the block (1, or 2 once speculated)
-	done   bool // a copy completed and the block was delivered
-}
-
+// liveAssign hands a worker one copy and the kernel of its block's app. The
+// worker reads only the copy's range; every other field of the copy belongs
+// to the driving goroutine.
 type liveAssign struct {
-	seq     int
-	lo, hi  int64
-	submit  float64
-	retries int
-	app     int32 // owning app index (service mode; 0 otherwise)
-	// token is the copy's fencing token (health mode; 0 otherwise), stamped
-	// at submission and echoed back in the completion so a copy whose lease
-	// moved while it ran is discarded deterministically.
-	token uint64
+	c *blockCopy
+	k LiveKernel
 }
 
-// liveDone is one worker's completion report: the finished record, or — when
-// the worker's device was failed at pickup under a retry policy — a bounce
-// that the driving goroutine requeues.
+// liveDone is one worker's report on a copy: when its kernel started and
+// ended, or failed when the worker's device was down at pickup under a
+// retry policy.
 type liveDone struct {
-	rec     TaskRecord
-	failed  bool
-	retries int
-	token   uint64 // the copy's fencing token, echoed from its liveAssign
+	c          *blockCopy
+	failed     bool
+	start, end float64
 }
 
 // LiveConfig configures a live session.
@@ -200,9 +172,6 @@ func NewLiveSession(kernel LiveKernel, cfg LiveConfig) *Session {
 		specs:     cfg.Workers,
 		queueBusy: make([]float64, len(cfg.Workers)),
 	}
-	if s.spec != nil {
-		le.watch = make(map[int]*liveWatch)
-	}
 	for _, w := range cfg.Workers {
 		le.queueName = append(le.queueName, w.Name+"/queue")
 	}
@@ -264,95 +233,40 @@ func (e *liveEngine) executeParallel(k LiveKernel, lo, hi int64, par int) {
 	wg.Wait()
 }
 
-// appOf returns the owning app index of block seq (service mode; 0
-// otherwise). Called on the driving goroutine only.
-func (e *liveEngine) appOf(seq int) int32 {
-	if sv := e.session.svc; sv != nil {
-		return sv.blocks[seq].app
-	}
-	return 0
-}
-
-// launch hands block [lo,hi) to pu's worker. A first launch under a
-// SpeculationPolicy also arms the block's watchdog when a deadline is
-// derivable; requeued copies (retries > 0) are not re-armed.
-func (e *liveEngine) launch(pu *cluster.PU, seq int, lo, hi int64, earliest float64, retries int) {
-	s := e.session
-	s.fetchBytes(pu.ID, seq, lo, hi)
-	if s.spec != nil && retries == 0 {
-		if wd := s.watchdogDeadline(pu.ID, hi-lo); wd > 0 {
-			w := &liveWatch{pu: pu.ID, lo: lo, hi: hi, deadlineSec: e.now() + wd, specPU: -1, copies: 1}
-			e.watch[seq] = w
-			e.at(w.deadlineSec, func() { e.watchdogFire(seq, w) })
-		}
-	}
-	e.send(pu.ID, seq, lo, hi, retries, s.leaseTokenFor(pu.ID, seq))
-}
-
-// send hands one copy of block seq to worker pu, stamped with the block's
-// owning app and the copy's fencing token. It never blocks drive: when the
-// worker's queue is full, a goroutine finishes the handoff while
+// launch hands copy c to its unit's worker. A live copy's finish time is
+// unknown until the worker reports, and a real kernel cannot be
+// interrupted, so the copy is never cancellable. The handoff never blocks
+// drive: when the worker's queue is full, a goroutine finishes it while
 // completions keep draining.
-func (e *liveEngine) send(pu, seq int, lo, hi int64, retries int, token uint64) {
-	a := liveAssign{
-		seq: seq, lo: lo, hi: hi, submit: e.now(), retries: retries,
-		app: e.appOf(seq), token: token,
-	}
-	e.onWorkers++
-	select {
-	case e.workers[pu] <- a:
-	default:
-		go func(ch chan liveAssign) { ch <- a }(e.workers[pu])
-	}
-}
-
-// abortInFlight implements engine. The live engine cannot interrupt a real
-// kernel mid-execution; failures are instead detected at pickup (see
-// workerLoop), so blocks still queued on the failed worker bounce back as
-// they are reached.
-func (e *liveEngine) abortInFlight(pu int) {}
-
-// dropInFlight implements engine. Same physical constraint as
-// abortInFlight: a failed worker's copies surface on their own — queued
-// blocks bounce at pickup, an executing kernel still completes — and their
-// accounts settle where they surface (handleDone), so there is nothing to
-// destroy eagerly here.
-func (e *liveEngine) dropInFlight(pu int) {}
-
-// revokeCopies implements engine. The lease pu held on seq moved, so pu's
-// copy — queued, executing, or a bounce in transit — is now stale: its
-// per-unit in-flight account settles here, and its eventual surfacing is
-// fenced (success) or absorbed (bounce) without further settlement. A copy
-// the bounce path already destroyed left a lost record and counts zero.
-func (e *liveEngine) revokeCopies(pu, seq int) int {
+func (e *liveEngine) launch(c *blockCopy, earliest float64) bool {
 	s := e.session
-	if _, ok := s.lost[pu][seq]; ok {
-		return 0
+	s.fetchBytes(c.rec.PU, c.rec.Seq, c.rec.Lo, c.rec.Hi)
+	c.rec.TransferStart = c.rec.SubmitTime
+	c.rec.ExecEnd = math.Inf(1)
+	a := liveAssign{c: c, k: e.kernel}
+	if e.kernels != nil {
+		a.k = e.kernels[s.svc.blocks[c.rec.Seq].app]
 	}
-	s.inflightPU[pu]--
-	if w := e.watch[seq]; w != nil {
-		w.copies--
-		if w.specPU == pu {
-			w.specPU = -2
-		}
-		if w.copies == 0 {
-			delete(e.watch, seq)
-		}
+	select {
+	case e.workers[c.rec.PU] <- a:
+	default:
+		go func(ch chan liveAssign) { ch <- a }(e.workers[c.rec.PU])
 	}
-	return 1
+	return true
 }
 
 // drive is the live engine's one loop. Each pass fires every due timer,
 // then waits on the next completion or the next timer, whichever comes
-// first. It runs while any copy is still on a worker and, on a healthy run,
-// while blocks are in flight or service arrivals remain; timers still
-// queued after that are dropped. A fired timer leaves the queue, so a
+// first. It runs while any copy is still in the copy table — on a worker,
+// or held behind a partition — and while the session is running; timers
+// still queued after that are dropped. A fired timer leaves the queue, so a
 // deadline in the past cannot spin the loop.
 func (e *liveEngine) drive() error {
+	s := e.session
 	var timer *time.Timer
 	for {
 		e.timers.RunUntil(e.now())
-		if !e.running() {
+		if s.nCopies == 0 && !s.running() {
 			break
 		}
 		var wake <-chan time.Time
@@ -382,151 +296,24 @@ func (e *liveEngine) drive() error {
 	return nil
 }
 
-// running reports whether drive still has something to wait for. Copies on
-// workers always drain. A failed run waits for nothing else: a block parked
-// on its lease or waiting out a backoff would never be delivered.
-func (e *liveEngine) running() bool {
-	s := e.session
-	if e.onWorkers > 0 {
-		return true
-	}
-	if s.violation != nil {
-		return false
-	}
-	sv := s.svc
-	return s.inflight > 0 || (sv != nil && sv.next < len(sv.arrivals))
-}
-
-// watchdogFire runs at a block's watchdog deadline. Unless the block was
-// delivered, speculated, or requeued meanwhile, the expiry is charged to the
-// straggling worker and a backup copy goes to the least-loaded healthy one.
-func (e *liveEngine) watchdogFire(seq int, w *liveWatch) {
-	if e.watch[seq] != w || w.done || w.specPU != -1 {
-		return
-	}
-	s := e.session
-	s.noteExpiry(w.pu)
-	target := s.pickSpecTarget(w.pu, w.lo, w.hi)
-	if target < 0 {
-		w.specPU = -2 // nowhere healthy to speculate; wait it out
-		return
-	}
-	w.specPU = target
-	w.copies++
-	s.fetchBytes(target, seq, w.lo, w.hi)
-	s.inflightPU[target]++
-	s.noteSpeculate(w.pu, target, seq, w.hi-w.lo)
-	if s.tel != nil {
-		s.tel.Emit(telemetry.Event{
-			Kind: telemetry.EvTaskSubmit, Time: e.now(),
-			PU: target, Seq: seq, Units: w.hi - w.lo,
-		})
-	}
-	e.send(target, seq, w.lo, w.hi, 0, s.grantSpecLease(seq, target))
-}
-
-// handleDone processes one completion report: stray losers of settled
-// races drain first, then bounces, then fencing admission, then delivery.
-// Blocks without watchdog state (no SpeculationPolicy, no derivable
-// deadline, or a requeued copy) take the same path with w == nil.
+// handleDone hands one worker report back to the session: a bounce, or a
+// finished copy with its measured times. The time a copy waited in the
+// worker's queue is the live engine's analogue of link occupancy.
 func (e *liveEngine) handleDone(d liveDone) {
-	e.onWorkers--
 	s := e.session
-	rec := d.rec
-	w := e.watch[rec.Seq]
-	if w != nil && w.done {
-		// The losing copy of an already-delivered block surfacing: its
-		// result is discarded, only its accounts settle. Spec-race losers
-		// resolve here, before the fencing admission check — losing a race
-		// is not a fence event.
-		w.copies--
-		s.inflightPU[rec.PU]--
-		if w.copies == 0 {
-			delete(e.watch, rec.Seq)
-		}
-		return
-	}
+	c := d.c
 	if d.failed {
-		if s.leases != nil {
-			e.handleFailedLease(d, w)
-			return
-		}
-		s.NoteDeviceDown(rec.PU)
-		if w != nil && w.copies > 1 {
-			// One copy bounced off a failed device but its twin is alive:
-			// the twin completes the block, so no requeue. The race is
-			// settled without a win/wasted outcome, as on the sim engine.
-			w.copies--
-			w.specPU = -2
-			s.inflightPU[rec.PU]--
-			return
-		}
-		// Sole copy bounced: requeue it. Its watchdog state is obsolete
-		// (requeued copies are not re-armed).
-		delete(e.watch, rec.Seq)
-		s.requeueBlock(rec.PU, rec.Seq, rec.Lo, rec.Hi, d.retries)
+		s.bounce(c)
 		return
 	}
-	if s.leases != nil && !s.admitCompletion(rec.PU, rec.Seq, d.token) {
-		// Fenced: a stale copy of a reassigned block completing after its
-		// lease moved. Its result is discarded — the fresh copy delivers
-		// exactly once — and its accounts were settled at revoke time.
-		s.noteFenced(rec.PU, rec.Seq, rec.Units)
-		return
-	}
-	withinDeadline := false
-	if w != nil {
-		// First completion wins.
-		w.done = true
-		w.copies--
-		if w.specPU >= 0 {
-			s.noteSpecResolved(w.pu, w.specPU, rec.Seq, rec.Units, rec.PU == w.specPU)
-		}
-		if w.copies == 0 {
-			delete(e.watch, rec.Seq)
-		}
-		withinDeadline = rec.ExecEnd <= w.deadlineSec
-	}
-	if rec.TransferEnd > rec.TransferStart {
+	c.rec.TransferEnd, c.rec.ExecStart, c.rec.ExecEnd = d.start, d.start, d.end
+	if c.state == copyRunning && d.start > c.rec.TransferStart {
 		// emitLink merges overlapping queue-wait intervals per worker, so
 		// concurrently queued blocks cannot push LinkBusy past wall time.
-		e.queueBusy[rec.PU] += s.emitLink(e.queueName[rec.PU],
-			rec.TransferStart, rec.TransferEnd, rec.Units)
+		e.queueBusy[c.rec.PU] += s.emitLink(e.queueName[c.rec.PU],
+			c.rec.TransferStart, d.start, c.rec.Units)
 	}
-	s.observeBlock(rec.PU, rec.Units, rec.ExecEnd-rec.SubmitTime, withinDeadline)
-	s.onComplete(rec)
-}
-
-// handleFailedLease absorbs a bounce under a HealthPolicy. A stale copy —
-// its lease already moved — was settled at revoke time and needs nothing
-// more. A copy still holding its lease is destroyed and
-// settled now, but the block itself stays parked on the lease until the
-// failure detector suspects the unit (or it recovers and the lost-block
-// recovery path requeues it): the oracle signal at pickup must not
-// shortcut detection latency, exactly as on the sim engine. The one
-// exception is a unit the detector already ruled on — a fresh assignment
-// bounced off an already-suspected unit would otherwise wait for a second
-// suspicion that never comes, so it moves immediately.
-func (e *liveEngine) handleFailedLease(d liveDone, w *liveWatch) {
-	s := e.session
-	s.NoteDeviceDown(d.rec.PU)
-	if !s.copyHoldsLease(d.rec.PU, d.rec.Seq, d.token) {
-		return
-	}
-	s.inflightPU[d.rec.PU]--
-	s.markLost(d.rec.PU, d.rec.Seq)
-	if w != nil {
-		w.copies--
-		if w.specPU == d.rec.PU {
-			w.specPU = -2
-		}
-		if w.copies == 0 {
-			delete(e.watch, d.rec.Seq)
-		}
-	}
-	if s.suspected[d.rec.PU] {
-		s.reassignLease(d.rec.PU, d.rec.Seq)
-	}
+	s.deliver(c)
 }
 
 func (e *liveEngine) workerLoop(id int, ch chan liveAssign) {
@@ -538,29 +325,17 @@ func (e *liveEngine) workerLoop(id int, ch chan liveAssign) {
 	dev := e.session.pus[id].Dev
 	bounce := e.session.retry != nil
 	for a := range ch {
+		lo, hi := a.c.rec.Lo, a.c.rec.Hi
 		if bounce && dev.Failed() {
-			e.complete <- liveDone{
-				rec: TaskRecord{Seq: a.seq, PU: id, Lo: a.lo, Hi: a.hi,
-					Units: a.hi - a.lo, SubmitTime: a.submit},
-				failed: true, retries: a.retries, token: a.token,
-			}
+			e.complete <- liveDone{c: a.c, failed: true}
 			continue
 		}
-		k := e.kernel
-		if e.kernels != nil {
-			k = e.kernels[a.app]
-		}
 		t0 := e.now()
-		e.executeParallel(k, a.lo, a.hi, par)
+		e.executeParallel(a.k, lo, hi, par)
 		t1 := e.now()
 		if slow > 1 {
 			time.Sleep(time.Duration(float64(time.Second) * (slow - 1) * (t1 - t0)))
 		}
-		t2 := e.now()
-		e.complete <- liveDone{rec: TaskRecord{
-			Seq: a.seq, PU: id, Lo: a.lo, Hi: a.hi, Units: a.hi - a.lo,
-			SubmitTime: a.submit, TransferStart: a.submit, TransferEnd: t0,
-			ExecStart: t0, ExecEnd: t2,
-		}, token: a.token}
+		e.complete <- liveDone{c: a.c, start: t0, end: e.now()}
 	}
 }

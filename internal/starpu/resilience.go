@@ -6,12 +6,11 @@ import (
 	"plbhec/internal/telemetry"
 )
 
-// This file is the session side of the runtime's failover machinery: fault
-// observation (down/up transitions, deduplicated across observers), and the
-// requeue path that moves blocks off failed units under a RetryPolicy and
-// relaunches them after the policy's backoff through the engine's timer. The
-// engine side — aborting in-flight work — lives in simengine.go /
-// liveengine.go behind the engine interface.
+// This file is the runtime's failover machinery: fault observation (down/up
+// transitions, deduplicated across observers), and the requeue path that
+// moves blocks off failed units under a RetryPolicy and relaunches them
+// after the policy's backoff through the engine's timer. Cancelling the
+// copies in flight on a dead unit is the copy table's job (copies.go).
 
 // NoteDeviceDown records that the unit's device has been observed failed.
 // It returns true the first time a given down-transition is reported —
@@ -63,8 +62,9 @@ func (s *Session) noteDeviceUp(id int) {
 
 // DeviceStateChanged tells the runtime that the unit's availability may
 // have changed; fault injectors call it right after mutating the device's
-// speed factor. On a down-transition the unit's in-flight blocks are
-// aborted and requeued (when a RetryPolicy is attached); on an
+// speed factor. On a down-transition the unit's interruptible copies are
+// cancelled (when a RetryPolicy is attached): their blocks are requeued, or
+// under a HealthPolicy parked until the failure detector moves them. On an
 // up-transition the unit is restored as a requeue target. Idempotent.
 func (s *Session) DeviceStateChanged(id int) {
 	if id < 0 || id >= len(s.pus) {
@@ -72,14 +72,7 @@ func (s *Session) DeviceStateChanged(id int) {
 	}
 	if s.pus[id].Dev.Failed() {
 		s.NoteDeviceDown(id)
-		if s.leases != nil {
-			// Health mode: the oracle only destroys the dead copies; moving
-			// the blocks is the failure detector's job (or the recovery
-			// path's), so detection latency stays a measurable cost.
-			s.eng.dropInFlight(id)
-		} else if s.retry != nil {
-			s.eng.abortInFlight(id)
-		}
+		s.cancel(id)
 	} else if s.downSeen[id] {
 		s.noteDeviceUp(id)
 	}
@@ -120,8 +113,8 @@ func (s *Session) requeueBlock(fromPU, seq int, lo, hi int64, retries int) {
 
 // requeueBlockSettled is requeueBlock with explicit control over the
 // per-unit in-flight settlement: suspicion- and recovery-driven
-// reassignments pass settle=false when the engine already settled the copy
-// (device death, abandoned partition), so no decrement happens twice.
+// reassignments pass settle=false when the copy was already settled (a
+// revoked copy, or one lost with its unit), so no decrement happens twice.
 func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int, settle bool) {
 	s.noteFailure(fromPU)
 	s.resilience[fromPU].Requeues++
@@ -153,7 +146,6 @@ func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int
 	if s.leases != nil {
 		s.leases.Grant(seq, target, lo, hi, next)
 	}
-	pu := s.pus[target]
 	s.eng.at(s.eng.now()+s.retry.backoff(next), func() {
 		// Under a HealthPolicy the lease may have moved again during the
 		// backoff (the target was itself suspected): the newer copy owns
@@ -161,7 +153,7 @@ func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int
 		if s.leases != nil && s.leases.TokenFor(seq, target) == 0 {
 			return
 		}
-		s.eng.launch(pu, seq, lo, hi, 0, next)
+		s.launch(target, seq, lo, hi, 0, next)
 	})
 }
 

@@ -234,16 +234,13 @@ func (s *Session) initService(pol ServicePolicy) error {
 
 // NewServiceSimSession builds a simulated open-system session on clu: the
 // policy's apps offer requests over the horizon, and cfg's Retry/Spec/
-// Overheads compose exactly as in closed-system sessions. cfg.Locality and
-// cfg.EnforceMemory are rejected/ignored respectively (see initService).
+// Health/Overheads compose exactly as in closed-system sessions.
+// cfg.Locality and cfg.EnforceMemory are rejected/ignored respectively (see
+// initService).
 func NewServiceSimSession(clu *cluster.Cluster, pol ServicePolicy, cfg SimConfig) (*Session, error) {
 	np, err := pol.normalized()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Health != nil {
-		return nil, runtimeError("service mode does not compose with HealthPolicy " +
-			"(the open-system drive loop has no fencing admission on its delivery path)")
 	}
 	cfg.EnforceMemory = false
 	s, se := newSimSession(clu, np.Apps[0].Profile, "service", 0, 0, cfg)
@@ -258,8 +255,8 @@ func NewServiceSimSession(clu *cluster.Cluster, pol ServicePolicy, cfg SimConfig
 // worker per cfg.Workers entry, one real kernel per app (kernels[i] executes
 // app i's blocks; each must tolerate arbitrary unit ranges, as the service
 // cursor is global). Arrivals replay the merged stream in wall-clock time
-// through the engine's timer queue; cfg's Retry and Spec compose as on the
-// simulator.
+// through the engine's timer queue; cfg's Retry, Spec and Health compose as
+// on the simulator.
 func NewServiceLiveSession(kernels []LiveKernel, cfg LiveConfig, pol ServicePolicy) (*Session, error) {
 	np, err := pol.normalized()
 	if err != nil {
@@ -267,10 +264,6 @@ func NewServiceLiveSession(kernels []LiveKernel, cfg LiveConfig, pol ServicePoli
 	}
 	if len(kernels) != len(np.Apps) {
 		return nil, runtimeError("service live session: %d kernels for %d apps", len(kernels), len(np.Apps))
-	}
-	if cfg.Health != nil {
-		return nil, runtimeError("service mode does not compose with HealthPolicy " +
-			"(the open-system drive loop has no fencing admission on its delivery path)")
 	}
 	if cfg.Locality != nil {
 		return nil, runtimeError("service mode does not compose with LocalityPolicy")
@@ -404,15 +397,15 @@ func (s *Session) serviceDispatch(app int32, units int64, first svcArrival, extr
 // Predictions use the noise-free device model (NominalExecSeconds — the
 // noisy ExecSeconds draws from the device RNG and would perturb the
 // deterministic record stream) plus the nominal transfer path. Failed,
-// blacklisted, and straggler-marked units are skipped; ties break to the
-// lowest ID. Returns -1 when no unit qualifies.
+// blacklisted, suspected and straggler-marked units are skipped; ties break
+// to the lowest ID. Returns -1 when no unit qualifies.
 func (s *Session) servicePickPU(app int32, units int64) (int, float64) {
 	sv := s.svc
 	prof := &sv.apps[app].prof
 	now := s.eng.now()
 	best, bestEta := -1, 0.0
 	for i, pu := range s.pus {
-		if pu.Dev.Failed() || s.blacklist[i] {
+		if pu.Dev.Failed() || s.blacklist[i] || s.Suspected(i) {
 			continue
 		}
 		if s.spec != nil && s.slow[i] {

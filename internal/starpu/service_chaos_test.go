@@ -2,6 +2,7 @@ package starpu
 
 import (
 	"testing"
+	"time"
 
 	"plbhec/internal/apps"
 	"plbhec/internal/cluster"
@@ -123,5 +124,95 @@ func TestServiceChaosStragglerSpeculation(t *testing.T) {
 	}
 	if rep.Resilience[target].Speculations < 1 {
 		t.Errorf("20x straggler tripped no watchdog: %+v", rep.Resilience[target])
+	}
+}
+
+// TestServiceHealthComposition runs the open system under Retry+Spec+Health
+// on both engines through each fault the failure detector must handle: a
+// device death, a heartbeat loss and a finite partition of one unit. Every
+// dispatched unit completes exactly once, the admission accounts stay
+// conserved, nothing is left in flight, the faulty unit is suspected, and
+// the heartbeat pumps keep every other unit beating for the whole stream.
+func TestServiceHealthComposition(t *testing.T) {
+	faults := []struct {
+		name   string
+		inject func(s *Session, pu int, until float64)
+	}{
+		{"death", func(s *Session, pu int, _ float64) {
+			s.PUs()[pu].Dev.SetSpeedFactor(0)
+			s.DeviceStateChanged(pu)
+		}},
+		{"heartbeat-loss", func(s *Session, pu int, until float64) { s.InjectHeartbeatLoss(pu, until) }},
+		{"partition", func(s *Session, pu int, until float64) { s.InjectPartition(pu, until) }},
+	}
+	check := func(t *testing.T, s *Session, rep *Report, target int) {
+		t.Helper()
+		checkServiceConservation(t, rep.Service)
+		checkExactlyOnce(t, rep.Records, rep.TotalUnits)
+		checkSettled(t, s)
+		if a := rep.Service.Apps[0]; a.RequestsDone != a.Admitted {
+			t.Errorf("admitted %d but completed %d", a.Admitted, a.RequestsDone)
+		}
+		for i, r := range rep.Resilience {
+			if i == target && r.Suspicions == 0 {
+				t.Errorf("faulty unit %d was never suspected: %+v", i, r)
+			}
+			if i != target && r.Suspicions != 0 {
+				t.Errorf("healthy unit %d suspected %d times", i, r.Suspicions)
+			}
+		}
+	}
+	spec := &SpeculationPolicy{DeadlineMultiplier: 2, MinObservations: 1, SlowAfter: 2}
+	for _, f := range faults {
+		t.Run("sim/"+f.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				clu := cluster.TableI(cluster.Config{Machines: 2, Seed: seed})
+				s, err := NewServiceSimSession(clu, svcChaosPolicy(clu), SimConfig{
+					Retry: DefaultRetryPolicy(), Spec: spec, Health: DefaultHealthPolicy(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				const target = 1
+				if err := s.ScheduleAt(1.0, func() { f.inject(s, target, 2.0) }); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s.RunService()
+				if err != nil {
+					t.Fatalf("cluster seed %d: %v", seed, err)
+				}
+				check(t, s, rep, target)
+			}
+		})
+	}
+	for _, f := range faults {
+		t.Run("live/"+f.name, func(t *testing.T) {
+			prof := apps.NewBlackScholes(apps.BlackScholesConfig{Options: 1 << 14}).Profile()
+			pol := ServicePolicy{
+				Apps: []ServiceApp{{Name: "bs", Profile: prof,
+					Arrivals: workload.Spec{Kind: workload.Poisson, Rate: 100, Units: 8, Seed: 3}}},
+				Horizon: 0.4,
+				Seed:    5,
+			}
+			k := kernelFunc(func(lo, hi int64) { time.Sleep(2 * time.Millisecond) })
+			s, err := NewServiceLiveSession([]LiveKernel{k}, LiveConfig{
+				Workers: []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}, {Name: "w2"}},
+				Retry:   DefaultRetryPolicy(),
+				Spec:    spec,
+				Health:  liveHealthPolicy(),
+			}, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const target = 1
+			if err := s.ScheduleAt(0.1, func() { f.inject(s, target, 0.25) }); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.RunService()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, s, rep, target)
+		})
 	}
 }

@@ -1,14 +1,10 @@
 package starpu
 
 import (
-	"fmt"
-	"math"
-
 	"plbhec/internal/apps"
 	"plbhec/internal/cluster"
 	"plbhec/internal/device"
 	"plbhec/internal/sim"
-	"plbhec/internal/telemetry"
 )
 
 // simEngine executes blocks on the discrete-event simulator against the
@@ -19,9 +15,9 @@ import (
 //
 // All per-launch lookups are precomputed in NewSimSession: the NIC/PCIe
 // resources and their telemetry names are indexed per PU (no map lookups on
-// the hot path), and completions reuse pooled payloads scheduled through
-// sim.Engine.Schedule, so a steady-state launch→complete cycle performs no
-// heap allocations.
+// the hot path), and each copy's completion is the pooled copy itself
+// scheduled through sim.Engine.Schedule, so a steady-state launch→complete
+// cycle performs no heap allocations.
 type simEngine struct {
 	eng     *sim.Engine
 	session *Session
@@ -29,106 +25,13 @@ type simEngine struct {
 
 	// Per-PU precomputed link routing (indexed by PU ID): nil entries mean
 	// the hop does not apply (master-local NIC, CPU-side PCIe).
-	nicOfPU   []*sim.Resource
-	pcieOfPU  []*sim.Resource
-	nicName   []string // telemetry label of the PU's NIC hop
-	pcieName  []string // telemetry label of the PU's PCIe hop
-	machines  []*cluster.Machine
-	nicRes    []*sim.Resource // per machine, cluster order (for linkBusy)
-	pcieRes   []*sim.Resource
-	freeComps []*simCompletion // completion-payload pool
-	// outstanding tracks pending completions so a device failure can abort
-	// the blocks in flight on it. Only maintained when a RetryPolicy is
-	// attached — the default path keeps its zero-bookkeeping hot loop.
-	outstanding []*simCompletion
-}
-
-// simCompletion is the pooled completion payload: one block's TaskRecord
-// plus the engine to hand it back to. Firing returns the payload to the
-// pool before invoking the (potentially re-entrant) scheduler callback.
-type simCompletion struct {
-	eng     *simEngine
-	rec     TaskRecord
-	retries int
-	// aborted marks a completion whose block was requeued after a device
-	// failure (or lost a speculation race); its already-scheduled event
-	// then only recycles the payload.
-	aborted bool
-	// deadline is the block's armed watchdog deadline in absolute engine
-	// seconds; 0 when none was armed.
-	deadline float64
-	// gen increments on every recycle so a watchdog closure can detect
-	// that its payload was reused for a different block and stand down.
-	gen uint64
-	// twin links the two live copies of a speculated block to each other
-	// (primary ↔ backup); the first to fire cancels the other. backup marks
-	// the speculative copy, which never re-speculates.
-	twin   *simCompletion
-	backup bool
-	// token is the lease token this copy was issued under (0: health off).
-	// A completion firing with a stale token is fenced instead of delivered.
-	token uint64
-	// revoked marks a copy whose lease already moved off its unit: its
-	// in-flight account was settled at that revocation, so a later
-	// revocation wave for the same (pu, seq) — the lease re-granted to the
-	// unit after a rejoin, then suspected again — must not settle it twice.
-	revoked bool
-}
-
-// Fire implements sim.Handler.
-func (c *simCompletion) Fire() {
-	e := c.eng
-	// A partitioned unit's completion is held at the partition boundary:
-	// the device finished computing, but the result cannot reach the master
-	// until the partition heals (or never, if it is permanent).
-	if !c.aborted && e.session.partUntil != nil {
-		if until := e.session.partUntil[c.rec.PU]; until > e.eng.Now() {
-			if math.IsInf(until, 1) {
-				e.abandonPartitioned(c)
-			} else {
-				e.eng.Schedule(until, c)
-			}
-			return
-		}
-	}
-	rec := c.rec
-	aborted := c.aborted
-	twin := c.twin
-	deadline := c.deadline
-	backup := c.backup
-	token := c.token
-	// Recycle first: the scheduler callback below may launch new blocks,
-	// which pop from the pool — including this very payload.
-	e.recycle(c)
-	if aborted {
-		return // the block was requeued or lost its speculation race
-	}
-	if s := e.session; s.leases != nil && !s.admitCompletion(rec.PU, rec.Seq, token) {
-		// Fenced: the lease moved while this copy ran (suspicion-driven
-		// reassignment) and a fresh copy owns the block now. Discard the
-		// late result — this is the exactly-once guarantee under false
-		// suspicion. Settlement happened when the copy was revoked.
-		if twin != nil {
-			twin.twin = nil
-		}
-		s.noteFenced(rec.PU, rec.Seq, rec.Units)
-		return
-	}
-	if twin != nil {
-		// First completion wins: cancel the losing copy deterministically
-		// and settle its in-flight account (its event only recycles now).
-		twin.aborted = true
-		twin.twin = nil
-		e.session.inflightPU[twin.rec.PU]--
-		orig, bak := rec.PU, twin.rec.PU
-		if backup {
-			orig, bak = twin.rec.PU, rec.PU
-		}
-		e.session.noteSpecResolved(orig, bak, rec.Seq, rec.Units, backup)
-	}
-	e.session.observeBlock(rec.PU, rec.Units, rec.ExecEnd-rec.TransferStart,
-		deadline > 0 && rec.ExecEnd <= deadline)
-	e.session.onComplete(rec)
+	nicOfPU  []*sim.Resource
+	pcieOfPU []*sim.Resource
+	nicName  []string // telemetry label of the PU's NIC hop
+	pcieName []string // telemetry label of the PU's PCIe hop
+	machines []*cluster.Machine
+	nicRes   []*sim.Resource // per machine, cluster order (for linkBusy)
+	pcieRes  []*sim.Resource
 }
 
 // SimConfig configures a simulated session.
@@ -242,16 +145,9 @@ func newSimSession(clu *cluster.Cluster, profile device.KernelProfile, appName s
 			se.pcieName[i] = se.pcieRes[mi].Name()
 		}
 	}
-	// Every in-flight block holds at most one pending completion event;
+	// Every in-flight copy holds at most one pending completion event;
 	// pre-sizing past the PU count keeps the steady state allocation-free.
 	se.eng.Grow(4*n + 16)
-	// Pre-populate the completion-payload pool to the expected in-flight
-	// ceiling (one block per unit, plus speculation headroom): steady-state
-	// launches then always pop instead of allocating mid-run.
-	se.freeComps = make([]*simCompletion, 0, n+16)
-	for i := 0; i < n; i++ {
-		se.freeComps = append(se.freeComps, &simCompletion{eng: se})
-	}
 	s.eng = se
 	s.startHeartbeatPump()
 	return s, se
@@ -281,120 +177,37 @@ func (e *simEngine) linkBusy() map[string]float64 {
 	return out
 }
 
-// launch chains the block through the communication links and the device,
+// launch chains copy c through the communication links and the device,
 // reserving each resource in order: NIC (remote machines) → PCIe (GPUs) →
 // the processing unit itself. All reservations are computed analytically at
-// submission; a single pooled event fires at kernel completion.
-func (e *simEngine) launch(pu *cluster.PU, seq int, lo, hi int64, earliest float64, retries int) {
-	units := hi - lo
-	rec := TaskRecord{Seq: seq, PU: pu.ID, Lo: lo, Hi: hi, Units: units, SubmitTime: e.eng.Now()}
-
+// launch; the copy itself is the one event that fires at kernel completion,
+// and it stays cancellable until then. A unit that cannot run the copy (a
+// failed device with speed factor 0, or a broken cost model) reports false:
+// a first launch or relaunch has already moved its input by then, as on a
+// real link, while a backup reserves nothing.
+func (e *simEngine) launch(c *blockCopy, earliest float64) bool {
+	s := e.session
+	pu := s.pus[c.rec.PU]
+	units := c.rec.Units
+	exec := pu.Dev.ExecSeconds(s.profileFor(c.rec.Seq), float64(units))
+	runnable := exec == exec && exec >= 0 && exec <= 1e18
+	if !runnable && c.backup {
+		return false
+	}
 	t := e.eng.Now()
 	if earliest > t {
 		t = earliest // master still busy computing the schedule
 	}
-	prof := e.session.profileFor(seq)
-	if !e.session.checkMemory(pu.ID, seq, units) {
-		return // typed violation recorded; the queue drains and Run reports it
-	}
-	bytes := e.session.fetchBytes(pu.ID, seq, lo, hi)
-	rec.TransferStart = t
+	bytes := s.fetchBytes(pu.ID, c.rec.Seq, c.rec.Lo, c.rec.Hi)
+	c.rec.TransferStart = t
 	t = e.transfer(pu, bytes, units, t)
-	rec.TransferEnd = t
-
-	exec := pu.Dev.ExecSeconds(prof, float64(units))
-	if exec != exec || exec < 0 || exec > 1e18 {
-		// A failed (speed factor 0) device would never complete. With a
-		// retry policy the block is requeued onto a survivor; otherwise
-		// schedulers must stop assigning to failed devices rather than
-		// hang the run — the completion event is never scheduled, so the
-		// queue drains and Run returns the violation.
-		if e.session.retry != nil {
-			if pu.Dev.Failed() {
-				e.session.NoteDeviceDown(pu.ID)
-			}
-			e.session.requeueBlock(pu.ID, seq, lo, hi, retries)
-			return
-		}
-		e.session.fail(fmt.Errorf("starpu: block %d (%d units) launched on %s: %w",
-			seq, units, pu.Name(), ErrFailedDevice))
-		return
-	}
-	start, end := e.puRes[pu.ID].AcquireAfter(t, exec, nil)
-	rec.ExecStart, rec.ExecEnd = start, end
-
-	c := e.acquire(rec, retries, e.session.leaseTokenFor(pu.ID, seq))
-	e.eng.Schedule(end, c)
-	if e.session.spec != nil {
-		// Arm the watchdog only when this copy will actually miss its
-		// deadline: simulated completion times are final at launch (later
-		// speed changes never retro-affect a scheduled event), so a block
-		// on pace needs no timer at all.
-		if wd := e.session.watchdogDeadline(pu.ID, units); wd > 0 {
-			c.deadline = rec.TransferStart + wd
-			if end > c.deadline {
-				gen := c.gen
-				e.eng.At(c.deadline, func() { e.watchdogFire(c, gen) })
-			}
-		}
-	}
-}
-
-// watchdogFire runs at a block's deadline when its kernel is known to still
-// be executing: it charges the expiry to the straggling unit and launches a
-// backup copy on the least-loaded healthy one. gen guards against the
-// pooled payload having been recycled for a different block (impossible
-// while the completion event is pending, but cheap to assert).
-func (e *simEngine) watchdogFire(c *simCompletion, gen uint64) {
-	if c.gen != gen || c.aborted || c.twin != nil {
-		return
-	}
-	s := e.session
-	if s.leases != nil && !s.copyHoldsLease(c.rec.PU, c.rec.Seq, c.token) {
-		return // the lease moved on; never speculate a fenced copy
-	}
-	orig := c.rec.PU
-	s.noteExpiry(orig)
-	target := s.pickSpecTarget(orig, c.rec.Lo, c.rec.Hi)
-	if target < 0 {
-		return // nowhere healthy to speculate; wait for the original
-	}
-	if e.launchBackup(c, s.pus[target]) {
-		s.inflightPU[target]++
-		s.noteSpeculate(orig, target, c.rec.Seq, c.rec.Units)
-	}
-}
-
-// launchBackup schedules a speculative copy of orig's block on pu, twinned
-// with the original so whichever fires first cancels the other. It reports
-// false — and touches no resources — when pu cannot execute the block.
-func (e *simEngine) launchBackup(orig *simCompletion, pu *cluster.PU) bool {
-	units := orig.rec.Units
-	prof := e.session.profileFor(orig.rec.Seq)
-	exec := pu.Dev.ExecSeconds(prof, float64(units))
-	if exec != exec || exec < 0 || exec > 1e18 {
+	c.rec.TransferEnd = t
+	if !runnable {
 		return false
 	}
-	t := e.eng.Now()
-	rec := TaskRecord{
-		Seq: orig.rec.Seq, PU: pu.ID, Lo: orig.rec.Lo, Hi: orig.rec.Hi,
-		Units: units, SubmitTime: t, TransferStart: t,
-	}
-	bytes := e.session.fetchBytes(pu.ID, rec.Seq, rec.Lo, rec.Hi)
-	rec.TransferEnd = e.transfer(pu, bytes, units, t)
-	rec.ExecStart, rec.ExecEnd = e.puRes[pu.ID].AcquireAfter(rec.TransferEnd, exec, nil)
-
-	c := e.acquire(rec, orig.retries, e.session.grantSpecLease(rec.Seq, pu.ID))
-	c.backup = true
-	c.twin = orig
-	orig.twin = c
-	if s := e.session; s.tel != nil {
-		s.tel.Emit(telemetry.Event{
-			Kind: telemetry.EvTaskSubmit, Time: t,
-			PU: pu.ID, Seq: rec.Seq, Units: units,
-		})
-	}
-	e.eng.Schedule(rec.ExecEnd, c)
+	c.rec.ExecStart, c.rec.ExecEnd = e.puRes[pu.ID].AcquireAfter(t, exec, nil)
+	c.cancelBy = c.rec.ExecEnd
+	e.eng.Schedule(c.rec.ExecEnd, c)
 	return true
 }
 
@@ -413,156 +226,4 @@ func (e *simEngine) transfer(pu *cluster.PU, bytes float64, units int64, t float
 		e.session.emitLink(e.pcieName[pu.ID], s0, t, units)
 	}
 	return t
-}
-
-// acquire pops a completion payload from the pool (allocating only when it
-// is dry), fills in the copy's record, retry count and fencing token, and
-// registers it as outstanding under a RetryPolicy.
-func (e *simEngine) acquire(rec TaskRecord, retries int, token uint64) *simCompletion {
-	var c *simCompletion
-	if n := len(e.freeComps); n > 0 {
-		c = e.freeComps[n-1]
-		e.freeComps[n-1] = nil
-		e.freeComps = e.freeComps[:n-1]
-	} else {
-		c = &simCompletion{eng: e}
-	}
-	c.rec = rec
-	c.retries = retries
-	c.token = token
-	if e.session.retry != nil {
-		e.outstanding = append(e.outstanding, c)
-	}
-	return c
-}
-
-// recycle retires a fired or abandoned payload: it leaves the outstanding
-// list, its per-copy state resets, gen advances so stale watchdog closures
-// stand down, and it returns to the pool.
-func (e *simEngine) recycle(c *simCompletion) {
-	if e.session.retry != nil {
-		e.dropOutstanding(c)
-	}
-	c.aborted = false
-	c.twin = nil
-	c.backup = false
-	c.deadline = 0
-	c.token = 0
-	c.revoked = false
-	c.gen++
-	e.freeComps = append(e.freeComps, c)
-}
-
-// dropOutstanding removes c from the outstanding list, preserving launch
-// order so abort-time requeue decisions stay reproducible.
-func (e *simEngine) dropOutstanding(c *simCompletion) {
-	for i, o := range e.outstanding {
-		if o == c {
-			e.outstanding = append(e.outstanding[:i], e.outstanding[i+1:]...)
-			return
-		}
-	}
-}
-
-// abortInFlight implements engine: every block pending on pu whose kernel
-// has not finished by now is marked aborted (its completion event becomes a
-// recycle-only no-op) and requeued at the failure time. A copy whose twin
-// is still live elsewhere is not requeued — the surviving copy completes
-// the block — so only its in-flight account is settled.
-func (e *simEngine) abortInFlight(pu int) {
-	now := e.eng.Now()
-	for _, c := range e.outstanding {
-		if c.aborted || c.rec.PU != pu || c.rec.ExecEnd <= now {
-			continue
-		}
-		c.aborted = true
-		if t := c.twin; t != nil {
-			c.twin = nil
-			t.twin = nil
-			e.session.inflightPU[pu]--
-			continue
-		}
-		e.session.requeueBlock(pu, c.rec.Seq, c.rec.Lo, c.rec.Hi, c.retries)
-	}
-}
-
-// dropInFlight implements engine: the device died, so every lease-holding
-// copy executing on it is destroyed — its event becomes a recycle-only
-// no-op, its in-flight account settles, and (for primary slots) the block
-// is recorded lost so the eventual suspicion- or recovery-driven
-// reassignment knows the copy is already settled. Unlike abortInFlight,
-// nothing is requeued here: under a HealthPolicy only the failure detector
-// (or a recovery) moves blocks. Copies whose lease already moved (stale
-// token) were settled at revocation and are skipped.
-func (e *simEngine) dropInFlight(pu int) {
-	s := e.session
-	now := e.eng.Now()
-	for _, c := range e.outstanding {
-		if c.aborted || c.rec.PU != pu || c.rec.ExecEnd <= now {
-			continue
-		}
-		if !s.copyHoldsLease(pu, c.rec.Seq, c.token) {
-			continue
-		}
-		c.aborted = true
-		if t := c.twin; t != nil {
-			c.twin, t.twin = nil, nil
-		}
-		s.inflightPU[pu]--
-		if l := s.leases.Get(c.rec.Seq); l != nil && l.Owner == pu {
-			s.markLost(pu, c.rec.Seq)
-		}
-	}
-}
-
-// revokeCopies implements engine: the lease of seq moved off pu, so any
-// still-live copy there is detached — twin links severed so the surviving
-// copy completes solo, in-flight account settled now (the fenced delivery
-// settles nothing). The copy itself keeps running; when it fires, its stale
-// token sends it down the fencing path.
-func (e *simEngine) revokeCopies(pu, seq int) int {
-	detached := 0
-	for _, c := range e.outstanding {
-		if c.aborted || c.revoked || c.rec.PU != pu || c.rec.Seq != seq {
-			continue
-		}
-		c.revoked = true
-		if t := c.twin; t != nil {
-			c.twin, t.twin = nil, nil
-		}
-		e.session.inflightPU[pu]--
-		detached++
-	}
-	return detached
-}
-
-// abandonPartitioned handles a completion stuck behind a permanent
-// partition: the result will never reach the master, so the copy is
-// destroyed. A lease-holding copy settles and records the block lost —
-// suspicion then relaunches it elsewhere; without health state the block is
-// requeued directly (or the run fails when it cannot be).
-func (e *simEngine) abandonPartitioned(c *simCompletion) {
-	s := e.session
-	pu, seq := c.rec.PU, c.rec.Seq
-	lo, hi, retries := c.rec.Lo, c.rec.Hi, c.retries
-	held := s.leases != nil && s.copyHoldsLease(pu, seq, c.token)
-	if t := c.twin; t != nil {
-		t.twin = nil
-	}
-	e.recycle(c)
-	if s.leases != nil {
-		if held {
-			s.inflightPU[pu]--
-			if l := s.leases.Get(seq); l != nil && l.Owner == pu {
-				s.markLost(pu, seq)
-			}
-		}
-		return // the failure detector (or a recovery) moves the block
-	}
-	if s.retry != nil {
-		s.requeueBlock(pu, seq, lo, hi, retries)
-		return
-	}
-	s.fail(fmt.Errorf("starpu: block %d (%d units) stranded behind a permanent partition on %s: %w",
-		seq, hi-lo, s.pus[pu].Name(), ErrFailedDevice))
 }

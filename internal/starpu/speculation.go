@@ -6,12 +6,12 @@ import (
 	"plbhec/internal/telemetry"
 )
 
-// This file is the session side of the runtime's tail-tolerance machinery:
-// watchdog deadlines (predicted via the scheduler's model or a streamed
-// observed baseline), straggler accounting with a soft blacklist, and the
-// bookkeeping for speculative backup copies. The engine side — arming
-// watchdogs, launching backups, and resolving first-completion-wins races —
-// lives in simengine.go / liveengine.go behind the engine interface.
+// This file is the runtime's tail-tolerance accounting: watchdog deadlines
+// (predicted via the scheduler's model or a streamed observed baseline),
+// straggler accounting with a soft blacklist, and the bookkeeping for
+// speculative backup copies. Arming watchdogs, launching backups and
+// resolving first-completion-wins races is the copy table's job
+// (copies.go).
 
 // SetPredictor installs a per-block execution-time predictor: fn(pu, units)
 // returns the expected seconds for a block of that many units on that unit,

@@ -154,6 +154,41 @@ func TestSpeculationLiveBackupWins(t *testing.T) {
 	}
 }
 
+// TestSpeculationLiveRequeuedCopyArmed: a requeued copy gets a watchdog on
+// the live engine, as on the simulator. The only block bounces off a dead
+// worker and is requeued onto a 30x-throttled one; its watchdog expires
+// there and a backup on the fast worker wins the race.
+func TestSpeculationLiveRequeuedCopyArmed(t *testing.T) {
+	const units = 20
+	k := kernelFunc(func(lo, hi int64) { time.Sleep(2 * time.Millisecond) })
+	sess := NewLiveSession(k, LiveConfig{
+		Workers:    []LiveWorkerSpec{{Name: "dead"}, {Name: "slow", Slowdown: 30}, {Name: "fast"}},
+		TotalUnits: units,
+		AppName:    "sleepy",
+		Retry:      DefaultRetryPolicy(),
+		Spec: &SpeculationPolicy{
+			DeadlineMultiplier: 2, MinDeadlineSeconds: 0.005,
+			MinObservations: 1, SlowAfter: 2,
+		},
+	})
+	sess.SetPredictor(func(pu int, u float64) float64 { return 0.002 })
+	sess.PUs()[0].Dev.SetSpeedFactor(0)
+	rep, err := sess.Run(&callbackScheduler{start: func(s *Session) { s.Assign(s.PUs()[0], units) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExactlyOnce(t, rep.Records, units)
+	if res := rep.Resilience[0]; res.Requeues != 1 {
+		t.Fatalf("Requeues = %d on the dead worker, want 1", res.Requeues)
+	}
+	if res := rep.Resilience[1]; res.Speculations != 1 || res.SpecWins != 1 {
+		t.Errorf("requeued copy on the slow worker: %+v, want one speculation won by the backup", res)
+	}
+	if r := rep.Records[0]; r.PU != 2 {
+		t.Errorf("block delivered from worker %d, want the backup on worker 2", r.PU)
+	}
+}
+
 // TestSpeculationPolicyNormalization: garbage policy values fall back to
 // usable defaults instead of arming instant or never-firing watchdogs.
 func TestSpeculationPolicyNormalization(t *testing.T) {

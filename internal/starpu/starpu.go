@@ -11,9 +11,14 @@
 //     (optionally throttled to emulate heterogeneity), validating the
 //     runtime and schedulers end-to-end on actual computation.
 //
-// Both engines keep their timers on the same event queue (sim.Engine): the
-// simulator advances it as its virtual clock, the live engine fires it from
-// the wall clock on its driving goroutine. Retry backoff, watchdogs,
+// One master sits over both engines: the Session owns the copy table, every
+// copy of a block in flight, and decides everything about a copy once —
+// fencing, the speculation race, watchdogs and their backups, cancel when a
+// device dies, revoke when a lease moves, the hold behind a partition. The
+// engines only run copies and hand each back when it finished or could not
+// run. Both engines keep their timers on the same event queue (sim.Engine):
+// the simulator advances it as its virtual clock, the live engine fires it
+// from the wall clock on its driving goroutine. Retry backoff, watchdogs,
 // heartbeats, service arrivals and ScheduleAt callbacks are therefore one
 // mechanism on either engine.
 //
@@ -26,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 
-	"plbhec/internal/cluster"
 	"plbhec/internal/stats"
 )
 
@@ -363,10 +367,13 @@ func (s SolverStats) MeanIterations() float64 {
 	return 0
 }
 
-// engine abstracts the two execution backends: a clock, one timer, block
-// launch, and the cancellation hooks the failure machinery needs. Every
-// timed mechanism — retry backoff, watchdogs, heartbeats, suspicion checks,
-// service arrivals, ScheduleAt — goes through at on both engines.
+// engine abstracts the two execution backends: a clock, one timer, copy
+// launch, the drive loop and link accounting. Everything else about a copy
+// in flight — fencing, the speculation race, watchdogs and backups, cancel,
+// revoke, the partition hold — is decided once, in the session's copy table
+// (copies.go). Every timed mechanism — retry backoff, watchdogs,
+// heartbeats, suspicion checks, service arrivals, ScheduleAt — goes through
+// at on both engines.
 type engine interface {
 	now() float64
 	// at schedules fn at absolute engine time t (clamped to the engine's
@@ -374,33 +381,15 @@ type engine interface {
 	// simulator runs it on its discrete-event clock; the live engine runs it
 	// on the driving goroutine once the wall clock reaches t.
 	at(t float64, fn func())
-	// launch runs block [lo,hi) on pu, not starting data movement before
-	// earliest, and delivers the completed record to the session's
-	// onComplete, serialized with all other scheduler callbacks. Engines
-	// call the session directly instead of taking a callback so the hot
-	// path never materializes a per-launch method value. retries is how
-	// many times this block has already been requeued (0 on first launch).
-	launch(pu *cluster.PU, seq int, lo, hi int64, earliest float64, retries int)
-	// abortInFlight cancels every block currently in flight on pu and
-	// requeues it through the session's retry policy. Only called when a
-	// policy is attached; engines that cannot interrupt work (live) treat
-	// it as a no-op and detect the failure at pickup instead.
-	abortInFlight(pu int)
-	// dropInFlight destroys the lease-holding copies in flight on a unit
-	// whose device just died, settling their in-flight accounting and
-	// marking the blocks lost — without requeueing them: under a
-	// HealthPolicy only the failure detector (or a recovery) may move
-	// blocks, so detection latency stays a real, measurable cost. Engines
-	// that cannot interrupt work (live) treat it as a no-op.
-	dropInFlight(pu int)
-	// revokeCopies detaches every still-live copy of block seq on pu from
-	// its delivery bookkeeping after the lease moved: the copy keeps
-	// running, but its eventual completion must surface only through the
-	// fencing path (speculation twins unlinked, watch state adjusted). Each
-	// detached copy's per-unit in-flight account is settled here — the
-	// fenced delivery settles nothing. Returns how many copies it detached.
-	revokeCopies(pu, seq int) int
-	// drive processes work until no launched block remains unfinished.
+	// launch starts copy c on its unit, not moving data before earliest, and
+	// records on it the two engine facts the session reads: c.cancelBy and
+	// the known finish c.rec.ExecEnd. It reports false when the unit cannot
+	// run the copy; otherwise the engine later hands the copy to
+	// Session.deliver when its kernel finished, or to Session.bounce when the
+	// unit turned out unable to run it, serialized with all other scheduler
+	// callbacks.
+	launch(c *blockCopy, earliest float64) bool
+	// drive processes work until no copy and no running work remain.
 	drive() error
 	// linkBusy reports per-link occupancy in seconds (nil if untracked).
 	linkBusy() map[string]float64

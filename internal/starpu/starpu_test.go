@@ -2,6 +2,7 @@ package starpu
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -325,4 +326,73 @@ func TestScheduleAtRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: the -Inf callback never fired", name)
 		}
 	}
+}
+
+// TestSimBlockCycleZeroAlloc pins the closed-system simulator's
+// launch → complete → TaskFinished cycle as allocation-free: doubling the
+// block count must not scale the run's allocation count with it, with no
+// policy, under Retry, and under Spec. Construction is excluded from the
+// measurement. Mallocs counts the whole process, so each length keeps its
+// fewest over several runs and the difference is signed.
+func TestSimBlockCycleZeroAlloc(t *testing.T) {
+	prof := apps.NewMatMul(apps.MatMulConfig{N: 2048}).Profile()
+	const block = 16
+	for _, c := range []struct {
+		name string
+		cfg  SimConfig
+	}{
+		{"none", SimConfig{}},
+		{"Retry", SimConfig{Retry: DefaultRetryPolicy()}},
+		{"Spec", SimConfig{Retry: DefaultRetryPolicy(), Spec: DefaultSpeculationPolicy()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			measure := func(blocks int64) int64 {
+				allocs := int64(math.MaxInt64)
+				for run := 0; run < 3; run++ {
+					clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 3})
+					s, _ := newSimSession(clu, prof, "mm", blocks*block, blocks*block, c.cfg)
+					var before, after runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					rep, err := s.Run(&fixedScheduler{block: block})
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if int64(len(rep.Records)) != blocks {
+						t.Fatalf("%d records for %d blocks", len(rep.Records), blocks)
+					}
+					allocs = min(allocs, int64(after.Mallocs-before.Mallocs))
+				}
+				return allocs
+			}
+			const n = 2000
+			short, long := measure(n), measure(2*n)
+			if perBlock := float64(long-short) / n; perBlock > 0.01 {
+				t.Errorf("block cycle allocates %.4f objects per extra block (%d allocs for %d blocks, %d for %d), want ≤ 0.01",
+					perBlock, short, n, long, 2*n)
+			}
+		})
+	}
+}
+
+// TestFaultInjectionIgnoresOutOfRangeUnit: InjectPartition and
+// InjectHeartbeatLoss ignore a unit ID outside the cluster, as
+// DeviceStateChanged, NoteDeviceDown and Suspected do, instead of panicking.
+func TestFaultInjectionIgnoresOutOfRangeUnit(t *testing.T) {
+	s := newTestSession(256)
+	n := len(s.PUs())
+	for _, id := range []int{-1, n, n + 7} {
+		s.InjectPartition(id, 1)
+		s.InjectHeartbeatLoss(id, 1)
+		s.DeviceStateChanged(id)
+		if s.NoteDeviceDown(id) || s.Suspected(id) {
+			t.Errorf("unit %d outside the cluster was noted", id)
+		}
+	}
+	rep, err := s.Run(&fixedScheduler{block: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExactlyOnce(t, rep.Records, 256)
 }
