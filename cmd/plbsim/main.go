@@ -107,10 +107,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "plbsim: -detector %q: want phi or deadline\n", *detector)
 			return 2
 		}
-		if *arrivals != "" {
-			fmt.Fprintln(os.Stderr, "plbsim: -health does not compose with service mode (-arrivals)")
-			return 2
-		}
 		cfg.Health = &starpu.HealthPolicy{
 			HeartbeatSeconds: *heartbeat,
 			Detector:         *detector,
@@ -119,7 +115,7 @@ func run() int {
 	}
 	if *arrivals != "" {
 		return runServiceMode(kind, *size, *machines, *seed, *dual,
-			*arrivals, *rate, *reqUnits, *slo, *horizon, *noAdmit, *listen)
+			*arrivals, *rate, *reqUnits, *slo, *horizon, *noAdmit, *listen, cfg.Health)
 	}
 	if *schedStr == "all" {
 		return compareAll(kind, *size, *machines, *seed, *block, *dual, *passes, cfg)
@@ -334,10 +330,11 @@ func run() int {
 // runServiceMode executes one open-system run: the app's requests arrive on
 // the chosen seeded stream, admission bounds load against the SLO, and the
 // printed report covers admission accounting and the latency distribution.
-// It returns the process exit code.
+// A non-nil health policy (-health) adds heartbeat failure detection. It
+// returns the process exit code.
 func runServiceMode(kind expt.AppKind, size int64, machines int, seed int64, dual bool,
 	model string, rate float64, reqUnits int64, slo, horizon float64, noAdmit bool,
-	listen string) int {
+	listen string, health *starpu.HealthPolicy) int {
 	var wk workload.Kind
 	switch model {
 	case "poisson":
@@ -364,7 +361,7 @@ func runServiceMode(kind expt.AppKind, size int64, machines int, seed int64, dua
 		Seed:    seed,
 	}
 	pol.Admission.Disabled = noAdmit
-	sess, err := starpu.NewServiceSimSession(clu, pol, starpu.SimConfig{})
+	sess, err := starpu.NewServiceSimSession(clu, pol, starpu.SimConfig{Health: health})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "plbsim: %v\n", err)
 		return 1
