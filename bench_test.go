@@ -192,7 +192,7 @@ func BenchmarkIPMSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prob := ipm.Problem{Curves: ms.Curves(), Total: 65536}
+	prob := ipm.Problem{Curves: ms.Curves(nil), Total: 65536}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ipm.Solve(prob, ipm.Options{}); err != nil {

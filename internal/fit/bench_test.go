@@ -40,14 +40,15 @@ func BenchmarkWarmRefit(b *testing.B) {
 		xs = append(xs, x)
 		ys = append(ys, 0.002*x+0.3*math.Log(x))
 	}
-	f := NewFitter()
-	if _, err := f.Fit(xs, ys, 65536); err != nil {
+	var f Fitter
+	var ws Workspace
+	if _, err := f.Fit(&ws, xs, ys, 65536); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Fit(xs, ys, 65536); err != nil {
+		if _, err := f.Fit(&ws, xs, ys, 65536); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,11 +66,12 @@ func BenchmarkIncrementalGrow(b *testing.B) {
 		xs[i] = x
 		ys[i] = 0.002*x + 0.3*math.Log(x)
 	}
+	var ws Workspace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := NewFitter()
+		var f Fitter
 		for n := 3; n <= rounds; n++ {
-			if _, err := f.Fit(xs[:n], ys[:n], 65536); err != nil {
+			if _, err := f.Fit(&ws, xs[:n], ys[:n], 65536); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -35,12 +35,13 @@ func TestFitLinearNonFinite(t *testing.T) {
 }
 
 func TestFitterIncrementalNonFinite(t *testing.T) {
-	f := NewFitter()
-	if _, err := f.Fit([]float64{1, 2, math.NaN()}, []float64{1, 2, 3}, 10); !errors.Is(err, ErrNonFinite) {
+	var f Fitter
+	ws := new(Workspace)
+	if _, err := f.Fit(ws, []float64{1, 2, math.NaN()}, []float64{1, 2, 3}, 10); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("Fitter.Fit with NaN x = %v, want ErrNonFinite", err)
 	}
 	// The fitter must stay usable after rejecting corrupt input.
-	if m, err := f.Fit([]float64{1, 2, 4, 8}, []float64{2, 4, 8, 16}, 10); err != nil {
+	if m, err := f.Fit(ws, []float64{1, 2, 4, 8}, []float64{2, 4, 8, 16}, 10); err != nil {
 		t.Fatalf("fitter wedged after a rejected sample set: %v", err)
 	} else if v := m.Eval(4); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("recovered fit evaluates non-finite: %g", v)

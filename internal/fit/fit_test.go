@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"plbhec/internal/linalg"
 )
 
 func linspace(lo, hi float64, n int) []float64 {
@@ -219,7 +221,9 @@ func TestInvBasisClampAtZero(t *testing.T) {
 	// Fit the inv candidate directly on a line sampled from x=0.
 	xs := []float64{0, 4, 8, 16, 32, 64}
 	ys := apply(xs, func(x float64) float64 { return 2 + 3*x })
-	m, err := fitBasis([]Basis{basisOne, basisX, basisInv}, xs, ys, s)
+	var ws Workspace
+	inv := setOf(bOne, bX, bInv)
+	m, err := ws.lstsq(&inv, linalg.NewVector(3), xs, ys, s)
 	if err != nil {
 		t.Fatal(err)
 	}

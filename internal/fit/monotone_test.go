@@ -100,7 +100,8 @@ func TestMonotoneChecksBothSidesOfClamps(t *testing.T) {
 // matters.
 func TestMonotoneMatchesDenseGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, bases := range candidateSets {
+	for _, c := range candidates {
+		bases := c.bases
 		var up, down int
 		for trial := 0; trial < 100; trial++ {
 			lo := math.Exp(rng.Float64() * 5)

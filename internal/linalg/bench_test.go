@@ -53,9 +53,11 @@ func BenchmarkQRLeastSquares(b *testing.B) {
 		a.Set(i, 3, x*x*x)
 		rhs[i] = 3*x + 2
 	}
+	var ls LeastSquares
+	x := NewVector(4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := LeastSquares(a, rhs); err != nil {
+		if err := ls.SolveInto(x, a, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -188,11 +188,21 @@ func TestLUSolveProperty(t *testing.T) {
 	}
 }
 
+// leastSquares solves min ‖A·x − b‖₂ with a fresh LeastSquares workspace.
+func leastSquares(a *Matrix, b Vector) (Vector, error) {
+	var ls LeastSquares
+	x := NewVector(a.Cols)
+	if err := ls.SolveInto(x, a, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func TestQRLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent: y = 2x + 1 sampled at 4 points.
 	a := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	b := Vector{1, 3, 5, 7}
-	x, err := LeastSquares(a, b)
+	x, err := leastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +215,7 @@ func TestQRRankDeficientFallsBackToRidge(t *testing.T) {
 	// Two identical columns: classic rank deficiency.
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	b := Vector{2, 4, 6}
-	x, err := LeastSquares(a, b)
+	x, err := leastSquares(a, b)
 	if err != nil {
 		t.Fatalf("expected ridge fallback, got error %v", err)
 	}
@@ -232,7 +242,7 @@ func TestQRResidualOrthogonality(t *testing.T) {
 		for i := range b {
 			b[i] = rng() * 10
 		}
-		x, err := LeastSquares(a, b)
+		x, err := leastSquares(a, b)
 		if err != nil {
 			return true // skip pathological draws
 		}

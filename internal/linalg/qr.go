@@ -144,37 +144,41 @@ func (f *QR) RDiag() Vector { return f.rdiag.Clone() }
 
 // LeastSquares solves min ‖A·x − b‖₂ via QR. If A is rank-deficient it
 // retries with a small ridge penalty (Tikhonov regularization), which the
-// curve-fitting layer relies on for nearly collinear basis functions.
-func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	f, err := FactorQR(a)
-	if err != nil {
-		return nil, err
-	}
-	x, err := f.Solve(b)
-	if err == nil && Vector(x).IsFinite() {
-		return x, nil
-	}
-	return RidgeLeastSquares(a, b, 1e-8)
+// curve-fitting layer relies on for nearly collinear basis functions. The
+// zero value is ready to use; every solve reuses the factorization and the
+// ridge system's storage, so once they have grown to a problem's size a
+// solve allocates nothing.
+type LeastSquares struct {
+	qr  QR
+	aug Matrix // the ridge system [A; √λ·I]
+	rhs Vector // its right-hand side [b; 0]
 }
 
-// RidgeLeastSquares solves min ‖A·x − b‖² + λ‖x‖² via the augmented system
+// ridgeLambda is the Tikhonov penalty λ of the rank-deficient retry.
+const ridgeLambda = 1e-8
+
+// SolveInto computes the least-squares solution into the caller-provided x
+// (len a.Cols). a and b are not modified. When A is rank-deficient, x is
+// the solution of min ‖A·x − b‖² + λ‖x‖², via the augmented system
 // [A; √λ·I]·x = [b; 0], which stays full rank for λ > 0.
-func RidgeLeastSquares(a *Matrix, b Vector, lambda float64) (Vector, error) {
-	if lambda <= 0 {
-		return nil, ErrSingular
+func (ls *LeastSquares) SolveInto(x Vector, a *Matrix, b Vector) error {
+	if err := ls.qr.Factor(a); err != nil {
+		return err
+	}
+	if err := ls.qr.SolveInto(x, b); err == nil && x.IsFinite() {
+		return nil
 	}
 	m, n := a.Rows, a.Cols
-	aug := NewMatrix(m+n, n)
+	aug := ls.aug.Reset(m+n, n)
 	copy(aug.Data[:m*n], a.Data)
-	s := math.Sqrt(lambda)
+	s := math.Sqrt(ridgeLambda)
 	for i := 0; i < n; i++ {
 		aug.Set(m+i, i, s)
 	}
-	rhs := NewVector(m + n)
-	copy(rhs, b)
-	f, err := FactorQR(aug)
-	if err != nil {
-		return nil, err
+	ls.rhs = resizeZero(ls.rhs, m+n)
+	copy(ls.rhs, b)
+	if err := ls.qr.Factor(aug); err != nil {
+		return err
 	}
-	return f.Solve(rhs)
+	return ls.qr.SolveInto(x, ls.rhs)
 }

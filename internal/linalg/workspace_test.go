@@ -163,10 +163,14 @@ func TestWarmFactorSolveZeroAlloc(t *testing.T) {
 	for i := range rhs8 {
 		rhs8[i] = float64(i + 1)
 	}
+	// Two equal columns: the least-squares solve takes its ridge retry.
+	deficient := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	rhs3 := Vector{2, 4, 6}
 	var c Cholesky
 	var l LU
 	var q QR
-	x6, x3 := NewVector(6), NewVector(3)
+	var ls LeastSquares
+	x6, x3, x2 := NewVector(6), NewVector(3), NewVector(2)
 	warm := func() {
 		if err := c.Factor(spd); err != nil {
 			t.Fatal(err)
@@ -184,6 +188,12 @@ func TestWarmFactorSolveZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := q.SolveInto(x3, rhs8); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.SolveInto(x3, tall, rhs8); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.SolveInto(x2, deficient, rhs3); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -81,7 +81,7 @@ func TestFitAllLinearDevices(t *testing.T) {
 	if got := ms.PU[0].Eval(1000); math.Abs(got-want0)/want0 > 0.05 {
 		t.Errorf("PU0 Eval(1000) = %g, want ≈%g", got, want0)
 	}
-	if len(ms.Curves()) != 2 {
+	if len(ms.Curves(nil)) != 2 {
 		t.Error("Curves length mismatch")
 	}
 	if !strings.Contains(ms.PU[0].String(), "R²") {

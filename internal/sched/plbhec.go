@@ -85,6 +85,8 @@ type PLBHeC struct {
 	// solver is the run's block-size solver; its workspaces carry across
 	// solves.
 	solver *ipm.Solver
+	// curves is the solve's curve slice, rebuilt from models at each solve.
+	curves []ipm.Curve
 	// failSolves makes every solve fail, so tests can drive the
 	// degradation ladder.
 	failSolves bool
@@ -411,7 +413,8 @@ func (p *PLBHeC) beginExecution(s *starpu.Session) {
 // remaining units and derives per-unit block sizes.
 func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	remaining := float64(s.Remaining())
-	curves := p.models.Curves()
+	p.curves = p.models.Curves(p.curves[:0])
+	curves := p.curves
 	for i := range curves {
 		if p.dead[i] {
 			curves[i] = deadCurve{}

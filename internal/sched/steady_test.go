@@ -247,3 +247,15 @@ func TestPLBHeCSteadyZeroAlloc(t *testing.T) {
 		t.Fatal("a steady completion left the execution phase")
 	}
 }
+
+// TestSolveCurvesZeroAlloc guards the rebalance solve (CI
+// ZeroAlloc|ConstantAlloc gate): at 1,024 units a warm solveDistribution
+// rebuilds its curve slice in place from pointers into the models, so it
+// allocates nothing.
+func TestSolveCurvesZeroAlloc(t *testing.T) {
+	h := newSteadyHarness(t, 1024)
+	h.p.solveDistribution(h.s)
+	if allocs := testing.AllocsPerRun(20, func() { h.p.solveDistribution(h.s) }); allocs != 0 {
+		t.Errorf("warm solveDistribution allocates %v objects, want 0", allocs)
+	}
+}

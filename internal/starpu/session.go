@@ -494,13 +494,14 @@ func (s *Session) initCommon(total int64) {
 		s.slowCount = make([]int, n)
 	}
 	s.initHealth()
-	// Pre-size the record log so steady-state completions append without
-	// growth copies: a run issues a handful of probing rounds plus a few
-	// execution blocks and re-requests per unit. 64 records per unit (~5 KB
-	// each unit) absorbs virtually every run in one allocation; outliers
-	// still grow normally. The cap bounds small-cluster waste, but a
-	// thousand-PU session produces at least several records per unit
-	// (probing rounds + execution steps), so the floor scales with n.
+	// Pre-size the record log at 64 records per unit, capped at 8192
+	// records but never below 8 per unit. This is a starting size, not a
+	// bound: the record count depends on the scheduler and the input, and
+	// many runs outgrow it. Greedy writes one record per small block, far
+	// more than 64 per unit on the paper's inputs, and PLB-HeC at 10,000
+	// units writes about 17 per unit against the floor of 8. Those runs
+	// grow the log by append, about 1.25× at a time, and the growth copies
+	// are most of a closed run's allocation.
 	est := 64 * len(s.pus)
 	if est > 8192 {
 		est = 8192
