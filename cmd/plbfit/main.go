@@ -47,6 +47,10 @@ func main() {
 		os.Exit(2)
 	}
 	kind := expt.AppKind(*app)
+	if err := expt.CheckApp(kind, *size); err != nil {
+		fmt.Fprintf(os.Stderr, "plbfit: %v\n", err)
+		os.Exit(2)
+	}
 	a := expt.MakeApp(kind, *size)
 	prof := a.Profile()
 	d := device.New(spec, *seed, 0.015)

@@ -41,7 +41,6 @@ import (
 	"plbhec/internal/starpu"
 	"plbhec/internal/telemetry"
 	"plbhec/internal/telemetry/span"
-	"plbhec/internal/trace"
 	"plbhec/internal/workload"
 )
 
@@ -82,6 +81,16 @@ func run() int {
 	)
 	flag.Parse()
 
+	kind := expt.AppKind(*app)
+	if err := expt.CheckApp(kind, *size); err != nil {
+		fmt.Fprintf(os.Stderr, "plbsim: %v\n", err)
+		return 2
+	}
+	if *machines < 1 || *machines > 4 {
+		fmt.Fprintf(os.Stderr, "plbsim: -machines %d: want 1 to 4 Table I machines\n", *machines)
+		return 2
+	}
+
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -96,12 +105,8 @@ func run() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	kind := expt.AppKind(*app)
-
 	cfg := starpu.SimConfig{}
-	if *locality {
-		cfg.Locality = starpu.DefaultLocalityPolicy()
-	}
+	cfg.Locality = *locality
 	if *healthOn {
 		if *detector != "phi" && *detector != "deadline" {
 			fmt.Fprintf(os.Stderr, "plbsim: -detector %q: want phi or deadline\n", *detector)
@@ -239,15 +244,14 @@ func run() int {
 		}
 	}
 	if *detail {
-		makespan, rows := trace.Analyze(rep)
-		fmt.Printf("\nper-unit time breakdown (makespan %.3fs):\n", makespan)
+		fmt.Printf("\nper-unit time breakdown (makespan %.3fs):\n", rep.Makespan)
 		fmt.Printf("  %-20s %10s %10s %10s %10s\n", "unit", "exec s", "transfer s", "queue s", "idle s")
-		for _, b := range rows {
+		for _, b := range metrics.Analyze(rep) {
 			fmt.Printf("  %-20s %10.3f %10.3f %10.3f %10.3f\n",
 				b.Name, b.Exec, b.Transfer, b.Queue, b.Idle)
 		}
 		fmt.Println("\nstraggler chain (last unit's final tasks):")
-		for _, r := range trace.CriticalTail(rep, 5) {
+		for _, r := range metrics.CriticalTail(rep, 5) {
 			fmt.Printf("  units=%6d exec=[%9.3f, %9.3f]\n", r.Units, r.ExecStart, r.ExecEnd)
 		}
 	}
@@ -277,7 +281,7 @@ func run() int {
 			return 1
 		}
 		defer f.Close()
-		if err := trace.WriteJSONL(f, trace.FromReport(rep)); err != nil {
+		if err := metrics.WriteJSONL(f, metrics.Trace(rep)); err != nil {
 			fmt.Fprintf(os.Stderr, "plbsim: %v\n", err)
 			return 1
 		}

@@ -49,7 +49,7 @@ func chaosRecords(t *testing.T) []starpu.TaskRecord {
 	})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 16384})
 	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-		Retry: starpu.DefaultRetryPolicy(),
+		Retry: true,
 	})
 	if err := chaosScenario().Apply(sess, clu); err != nil {
 		t.Fatal(err)

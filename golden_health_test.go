@@ -106,7 +106,7 @@ func TestGoldenChaosWithNilHealth(t *testing.T) {
 	})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 16384})
 	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-		Retry:  starpu.DefaultRetryPolicy(),
+		Retry:  true,
 		Health: nil,
 	})
 	if err := chaosScenario().Apply(sess, clu); err != nil {

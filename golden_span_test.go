@@ -90,7 +90,7 @@ func TestGoldenChaosWithSpans(t *testing.T) {
 	})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 16384})
 	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-		Retry: starpu.DefaultRetryPolicy(),
+		Retry: true,
 	})
 	if err := chaosScenario().Apply(sess, clu); err != nil {
 		t.Fatal(err)

@@ -163,7 +163,7 @@ func runChaosRep(r *Runner, size int64, csc chaosScenario, name SchedName, seed 
 	app := MakeApp(sc.Kind, sc.Size)
 	clu := sc.Cluster(0)
 	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-		Retry: starpu.DefaultRetryPolicy(),
+		Retry: true,
 		Spec:  spec,
 	})
 	sess.SetContext(r.Context())

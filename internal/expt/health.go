@@ -119,7 +119,7 @@ func RunHealthRep(r *Runner, sc HealthScenario, seed int) (*starpu.Report, error
 	app := MakeApp(base.Kind, base.Size)
 	clu := base.Cluster(0)
 	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-		Retry:  starpu.DefaultRetryPolicy(),
+		Retry:  true,
 		Health: sc.Policy,
 	})
 	sess.SetContext(r.Context())

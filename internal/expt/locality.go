@@ -46,13 +46,13 @@ func runLocality(o Options) error {
 		sc := Scenario{
 			Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(),
 			Passes:   localityPasses,
-			Locality: starpu.DefaultLocalityPolicy(),
+			Locality: true,
 		}
 		res, err := r.RunCell(sc, names[ni])
 		if err != nil {
 			return err
 		}
-		sc.Locality = nil
+		sc.Locality = false
 		base, err := r.RunCell(sc, names[ni])
 		if err != nil {
 			return err

@@ -4,18 +4,16 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"plbhec/internal/starpu"
 )
 
 // localitySmokeScenario is the repeated-handle workload the CI smoke gate
 // runs: a small matrix processed four times over on 4 machines, so three of
 // every four touches hit data a residency-aware runtime already shipped.
-func localitySmokeScenario(loc *starpu.LocalityPolicy) Scenario {
+func localitySmokeScenario() Scenario {
 	return Scenario{
 		Kind: MM, Size: 4096, Machines: 4, Seeds: 2,
 		Passes:   4,
-		Locality: loc,
+		Locality: true,
 	}
 }
 
@@ -27,7 +25,7 @@ func localitySmokeScenario(loc *starpu.LocalityPolicy) Scenario {
 func TestLocalitySmokeTransferDrop(t *testing.T) {
 	r := NewRunner(context.Background(), 2)
 	for _, name := range PaperSchedulers() {
-		res, err := r.RunCell(localitySmokeScenario(starpu.DefaultLocalityPolicy()), name)
+		res, err := r.RunCell(localitySmokeScenario(), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,7 +57,7 @@ func TestLocalitySmokeTransferDrop(t *testing.T) {
 func TestLocalityJobsDeterminism(t *testing.T) {
 	sweep := func(jobs int) []string {
 		r := NewRunner(context.Background(), jobs)
-		sc := localitySmokeScenario(starpu.DefaultLocalityPolicy())
+		sc := localitySmokeScenario()
 		sc.Seeds = 3
 		hashes := make([]string, sc.Seeds)
 		err := r.forEach(sc.Seeds, func(i int) error {
@@ -91,8 +89,8 @@ func TestLocalityJobsDeterminism(t *testing.T) {
 }
 
 // TestLocalityNilPolicyIdentical: threading Passes through a Scenario with a
-// nil policy must not perturb the legacy record stream — WithPasses(1)
-// returns the app unchanged and a nil Locality leaves the session in legacy
+// zero-value policy must not perturb the legacy record stream — WithPasses(1)
+// returns the app unchanged and Locality off leaves the session in legacy
 // mode, so the single-pass hash matches a Scenario that never mentions
 // either field.
 func TestLocalityNilPolicyIdentical(t *testing.T) {
@@ -100,7 +98,7 @@ func TestLocalityNilPolicyIdentical(t *testing.T) {
 	plain := Scenario{Kind: MM, Size: 4096, Machines: 4, Seeds: 1}
 	spelled := plain
 	spelled.Passes = 1
-	spelled.Locality = nil
+	spelled.Locality = false
 	a, err := r.RunCell(plain, PLBHeC)
 	if err != nil {
 		t.Fatal(err)

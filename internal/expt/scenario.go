@@ -70,6 +70,21 @@ const (
 	BS  AppKind = "bs"
 )
 
+// CheckApp reports an error unless MakeApp can build kind at size: the kind
+// must be one of the three applications and the size positive. Commands
+// call it to reject bad flags before building anything.
+func CheckApp(kind AppKind, size int64) error {
+	switch kind {
+	case MM, GRN, BS:
+	default:
+		return fmt.Errorf("unknown app %q: want mm, grn or bs", kind)
+	}
+	if size <= 0 {
+		return fmt.Errorf("size %d: want a positive input size", size)
+	}
+	return nil
+}
+
 // MakeApp builds an application instance of the given kind and input size
 // (matrix order, gene count, or option count).
 func MakeApp(kind AppKind, size int64) *apps.App {
@@ -144,10 +159,10 @@ type Scenario struct {
 	// Passes repeats the input this many times over (a repeated-handle
 	// workload: work unit u reads datum u mod Size). <= 1 means one pass.
 	Passes int
-	// Locality, when non-nil, enables data-residency tracking for every
-	// repetition (see starpu.LocalityPolicy). Nil keeps the legacy
-	// re-pay-every-transfer behavior bit-for-bit.
-	Locality *starpu.LocalityPolicy
+	// Locality enables data-residency tracking for every repetition (see
+	// starpu.SimConfig.Locality). Off keeps the legacy re-pay-every-transfer
+	// behavior bit-for-bit.
+	Locality bool
 }
 
 // DefaultSeeds is the paper's repetition count.

@@ -29,10 +29,6 @@ type ServiceScenario struct {
 	Seeds    int   // repetitions (0 = DefaultSeeds)
 	BaseSeed int64 // repetition i seeds cluster noise with BaseSeed+i
 	Policy   starpu.ServicePolicy
-	// Retry/Spec optionally engage the resilience machinery (chaos
-	// composition); nil keeps the plain runtime.
-	Retry *starpu.RetryPolicy
-	Spec  *starpu.SpeculationPolicy
 }
 
 // Label names the scenario for error messages, e.g. "svc-poisson-m2".
@@ -57,10 +53,7 @@ func (s serviceSource) Build(i int) (*starpu.Session, starpu.Scheduler, error) {
 	})
 	pol := sc.Policy
 	pol.Seed += int64(i)
-	sess, err := starpu.NewServiceSimSession(clu, pol, starpu.SimConfig{
-		Retry: sc.Retry,
-		Spec:  sc.Spec,
-	})
+	sess, err := starpu.NewServiceSimSession(clu, pol, starpu.SimConfig{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -19,7 +19,7 @@ func tableI(machines int, seed int64) *cluster.Cluster {
 	})
 }
 
-func mmSession(clu *cluster.Cluster, n int64, retry *starpu.RetryPolicy) *starpu.Session {
+func mmSession(clu *cluster.Cluster, n int64, retry bool) *starpu.Session {
 	app := apps.NewMatMul(apps.MatMulConfig{N: n})
 	return starpu.NewSimSession(clu, app, starpu.SimConfig{Retry: retry})
 }
@@ -111,7 +111,7 @@ func TestRandSeedStable(t *testing.T) {
 // multiply, unwind cleanly, and death must win over a recovery.
 func TestApplyComposition(t *testing.T) {
 	clu := tableI(2, 1)
-	sess := mmSession(clu, 4096, starpu.DefaultRetryPolicy())
+	sess := mmSession(clu, 4096, true)
 	gpu := clu.Machines[0].GPUs[0] // PU 1 — master-local, not probed by faults below
 	target := clu.Machines[1].CPU  // PU 2
 	_ = gpu
@@ -208,7 +208,7 @@ func sched4k() starpu.Scheduler {
 // that was separately killed.
 func TestDeathWinsOverRecovery(t *testing.T) {
 	clu := tableI(2, 1)
-	sess := mmSession(clu, 4096, starpu.DefaultRetryPolicy())
+	sess := mmSession(clu, 4096, true)
 	target := clu.Machines[1].GPUs[0]
 	s := Schedule{Name: "death-vs-recovery", Specs: []FaultSpec{
 		{Kind: BrownOut, At: 100, PU: 3, Duration: 20},
@@ -235,7 +235,7 @@ func TestDeathWinsOverRecovery(t *testing.T) {
 func TestApplyDeterminism(t *testing.T) {
 	run := func() []starpu.TaskRecord {
 		clu := tableI(2, 9)
-		sess := mmSession(clu, 16384, starpu.DefaultRetryPolicy())
+		sess := mmSession(clu, 16384, true)
 		s := Schedule{Name: "determinism", Specs: []FaultSpec{
 			{Kind: BrownOut, At: 2, PU: 3, Duration: 3},
 			{Kind: Degrade, At: 4, PU: 2, Severity: 0.5, Ramp: 2},
@@ -260,7 +260,7 @@ func TestApplyDeterminism(t *testing.T) {
 // installing anything.
 func TestApplyRejectsInvalid(t *testing.T) {
 	clu := tableI(2, 1)
-	sess := mmSession(clu, 4096, nil)
+	sess := mmSession(clu, 4096, false)
 	s := Schedule{Specs: []FaultSpec{{Kind: DeviceDeath, At: 1, PU: 99}}}
 	if err := s.Apply(sess, clu); err == nil {
 		t.Fatal("out-of-range PU accepted")

@@ -1,6 +1,9 @@
 // Package metrics derives the paper's evaluation quantities from runtime
 // task records: makespan, per-processing-unit idleness (Fig. 7), Gantt
-// traces (Fig. 3), and block-size distributions (Fig. 6).
+// traces (Fig. 3), and block-size distributions (Fig. 6). It also turns a
+// report into an ordered event trace, exported as JSON Lines for external
+// tooling, and into a per-unit time breakdown and straggler chain for
+// debugging (trace.go).
 package metrics
 
 import (
@@ -25,7 +28,12 @@ type PUUsage struct {
 // Usage computes per-unit activity from a report. A unit's idle time is
 // measured against the run's makespan, matching the paper's "percentage of
 // time that each CPU and GPU was idle during application execution".
-func Usage(rep *starpu.Report) []PUUsage {
+func Usage(rep *starpu.Report) []PUUsage { return usage(rep, nil) }
+
+// usage is Usage that also adds each unit's queueing waits (submit →
+// transfer start, transfer end → kernel start) into queue when it is
+// non-nil.
+func usage(rep *starpu.Report, queue []float64) []PUUsage {
 	n := len(rep.PUNames)
 	us := make([]PUUsage, n)
 	for i := range us {
@@ -37,6 +45,9 @@ func Usage(rep *starpu.Report) []PUUsage {
 		u.TransferSecs += r.TransferSeconds()
 		u.Tasks++
 		u.Units += r.Units
+		if queue != nil {
+			queue[r.PU] += (r.TransferStart - r.SubmitTime) + (r.ExecStart - r.TransferEnd)
+		}
 	}
 	if rep.Makespan > 0 {
 		for i := range us {

@@ -1,10 +1,4 @@
-// Package trace turns a run report into a structured event trace —
-// task submissions, transfers, kernel executions, distribution changes —
-// that can be exported as JSON Lines for external tooling or analyzed
-// in-process (per-phase time breakdown, critical-path reconstruction,
-// queueing delays). It is the debugging companion to the metrics package:
-// metrics aggregates, trace preserves the event order.
-package trace
+package metrics
 
 import (
 	"encoding/json"
@@ -41,8 +35,9 @@ type Event struct {
 	Shares []float64 `json:"shares,omitempty"`
 }
 
-// FromReport flattens a report into a time-ordered event trace.
-func FromReport(rep *starpu.Report) []Event {
+// Trace flattens a report into a time-ordered event trace: task
+// submissions, transfers, kernel executions and distribution changes.
+func Trace(rep *starpu.Report) []Event {
 	var evs []Event
 	name := func(pu int) string {
 		if pu >= 0 && pu < len(rep.PUNames) {
@@ -88,20 +83,6 @@ func WriteJSONL(w io.Writer, evs []Event) error {
 	return nil
 }
 
-// ReadJSONL parses a JSON Lines trace.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var evs []Event
-	for dec.More() {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return evs, nil
-}
-
 // Breakdown is a per-processing-unit decomposition of where a run's time
 // went.
 type Breakdown struct {
@@ -113,37 +94,25 @@ type Breakdown struct {
 	Idle     float64 // makespan − (exec + queue-visible activity)
 }
 
-// Analyze computes per-unit time breakdowns and the run's makespan from a
-// report.
-func Analyze(rep *starpu.Report) (makespan float64, rows []Breakdown) {
-	makespan = rep.Makespan
-	byPU := make(map[int]*Breakdown)
-	for i, n := range rep.PUNames {
-		byPU[i] = &Breakdown{PU: i, Name: n}
-	}
-	for _, r := range rep.Records {
-		b, ok := byPU[r.PU]
-		if !ok {
-			b = &Breakdown{PU: r.PU, Name: fmt.Sprintf("pu-%d", r.PU)}
-			byPU[r.PU] = b
-		}
-		b.Exec += r.ExecSeconds()
-		b.Transfer += r.TransferSeconds()
-		b.Queue += (r.TransferStart - r.SubmitTime) + (r.ExecStart - r.TransferEnd)
-	}
-	for _, b := range byPU {
-		b.Idle = makespan - b.Exec - b.Transfer - b.Queue
+// Analyze computes per-unit time breakdowns, in cluster order, from Usage's
+// per-unit sums plus each unit's queueing waits.
+func Analyze(rep *starpu.Report) []Breakdown {
+	queue := make([]float64, len(rep.PUNames))
+	us := usage(rep, queue)
+	rows := make([]Breakdown, len(us))
+	for i, u := range us {
+		b := Breakdown{PU: u.PU, Name: u.Name, Exec: u.BusySeconds, Transfer: u.TransferSecs, Queue: queue[i]}
+		b.Idle = rep.Makespan - b.Exec - b.Transfer - b.Queue
 		if b.Idle < 0 {
 			b.Idle = 0
 		}
-		rows = append(rows, *b)
+		rows[i] = b
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].PU < rows[j].PU })
-	return makespan, rows
+	return rows
 }
 
-// CriticalTail returns the sequence of tasks on the unit that finishes
-// last — the straggler chain that sets the makespan.
+// CriticalTail returns the last n tasks, latest first, on the unit that
+// finishes last — the straggler chain that sets the makespan.
 func CriticalTail(rep *starpu.Report, n int) []starpu.TaskRecord {
 	if len(rep.Records) == 0 {
 		return nil

@@ -15,15 +15,6 @@ import (
 // the paper observes for this algorithm.
 type Acosta struct {
 	Config
-	// IterationFraction is the share of the input processed per iteration.
-	IterationFraction float64
-	// Smoothing is the weight of history when updating the per-unit weight
-	// vector (0 adopts each measurement instantly, 1 never adapts).
-	Smoothing float64
-	// StopThreshold ends rebalancing when the relative spread of the
-	// units' iteration times falls below it (the user-defined threshold in
-	// [18]); weights are then frozen.
-	StopThreshold float64
 
 	weights   []float64
 	loads     []float64 // units assigned to each PU this iteration
@@ -34,16 +25,23 @@ type Acosta struct {
 	stats     map[string]float64
 }
 
-// NewAcosta returns the scheduler with the defaults used in the paper's
+// Acosta's parameters, as used in the paper's comparison.
+const (
+	// acostaIterationFraction is the share of the input processed per
+	// iteration.
+	acostaIterationFraction = 0.05
+	// acostaSmoothing is the weight of history when updating the per-unit
+	// weight vector (0 adopts each measurement instantly, 1 never adapts).
+	acostaSmoothing = 0.25
+	// acostaStopThreshold ends rebalancing when the relative spread of the
+	// units' iteration times falls below it (the user-defined threshold in
+	// [18]); weights are then frozen.
+	acostaStopThreshold = 0.05
+)
+
+// NewAcosta returns the scheduler with the parameters used in the paper's
 // comparison.
-func NewAcosta(cfg Config) *Acosta {
-	return &Acosta{
-		Config:            cfg,
-		IterationFraction: 0.05,
-		Smoothing:         0.25,
-		StopThreshold:     0.05,
-	}
-}
+func NewAcosta(cfg Config) *Acosta { return &Acosta{Config: cfg} }
 
 // Name implements starpu.Scheduler.
 func (a *Acosta) Name() string { return "acosta" }
@@ -101,7 +99,7 @@ func (a *Acosta) rebalance(s *starpu.Session) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		a.weights[i] = a.Smoothing*a.weights[i] + (1-a.Smoothing)*rp[i]/srp
+		a.weights[i] = acostaSmoothing*a.weights[i] + (1-acostaSmoothing)*rp[i]/srp
 	}
 	// Stop test: spread of iteration times below the user threshold.
 	lo, hi := a.times[0], a.times[0]
@@ -119,7 +117,7 @@ func (a *Acosta) rebalance(s *starpu.Session) {
 	s.Telemetry().Emit(telemetry.Event{
 		Kind: telemetry.EvRebalance, Time: s.Now(), PU: -1, Name: "iteration",
 	})
-	if hi > 0 && (hi-lo)/hi < a.StopThreshold {
+	if hi > 0 && (hi-lo)/hi < acostaStopThreshold {
 		a.frozen = true
 		a.stats["convergedAt"] = float64(a.iteration)
 		emitPhase(s, "frozen")
@@ -133,7 +131,7 @@ func (a *Acosta) rebalance(s *starpu.Session) {
 // iterations distribute full weighted chunks.
 func (a *Acosta) launchIteration(s *starpu.Session) {
 	a.iteration++
-	chunk := a.IterationFraction * float64(s.TotalUnits())
+	chunk := acostaIterationFraction * float64(s.TotalUnits())
 	if a.iteration == 1 {
 		chunk = a.initialBlock() * float64(len(s.PUs()))
 	}

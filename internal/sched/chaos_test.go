@@ -101,7 +101,7 @@ func TestChaosInvariants(t *testing.T) {
 			})
 			app := apps.NewMatMul(apps.MatMulConfig{N: n})
 			sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-				Retry: starpu.DefaultRetryPolicy(),
+				Retry: true,
 			})
 			if err := schedule.Apply(sess, clu); err != nil {
 				t.Fatalf("%s: apply: %v", label, err)
@@ -131,7 +131,7 @@ func TestChaosMakespanMonotonic(t *testing.T) {
 			clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
 			app := apps.NewMatMul(apps.MatMulConfig{N: 8192})
 			sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-				Retry: starpu.DefaultRetryPolicy(),
+				Retry: true,
 			})
 			if severity < 1 {
 				s := fault.Schedule{Name: "degrade", Specs: []fault.FaultSpec{

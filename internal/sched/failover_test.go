@@ -204,7 +204,7 @@ func TestFailureObservation(t *testing.T) {
 		clu.PUs()[obsPU].Dev.SetSpeedFactor(0)
 		// Start hands every unit a probe block, the dead one included; the
 		// retry policy moves that block to a survivor.
-		sess := starpu.NewSimSession(clu, app, starpu.SimConfig{Retry: starpu.DefaultRetryPolicy()})
+		sess := starpu.NewSimSession(clu, app, starpu.SimConfig{Retry: true})
 		var fits fitPasses
 		rep, failovers := runObserved(t, sess, &fits)
 		checkObserved(t, rep, failovers, obsPU)
@@ -288,7 +288,7 @@ func TestFailureObservationLive(t *testing.T) {
 	}
 	sess := starpu.NewLiveSession(k, starpu.LiveConfig{
 		Workers: workers, TotalUnits: units, AppName: "flip",
-		Retry: starpu.DefaultRetryPolicy(),
+		Retry: true,
 	})
 	victim := sess.PUs()[obsPU].Dev
 	stop := make(chan struct{})

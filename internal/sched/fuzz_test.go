@@ -164,7 +164,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		})
 		app := apps.NewMatMul(apps.MatMulConfig{N: n})
 		sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-			Retry:  starpu.DefaultRetryPolicy(),
+			Retry:  true,
 			Health: health,
 		})
 		if err := schedule.Apply(sess, clu); err != nil {

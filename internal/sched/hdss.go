@@ -27,21 +27,6 @@ import (
 // estimation error can be absorbed by small final blocks.
 type HDSS struct {
 	Config
-	// GrowthFactor multiplies a lane's block size after each adaptive task.
-	GrowthFactor float64
-	// ConvergenceTol ends a lane when consecutive speed samples change
-	// less than this fraction.
-	ConvergenceTol float64
-	// MinLaneSamples and MaxLaneSamples bound a lane's adaptive blocks.
-	MinLaneSamples, MaxLaneSamples int
-	// AdaptiveBudget caps the fraction of the input the adaptive phase may
-	// consume (safety net).
-	AdaptiveBudget float64
-	// DecayFactor shrinks completion-phase rounds (factoring style): each
-	// block is weight × remaining/DecayFactor.
-	DecayFactor float64
-	// MinBlock floors completion-phase block sizes.
-	MinBlock float64
 
 	adaptive  bool
 	converged []bool
@@ -54,20 +39,27 @@ type HDSS struct {
 	stats     map[string]float64
 }
 
-// NewHDSS returns the scheduler with the defaults used in the paper's
+// HDSS's parameters, as used in the paper's comparison. The completion
+// phase hands out blocks the factoring way, with factoringDecay and
+// factoringMinBlock.
+const (
+	// hdssGrowth multiplies a lane's block size after each adaptive task.
+	hdssGrowth = 2
+	// hdssConvergenceTol ends a lane when consecutive speed samples change
+	// less than this fraction.
+	hdssConvergenceTol = 0.10
+	// hdssMinLaneSamples and hdssMaxLaneSamples bound a lane's adaptive
+	// blocks.
+	hdssMinLaneSamples = 2
+	hdssMaxLaneSamples = 10
+	// hdssAdaptiveBudget caps the fraction of the input the adaptive phase
+	// may consume (safety net).
+	hdssAdaptiveBudget = 0.15
+)
+
+// NewHDSS returns the scheduler with the parameters used in the paper's
 // comparison.
-func NewHDSS(cfg Config) *HDSS {
-	return &HDSS{
-		Config:         cfg,
-		GrowthFactor:   2,
-		ConvergenceTol: 0.10,
-		MinLaneSamples: 2,
-		MaxLaneSamples: 10,
-		AdaptiveBudget: 0.15,
-		DecayFactor:    2,
-		MinBlock:       1,
-	}
-}
+func NewHDSS(cfg Config) *HDSS { return &HDSS{Config: cfg} }
 
 // Name implements starpu.Scheduler.
 func (h *HDSS) Name() string { return "hdss" }
@@ -128,12 +120,12 @@ func (h *HDSS) TaskFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	// A lane whose next (doubled) block would exceed 2% of the input stops
 	// training: one straggling lane must not hold a huge chunk hostage at
 	// the phase barrier.
-	if !h.converged[pu] && h.sizes[pu]*h.GrowthFactor > 0.02*float64(s.TotalUnits()) {
+	if !h.converged[pu] && h.sizes[pu]*hdssGrowth > 0.02*float64(s.TotalUnits()) {
 		h.converged[pu] = true
 	}
 	if !h.converged[pu] {
 		// Lane keeps training with a geometrically larger block.
-		h.sizes[pu] *= h.GrowthFactor
+		h.sizes[pu] *= hdssGrowth
 		got := s.Assign(s.PUs()[pu], h.sizes[pu])
 		h.usedUnits += float64(got)
 		if got > 0 {
@@ -154,17 +146,17 @@ func (h *HDSS) TaskFinished(s *starpu.Session, rec starpu.TaskRecord) {
 // the sample cap, or the global budget cap.
 func (h *HDSS) updateConvergence(s *starpu.Session, pu int) {
 	n := len(h.ys[pu])
-	if n >= h.MaxLaneSamples {
+	if n >= hdssMaxLaneSamples {
 		h.converged[pu] = true
 		return
 	}
-	if h.usedUnits >= h.AdaptiveBudget*float64(s.TotalUnits()) {
+	if h.usedUnits >= hdssAdaptiveBudget*float64(s.TotalUnits()) {
 		h.converged[pu] = true
 		return
 	}
-	if n >= h.MinLaneSamples {
+	if n >= hdssMinLaneSamples {
 		prev, cur := h.ys[pu][n-2], h.ys[pu][n-1]
-		if cur > 0 && math.Abs(cur-prev)/cur < h.ConvergenceTol {
+		if cur > 0 && math.Abs(cur-prev)/cur < hdssConvergenceTol {
 			h.converged[pu] = true
 		}
 	}
@@ -211,9 +203,9 @@ func (h *HDSS) assignCompletion(s *starpu.Session, pu int) {
 		pu = best
 	}
 	w := h.weights[pu]
-	block := w * float64(s.Remaining()) / h.DecayFactor
-	if block < h.MinBlock {
-		block = h.MinBlock
+	block := w * float64(s.Remaining()) / factoringDecay
+	if block < factoringMinBlock {
+		block = factoringMinBlock
 	}
 	if w <= 0 {
 		return
@@ -227,7 +219,7 @@ func (h *HDSS) assignCompletion(s *starpu.Session, pu int) {
 func (h *HDSS) freezeWeights(s *starpu.Session) {
 	n := len(s.PUs())
 	speeds := make([]float64, n)
-	probe := float64(s.Remaining()) / (h.DecayFactor * float64(n))
+	probe := float64(s.Remaining()) / (factoringDecay * float64(n))
 	if probe < 1 {
 		probe = 1
 	}

@@ -8,7 +8,7 @@ import (
 // This file is the scheduler side of the data-residency subsystem: shared
 // helpers that fold a unit's expected transfer cost — scaled by its observed
 // handle miss fraction — into each policy's placement objective. Every
-// helper is inert when the session runs without a LocalityPolicy, so legacy
+// helper is inert when the session runs without locality, so legacy
 // schedules stay bit-identical.
 
 // localityCurve augments a unit's fitted time curve with its expected

@@ -68,14 +68,6 @@ type PLBHeC struct {
 	// same-proportion tasks per unit, giving the execution phase the
 	// repeated-task structure of Fig. 3.
 	ExecutionSteps int
-	// ModelDataCap stops the modeling phase once this fraction of the data
-	// has been consumed (paper: 20%).
-	ModelDataCap float64
-	// MaxModelRounds bounds probing (safety net beyond the data cap).
-	MaxModelRounds int
-	// CoverageFactor: probing continues while a unit's anticipated
-	// execution block exceeds this multiple of its largest probe.
-	CoverageFactor float64
 	// Solver is passed to ipm.NewSolver, which ignores it: the water-filling
 	// solver has nothing to tune.
 	//
@@ -174,15 +166,23 @@ const (
 	phaseDraining
 )
 
+const (
+	// modelDataCap stops the modeling phase once this fraction of the data
+	// has been consumed (paper: 20%).
+	modelDataCap = 0.20
+	// maxModelRounds bounds probing (safety net beyond the data cap).
+	maxModelRounds = 12
+	// coverageFactor: probing continues while a unit's anticipated
+	// execution block exceeds this multiple of its largest probe.
+	coverageFactor = 16
+)
+
 // NewPLBHeC returns the scheduler with the paper's defaults.
 func NewPLBHeC(cfg Config) *PLBHeC {
 	return &PLBHeC{
 		Config:         cfg,
 		Threshold:      0.10,
 		ExecutionSteps: 4,
-		ModelDataCap:   0.20,
-		MaxModelRounds: 12,
-		CoverageFactor: 16,
 	}
 }
 
@@ -286,8 +286,8 @@ func (p *PLBHeC) modelingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 		if err == nil {
 			p.models, p.modelsOK = ms, true
 			emitFit(s, ms, p.dead)
-			capUnits := p.ModelDataCap * float64(s.TotalUnits())
-			if p.usedUnits >= capUnits || p.round >= p.MaxModelRounds {
+			capUnits := modelDataCap * float64(s.TotalUnits())
+			if p.usedUnits >= capUnits || p.round >= maxModelRounds {
 				p.beginExecution(s)
 				return
 			}
@@ -338,7 +338,7 @@ func (p *PLBHeC) modelingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 }
 
 // coverageOK reports whether every unit's largest probe is within a factor
-// CoverageFactor of the block size it is likely to receive in the execution
+// coverageFactor of the block size it is likely to receive in the execution
 // phase (estimated from measured throughputs, no solver needed). R² only
 // measures interpolation quality; this guards the *extrapolation* the
 // block-size selection will perform — an implementation refinement of
@@ -366,7 +366,7 @@ func (p *PLBHeC) coverageOK(s *starpu.Session) bool {
 	}
 	for pu := 0; pu < n; pu++ {
 		anticipated := rates[pu] / sum * float64(s.Remaining()) / steps
-		if anticipated >= 1 && anticipated > p.CoverageFactor*maxProbe[pu] {
+		if anticipated >= 1 && anticipated > coverageFactor*maxProbe[pu] {
 			return false
 		}
 	}

@@ -15,20 +15,20 @@ type StaticProfile struct {
 	// Rates are the profiled units-per-second of each processing unit,
 	// obtained from a previous execution (see RatesFromReport).
 	Rates []float64
-	// Chunks splits each unit's share into this many equal blocks (1 =
-	// single block, the pure static scheme).
-	Chunks int
 
 	blocks []float64
 	issued []int
 }
 
+// staticProfileChunks is how many equal kernel launches StaticProfile
+// splits each unit's share into: the distribution is fixed up front, but
+// the device still processes it as a sequence of kernels, as any real
+// implementation of [17] would.
+const staticProfileChunks = 8
+
 // NewStaticProfile builds the scheduler from previously profiled rates.
-// Each unit's share is issued as 8 equal kernel launches (Chunks) — the
-// distribution is fixed up front, but the device still processes it as a
-// sequence of kernels, as any real implementation of [17] would.
 func NewStaticProfile(rates []float64) *StaticProfile {
-	return &StaticProfile{Rates: rates, Chunks: 8}
+	return &StaticProfile{Rates: rates}
 }
 
 // RatesFromReport derives per-unit processing rates (units per busy
@@ -73,10 +73,6 @@ func (sp *StaticProfile) Start(s *starpu.Session) {
 	if sum == 0 {
 		return
 	}
-	chunks := sp.Chunks
-	if chunks < 1 {
-		chunks = 1
-	}
 	total := float64(s.Remaining())
 	sp.blocks = make([]float64, n)
 	sp.issued = make([]int, n)
@@ -88,7 +84,7 @@ func (sp *StaticProfile) Start(s *starpu.Session) {
 		if share < 0.5 {
 			continue
 		}
-		sp.blocks[i] = share / float64(chunks)
+		sp.blocks[i] = share / staticProfileChunks
 		s.Assign(pu, sp.blocks[i])
 		sp.issued[i]++
 	}
@@ -104,7 +100,7 @@ func (sp *StaticProfile) TaskFinished(s *starpu.Session, rec starpu.TaskRecord) 
 	if s.Remaining() == 0 {
 		return
 	}
-	if sp.issued != nil && sp.issued[rec.PU] < sp.Chunks && sp.blocks[rec.PU] >= 0.5 &&
+	if sp.issued != nil && sp.issued[rec.PU] < staticProfileChunks && sp.blocks[rec.PU] >= 0.5 &&
 		!s.PUs()[rec.PU].Dev.Failed() {
 		s.Assign(s.PUs()[rec.PU], sp.blocks[rec.PU])
 		sp.issued[rec.PU]++
@@ -136,17 +132,21 @@ type WeightedFactoring struct {
 	// Weights are the fixed speed factors; nil means equal weights (the
 	// classic factoring scheme for homogeneous processors).
 	Weights []float64
-	// DecayFactor controls the per-round halving.
-	DecayFactor float64
-	// MinBlock floors block sizes.
-	MinBlock float64
 
 	weights []float64
 }
 
+// Factoring's classic halving rounds: each block is weight ×
+// remaining/factoringDecay, floored at factoringMinBlock units. HDSS's
+// completion phase uses the same rule.
+const (
+	factoringDecay    = 2
+	factoringMinBlock = 1
+)
+
 // NewWeightedFactoring returns the scheduler with classic halving rounds.
 func NewWeightedFactoring(cfg Config, weights []float64) *WeightedFactoring {
-	return &WeightedFactoring{Config: cfg, Weights: weights, DecayFactor: 2, MinBlock: 1}
+	return &WeightedFactoring{Config: cfg, Weights: weights}
 }
 
 // Name implements starpu.Scheduler.
@@ -198,9 +198,9 @@ func (w *WeightedFactoring) TaskFinished(s *starpu.Session, rec starpu.TaskRecor
 }
 
 func (w *WeightedFactoring) assign(s *starpu.Session, pu *cluster.PU, i int) {
-	block := w.weights[i] * float64(s.Remaining()) / w.DecayFactor
-	if block < w.MinBlock {
-		block = w.MinBlock
+	block := w.weights[i] * float64(s.Remaining()) / factoringDecay
+	if block < factoringMinBlock {
+		block = factoringMinBlock
 	}
 	s.Assign(pu, block)
 }

@@ -112,7 +112,7 @@ func TestRelatedSchedulersSurviveFailure(t *testing.T) {
 	rates := RatesFromReport(simRun(t, 2, 16384, NewPLBHeC(Config{InitialBlockSize: 8}), 1))
 	for _, mk := range []func() starpu.Scheduler{
 		func() starpu.Scheduler { return NewWeightedFactoring(Config{InitialBlockSize: 8}, nil) },
-		func() starpu.Scheduler { s := NewStaticProfile(rates); s.Chunks = 8; return s },
+		func() starpu.Scheduler { return NewStaticProfile(rates) },
 	} {
 		runWithFailure(t, mk(), puRemoteGPU, 15)
 	}

@@ -43,10 +43,6 @@ func (c Config) initialBlock() float64 {
 // piece of input to any idle processing unit, without any priority").
 type Greedy struct {
 	Config
-	// Prefetch keeps this many blocks queued per unit (StarPU-style data
-	// prefetching: the next block's transfer overlaps the current block's
-	// kernel). 0 or 1 means no prefetching.
-	Prefetch int
 
 	blocks   float64 // blocks dispatched
 	reroutes float64 // blocks redirected away from a failed unit
@@ -65,21 +61,15 @@ func NewGreedy(cfg Config) *Greedy { return &Greedy{Config: cfg} }
 // Name implements starpu.Scheduler.
 func (g *Greedy) Name() string { return "greedy" }
 
-// Start hands each unit its initial queue of blocks (one, or Prefetch).
+// Start hands each unit its first block.
 func (g *Greedy) Start(s *starpu.Session) {
-	depth := g.Prefetch
-	if depth < 1 {
-		depth = 1
-	}
-	for d := 0; d < depth; d++ {
-		for _, pu := range s.PUs() {
-			if s.Remaining() == 0 {
-				return
-			}
-			if !pu.Dev.Failed() {
-				if s.Assign(pu, g.initialBlock()) > 0 {
-					g.blocks++
-				}
+	for _, pu := range s.PUs() {
+		if s.Remaining() == 0 {
+			return
+		}
+		if !pu.Dev.Failed() {
+			if s.Assign(pu, g.initialBlock()) > 0 {
+				g.blocks++
 			}
 		}
 	}

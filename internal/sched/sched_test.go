@@ -309,50 +309,6 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
-func TestGreedyPrefetchOverlapsTransfers(t *testing.T) {
-	// With prefetch depth 2 the next block's transfer overlaps the current
-	// kernel — and the queued block also doubles each unit's head-of-line
-	// commitment, which on any CPU+GPU mix makes the slow units' tails
-	// *longer*. Both effects are verified: transfers overlap execution,
-	// and the makespan grows on the mixed cluster (one more reason
-	// fixed-block greedy struggles, since StarPU prefetches regardless).
-	run := func(s starpu.Scheduler) *starpu.Report {
-		clu := cluster.Homogeneous(2, cluster.Config{Seed: 9, NoiseSigma: cluster.DefaultNoiseSigma})
-		app := apps.NewMatMul(apps.MatMulConfig{N: 8192})
-		rep, err := starpu.NewSimSession(clu, app, starpu.SimConfig{}).Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	plain := NewGreedy(Config{InitialBlockSize: 256})
-	pre := NewGreedy(Config{InitialBlockSize: 256})
-	pre.Prefetch = 2
-	a := run(plain)
-	b := run(pre)
-	if unitsProcessed(b) != 8192 {
-		t.Fatalf("prefetch run processed %d units", unitsProcessed(b))
-	}
-	if b.Makespan < a.Makespan*0.999 {
-		t.Errorf("expected prefetch (%.4fs) to extend the CPU tail vs plain greedy (%.4fs)",
-			b.Makespan, a.Makespan)
-	}
-	// And a kernel must start while another block's transfer is running on
-	// the same machine (actual overlap observed).
-	overlap := false
-	for _, r1 := range b.Records {
-		for _, r2 := range b.Records {
-			if r1.PU == r2.PU && r1.Seq != r2.Seq &&
-				r2.TransferStart < r1.ExecEnd && r2.TransferEnd > r1.ExecStart {
-				overlap = true
-			}
-		}
-	}
-	if !overlap {
-		t.Error("no transfer/execute overlap observed with prefetching")
-	}
-}
-
 func TestPLBHeCEqualTimeFirstBlocks(t *testing.T) {
 	// The defining property of the block-size selection (Eq. 4): after the
 	// first solve, each unit's first execution-phase block takes roughly

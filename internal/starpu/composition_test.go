@@ -17,8 +17,8 @@ import (
 
 // composition is one row of the table: which policies the session carries.
 type composition struct {
-	name                string
-	retry, spec, health bool
+	name                          string
+	retry, spec, health, locality bool
 }
 
 var compositions = []composition{
@@ -27,18 +27,17 @@ var compositions = []composition{
 	{name: "Retry+Spec", retry: true, spec: true},
 	{name: "Health", health: true},
 	{name: "Health+Spec", health: true, spec: true},
+	{name: "Locality", locality: true},
+	{name: "Locality+Retry+Spec", locality: true, retry: true, spec: true},
+	{name: "Locality+Health", locality: true, health: true},
 }
 
-func (c composition) policies() (*RetryPolicy, *SpeculationPolicy) {
-	var retry *RetryPolicy
-	if c.retry {
-		retry = DefaultRetryPolicy()
+// specPolicy returns the row's speculation policy, nil when the row has none.
+func (c composition) specPolicy() *SpeculationPolicy {
+	if !c.spec {
+		return nil
 	}
-	var spec *SpeculationPolicy
-	if c.spec {
-		spec = &SpeculationPolicy{DeadlineMultiplier: 2, MinObservations: 1, SlowAfter: 2}
-	}
-	return retry, spec
+	return &SpeculationPolicy{DeadlineMultiplier: 2, MinObservations: 1, SlowAfter: 2}
 }
 
 // aliveScheduler hands each finishing unit its next block, moving to the
@@ -110,8 +109,7 @@ func TestCompositionTable(t *testing.T) {
 	block := float64(n) / 32
 	newSession := func(c composition) (*Session, *cluster.Cluster) {
 		clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
-		retry, spec := c.policies()
-		cfg := SimConfig{Retry: retry, Spec: spec}
+		cfg := SimConfig{Retry: c.retry, Spec: c.specPolicy(), Locality: c.locality}
 		if c.health {
 			cfg.Health = DefaultHealthPolicy()
 		}
@@ -165,6 +163,7 @@ func TestCompositionTable(t *testing.T) {
 			if c.spec && specs == 0 {
 				t.Error("the straggler tripped no watchdog")
 			}
+			checkLocality(t, c, rep)
 		})
 	}
 }
@@ -177,13 +176,13 @@ func TestCompositionTableLive(t *testing.T) {
 	for _, c := range compositions {
 		t.Run("live/"+c.name, func(t *testing.T) {
 			k := &countingSleepKernel{hits: make([]int32, units), perUnit: 200 * time.Microsecond}
-			retry, spec := c.policies()
 			cfg := LiveConfig{
 				Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}, {Name: "w2", Slowdown: 4}},
 				TotalUnits: units,
 				AppName:    "counting",
-				Retry:      retry,
-				Spec:       spec,
+				Retry:      c.retry,
+				Spec:       c.specPolicy(),
+				Locality:   c.locality,
 			}
 			if c.health {
 				cfg.Health = liveHealthPolicy()
@@ -215,6 +214,22 @@ func TestCompositionTableLive(t *testing.T) {
 				}
 			}
 			checkSettled(t, s)
+			checkLocality(t, c, rep)
 		})
+	}
+}
+
+// checkLocality asserts that a locality row ran with the residency cache
+// charging its transfers, and that no other row did.
+func checkLocality(t *testing.T, c composition, rep *Report) {
+	t.Helper()
+	if !c.locality {
+		if rep.Locality != nil {
+			t.Error("a row without locality reported residency")
+		}
+		return
+	}
+	if rep.Locality == nil || rep.Locality.Misses == 0 {
+		t.Errorf("the residency cache charged no transfer: %+v", rep.Locality)
 	}
 }

@@ -124,9 +124,6 @@ func (s *Session) release(c *blockCopy) {
 // data no earlier than earliest; retries is how often the block was
 // requeued before. A unit that cannot run the copy bounces it at once.
 func (s *Session) launch(pu, seq int, lo, hi int64, earliest float64, retries int) {
-	if !s.checkMemory(pu, seq, hi-lo) {
-		return // typed violation recorded; the queue drains and Run reports it
-	}
 	c := s.newCopy(pu, seq, lo, hi, retries)
 	c.token = s.leaseTokenFor(pu, seq)
 	if !s.eng.launch(c, earliest) {
@@ -237,7 +234,7 @@ func (s *Session) deliver(c *blockCopy) {
 
 // bounce takes back a copy its unit could not run: the device was down at
 // launch on the simulator, or at pickup on the live engine. Without a
-// RetryPolicy the run fails. A dead or revoked copy was settled before and
+// retry the run fails. A dead or revoked copy was settled before and
 // is only released; a copy whose twin still runs leaves the block to the
 // twin; any other block is requeued onto a survivor.
 func (s *Session) bounce(c *blockCopy) {
@@ -248,7 +245,7 @@ func (s *Session) bounce(c *blockCopy) {
 	}
 	requeue := false
 	switch {
-	case s.retry == nil:
+	case !s.retry:
 		s.fail(fmt.Errorf("starpu: block %d (%d units) launched on %s: %w",
 			rec.Seq, rec.Units, pu.Name(), ErrFailedDevice))
 	case c.state != copyRunning:
@@ -266,11 +263,10 @@ func (s *Session) bounce(c *blockCopy) {
 }
 
 // cancel kills every running copy on unit pu that its engine can still
-// interrupt; the unit's device just died. Nothing moves without a
-// RetryPolicy. Copies already revoked keep running and are fenced when they
-// finish.
+// interrupt; the unit's device just died. Nothing moves without retry.
+// Copies already revoked keep running and are fenced when they finish.
 func (s *Session) cancel(pu int) {
-	if s.retry == nil {
+	if !s.retry {
 		return
 	}
 	now := s.eng.now()
@@ -283,9 +279,9 @@ func (s *Session) cancel(pu int) {
 }
 
 // abandon kills a copy whose result sits behind a permanent partition and
-// will never reach the master; without a RetryPolicy the run fails.
+// will never reach the master; without retry the run fails.
 func (s *Session) abandon(c *blockCopy) {
-	if s.retry == nil {
+	if !s.retry {
 		s.fail(fmt.Errorf("starpu: block %d (%d units) stranded behind a permanent partition on %s: %w",
 			c.rec.Seq, c.rec.Units, s.pus[c.rec.PU].Name(), ErrFailedDevice))
 	} else if c.state == copyRunning {

@@ -23,8 +23,7 @@ import (
 // profile intact.
 //
 // A nil *HealthPolicy (the default) disables all of it at zero cost.
-// HealthPolicy implies retry: sessions default to DefaultRetryPolicy when
-// none is configured, since suspicion without requeueing is useless.
+// HealthPolicy implies retry, since suspicion without requeueing is useless.
 type HealthPolicy struct {
 	// HeartbeatSeconds is the worker heartbeat period (default 0.05).
 	HeartbeatSeconds float64
@@ -36,15 +35,18 @@ type HealthPolicy struct {
 	// i.e. P(false positive) ≈ 1e-8 under the fitted arrival model).
 	PhiThreshold float64
 	// TimeoutSeconds is the deadline detector's timeout, and the bootstrap
-	// timeout the phi detector uses before it has MinSamples intervals
+	// timeout the phi detector uses before it has phiMinSamples intervals
 	// (default 3 × HeartbeatSeconds).
 	TimeoutSeconds float64
-	// WindowSize is the phi detector's interval window (default 32).
-	WindowSize int
-	// MinSamples is how many intervals the phi detector needs before
-	// trusting its fitted distribution (default 3).
-	MinSamples int
 }
+
+const (
+	// phiWindowSize is the phi detector's interval window.
+	phiWindowSize = 32
+	// phiMinSamples is how many intervals the phi detector needs before
+	// trusting its fitted distribution.
+	phiMinSamples = 3
+)
 
 // DefaultHealthPolicy returns the policy used by the chaos experiments:
 // 50 ms heartbeats under a phi-accrual detector at threshold 8.
@@ -54,8 +56,6 @@ func DefaultHealthPolicy() *HealthPolicy {
 		Detector:         "phi",
 		PhiThreshold:     8,
 		TimeoutSeconds:   0.15,
-		WindowSize:       32,
-		MinSamples:       3,
 	}
 }
 
@@ -78,12 +78,6 @@ func (p *HealthPolicy) normalized() *HealthPolicy {
 	if !(q.TimeoutSeconds > 0) {
 		q.TimeoutSeconds = 3 * q.HeartbeatSeconds
 	}
-	if q.WindowSize <= 0 {
-		q.WindowSize = 32
-	}
-	if q.MinSamples <= 0 {
-		q.MinSamples = 3
-	}
 	return &q
 }
 
@@ -98,8 +92,8 @@ func (p *HealthPolicy) detectorConfig() health.Config {
 		IntervalSeconds: p.HeartbeatSeconds,
 		PhiThreshold:    p.PhiThreshold,
 		TimeoutSeconds:  p.TimeoutSeconds,
-		WindowSize:      p.WindowSize,
-		MinSamples:      p.MinSamples,
+		WindowSize:      phiWindowSize,
+		MinSamples:      phiMinSamples,
 	}
 }
 
@@ -109,9 +103,7 @@ func (s *Session) initHealth() {
 	if s.health == nil {
 		return
 	}
-	if s.retry == nil {
-		s.retry = DefaultRetryPolicy().normalized()
-	}
+	s.retry = true
 	n := len(s.pus)
 	s.det = health.NewDetector(s.health.detectorConfig(), n)
 	s.leases = health.NewLeaseTable()

@@ -237,7 +237,7 @@ func TestHealthFlappingBrownouts(t *testing.T) {
 func TestHealthBlacklistLiftCounted(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 1, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 512})
-	sess := NewSimSession(clu, app, SimConfig{Retry: DefaultRetryPolicy()})
+	sess := NewSimSession(clu, app, SimConfig{Retry: true})
 	tel := telemetry.New()
 	tel.Attach(telemetry.NewRunMetrics(tel.Registry(), []string{"A/cpu", "A/gpu"}))
 	sess.AttachTelemetry(tel)
@@ -505,7 +505,7 @@ func TestHealthPolicyNormalization(t *testing.T) {
 	if q.HeartbeatSeconds != 0.05 || q.Detector != "phi" || q.PhiThreshold != 8 {
 		t.Errorf("bad defaults: %+v", q)
 	}
-	if q.TimeoutSeconds != 3*q.HeartbeatSeconds || q.WindowSize != 32 || q.MinSamples != 3 {
+	if q.TimeoutSeconds != 3*q.HeartbeatSeconds {
 		t.Errorf("bad defaults: %+v", q)
 	}
 	d := DefaultHealthPolicy().normalized()

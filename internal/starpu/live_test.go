@@ -163,7 +163,6 @@ func TestLiveScheduleAt(t *testing.T) {
 
 	t.Run("retry", func(t *testing.T) {
 		const units, block = 480, 20
-		const backoff = 0.02
 		k := &countingKernel{hits: make([]int32, units)}
 		slow := kernelFunc(func(lo, hi int64) {
 			k.Execute(lo, hi)
@@ -172,7 +171,7 @@ func TestLiveScheduleAt(t *testing.T) {
 		sess := NewLiveSession(slow, LiveConfig{
 			Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}},
 			TotalUnits: units,
-			Retry:      &RetryPolicy{BackoffSeconds: backoff},
+			Retry:      true,
 		})
 		requeued := map[int]int{}
 		tel := telemetry.New()
@@ -230,9 +229,9 @@ func TestLiveScheduleAt(t *testing.T) {
 			if n := requeued[r.Seq]; n != 1 {
 				t.Errorf("block %d requeued %d times, want exactly 1", r.Seq, n)
 			}
-			if r.SubmitTime < killedAt+backoff {
+			if r.SubmitTime < killedAt+retryBackoffSeconds {
 				t.Errorf("block %d relaunched at %g, less than the %g s backoff after the kill at %g",
-					r.Seq, r.SubmitTime, backoff, killedAt)
+					r.Seq, r.SubmitTime, retryBackoffSeconds, killedAt)
 			}
 		}
 		if moved == 0 {

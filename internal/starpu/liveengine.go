@@ -88,13 +88,13 @@ type LiveConfig struct {
 	// the Name is required in live mode.
 	Profile device.KernelProfile
 	AppName string
-	// Retry, when non-nil, enables runtime failover: blocks picked up by a
-	// worker whose device is marked failed bounce back and are requeued on
-	// a survivor after the policy's backoff, measured on the wall clock.
-	// Real computation cannot be interrupted mid-kernel, so a block already
-	// executing when its device is failed still completes. Nil preserves the
-	// legacy behavior (failures are ignored entirely).
-	Retry *RetryPolicy
+	// Retry enables runtime failover: blocks picked up by a worker whose
+	// device is marked failed bounce back and are requeued on a survivor
+	// after the retry backoff, measured on the wall clock. Real computation
+	// cannot be interrupted mid-kernel, so a block already executing when
+	// its device is failed still completes. Off preserves the legacy
+	// behavior (failures are ignored entirely).
+	Retry bool
 	// Spec, when non-nil, enables tail tolerance: blocks that outlive their
 	// watchdog deadline get a backup copy on another worker, first
 	// completion wins, and the loser's result is discarded. The two copies
@@ -104,23 +104,20 @@ type LiveConfig struct {
 	// where each copy runs its own app's kernel. Nil preserves the legacy
 	// behavior exactly.
 	Spec *SpeculationPolicy
-	// Locality, when non-nil, enables data-residency tracking. Live workers
-	// share host memory (no modeled NIC/PCIe), so residency does not change
-	// timing; it drives the hit/miss accounting and makes requeue and
-	// speculation targets prefer workers that already touched the block's
-	// data (warm caches). Nil preserves the legacy behavior exactly.
-	Locality *LocalityPolicy
-	// DataUnits is the number of distinct data units behind TotalUnits for
-	// residency purposes (work unit u reads datum u mod DataUnits). <= 0
-	// means TotalUnits — every unit its own datum.
-	DataUnits int64
+	// Locality enables data-residency tracking, every work unit its own
+	// datum. Live workers share host memory (no modeled NIC/PCIe), so
+	// residency does not change timing; it drives the hit/miss accounting
+	// and makes requeue and speculation targets prefer workers that already
+	// touched the block's data (warm caches). Off preserves the legacy
+	// behavior exactly.
+	Locality bool
 	// Health, when non-nil, enables heartbeat failure detection: workers
 	// emit periodic heartbeats as engine timers, a failure detector
 	// (phi-accrual or deadline) suspects units whose heartbeats stop, and a
 	// suspect's blocks are reassigned under fencing leases — a late result
 	// from a falsely-suspected unit is discarded deterministically,
-	// preserving exactly-once delivery. Implies Retry (DefaultRetryPolicy
-	// when none is set). Nil preserves the legacy behavior exactly.
+	// preserving exactly-once delivery. Implies Retry. Nil preserves the
+	// legacy behavior exactly.
 	Health *HealthPolicy
 }
 
@@ -151,18 +148,14 @@ func NewLiveSession(kernel LiveKernel, cfg LiveConfig) *Session {
 		pus:     clu.PUs(),
 		profile: cfg.Profile,
 		appName: cfg.AppName,
-		retry:   cfg.Retry.normalized(),
+		retry:   cfg.Retry,
 		spec:    cfg.Spec.normalized(),
-		loc:     cfg.Locality.normalized(),
 		health:  cfg.Health.normalized(),
 	}
 	s.initCommon(cfg.TotalUnits)
-	s.memCap = make([]float64, len(s.pus)) // host workers: unlimited memory
-	du := cfg.DataUnits
-	if du <= 0 {
-		du = cfg.TotalUnits
+	if cfg.Locality {
+		s.initLocality(cfg.TotalUnits, nil) // host workers: unlimited memory
 	}
-	s.initLocality(du, s.memCap)
 	le := &liveEngine{
 		session:   s,
 		kernel:    kernel,
@@ -323,7 +316,7 @@ func (e *liveEngine) workerLoop(id int, ch chan liveAssign) {
 		par = 1
 	}
 	dev := e.session.pus[id].Dev
-	bounce := e.session.retry != nil
+	bounce := e.session.retry
 	for a := range ch {
 		lo, hi := a.c.rec.Lo, a.c.rec.Hi
 		if bounce && dev.Failed() {

@@ -1,79 +1,22 @@
 package starpu
 
 import (
-	"errors"
-	"fmt"
-
 	"plbhec/internal/residency"
 	"plbhec/internal/telemetry"
 )
 
-// This file is the session side of the data-residency subsystem: the opt-in
-// LocalityPolicy, the per-handle residency cache charged by both engines,
-// the transfer-cost accessors placement decisions consult, and the
-// memory-capacity enforcement. Nil policy keeps every legacy code path —
-// and the golden record streams — bit-identical, mirroring RetryPolicy and
-// SpeculationPolicy.
-
-// ErrMemoryExceeded reports a placement whose input exceeds the target
-// device's memory capacity while legacy memory enforcement is on. Use
-// errors.Is against run errors; the concrete *MemoryExceededError carries
-// the numbers.
-var ErrMemoryExceeded = errors.New("device memory capacity exceeded")
-
-// MemoryExceededError is the typed validation error for a block whose input
-// bytes cannot fit the target device (SimConfig.EnforceMemory, legacy mode
-// only — with a LocalityPolicy attached the residency cache enforces
-// capacity by LRU eviction and streaming instead).
-type MemoryExceededError struct {
-	PU            string  // unit name, e.g. "B/GTX 295"
-	Seq           int     // block sequence number
-	BlockBytes    float64 // input bytes of the offending block
-	CapacityBytes float64 // the device's memory capacity
-}
-
-// Error implements error.
-func (e *MemoryExceededError) Error() string {
-	return fmt.Sprintf("starpu: block %d needs %.0f bytes on %s (capacity %.0f): %v",
-		e.Seq, e.BlockBytes, e.PU, e.CapacityBytes, ErrMemoryExceeded)
-}
-
-// Unwrap makes errors.Is(err, ErrMemoryExceeded) work.
-func (e *MemoryExceededError) Unwrap() error { return ErrMemoryExceeded }
-
-// LocalityPolicy opts a session into data-residency tracking: shipped block
-// inputs stay resident on their device (handle-granular LRU bounded by
+// This file is the session side of the data-residency subsystem, switched on
+// by SimConfig.Locality / LiveConfig.Locality: shipped block inputs stay
+// resident on their device (handle-granular LRU bounded by
 // device.Spec.MemGB), transfers are charged only for the bytes actually
 // missing, and placement decisions — schedulers, requeue, speculation —
-// weigh where a block's data already lives. A nil policy (the default)
-// disables all of it and keeps the legacy behavior bit-for-bit.
-type LocalityPolicy struct {
-	// HandleUnits is the residency tile size in work units. <= 0 means the
-	// default (residency.DefaultHandleUnits).
-	HandleUnits int64
-}
-
-// DefaultLocalityPolicy returns the policy used by the locality experiments.
-func DefaultLocalityPolicy() *LocalityPolicy {
-	return &LocalityPolicy{HandleUnits: residency.DefaultHandleUnits}
-}
-
-// normalized returns a copy with defaults filled in, mirroring RetryPolicy.
-func (p *LocalityPolicy) normalized() *LocalityPolicy {
-	if p == nil {
-		return nil
-	}
-	q := *p
-	if q.HandleUnits <= 0 {
-		q.HandleUnits = residency.DefaultHandleUnits
-	}
-	return &q
-}
+// weigh where a block's data already lives. It holds the per-handle
+// residency cache charged by both engines and the transfer-cost accessors
+// placement decisions consult. Without locality every legacy code path —
+// and the golden record streams — stays bit-identical.
 
 // LocalityReport summarizes a locality-enabled run's residency activity.
 type LocalityReport struct {
-	// HandleUnits is the residency tile size the run used.
-	HandleUnits int64
 	// Hits/Misses/Evictions are handle-granular counts over the whole run
 	// (matching plbhec_handle_{hits,misses,evictions}_total).
 	Hits, Misses, Evictions int64
@@ -95,21 +38,18 @@ func (r *LocalityReport) BaselineBytes() float64 {
 // LocalityEnabled reports whether the session tracks data residency.
 func (s *Session) LocalityEnabled() bool { return s.res != nil }
 
-// initLocality builds the residency tracker for a locality-enabled session.
-// capacities are per-unit byte budgets (<= 0 unlimited); dataUnits is the
-// distinct-datum count (work unit u touches datum u mod dataUnits).
+// initLocality builds the residency tracker, with handles of
+// residency.DefaultHandleUnits work units. capacities are per-unit byte
+// budgets (<= 0 or missing: unlimited); dataUnits is the distinct-datum
+// count (work unit u touches datum u mod dataUnits).
 func (s *Session) initLocality(dataUnits int64, capacities []float64) {
-	if s.loc == nil {
-		return
-	}
 	s.res = residency.New(residency.Config{
 		PUs:           len(s.pus),
-		HandleUnits:   s.loc.HandleUnits,
 		BytesPerUnit:  s.profile.TransferBytesPerUnit,
 		DataUnits:     dataUnits,
 		CapacityBytes: capacities,
 	})
-	s.locStats = &LocalityReport{HandleUnits: s.loc.HandleUnits}
+	s.locStats = &LocalityReport{}
 }
 
 // fetchBytes returns the bytes the engine must move to run block [lo, hi)
@@ -151,29 +91,6 @@ func (s *Session) invalidateResidency(pu int) {
 			PU: pu, Units: handles, Value: float64(handles), Aux: bytes,
 		})
 	}
-}
-
-// checkMemory enforces device.Spec.MemGB in legacy mode: with
-// SimConfig.EnforceMemory set and no LocalityPolicy, a block whose input
-// exceeds the target's capacity fails the run with a typed
-// *MemoryExceededError instead of silently simulating an impossible
-// placement. Locality mode never errors — the residency cache evicts and
-// streams to fit. It reports whether the launch may proceed.
-func (s *Session) checkMemory(pu int, seq int, units int64) bool {
-	if !s.enforceMem || s.res != nil {
-		return true
-	}
-	cap := s.memCap[pu]
-	if cap <= 0 {
-		return true
-	}
-	if bytes := float64(units) * s.profile.TransferBytesPerUnit; bytes > cap {
-		s.fail(&MemoryExceededError{
-			PU: s.pus[pu].Name(), Seq: seq, BlockBytes: bytes, CapacityBytes: cap,
-		})
-		return false
-	}
-	return true
 }
 
 // InFlightOn returns the number of blocks currently assigned but unfinished

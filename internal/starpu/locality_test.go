@@ -1,7 +1,6 @@
 package starpu
 
 import (
-	"errors"
 	"testing"
 
 	"plbhec/internal/apps"
@@ -10,17 +9,14 @@ import (
 )
 
 // Tentpole coverage for the data-residency subsystem: capacity under chaos,
-// Report ↔ /metrics agreement, the typed legacy memory error, the zero-byte
-// transfer skip, and locality-aware requeue targeting.
+// Report ↔ /metrics agreement, oversized blocks, the zero-byte transfer skip, and locality-aware requeue targeting.
 
 // localitySession builds an MM sim session with residency tracking, the
 // given pass count, and attached run metrics.
 func localitySession(n int64, passes int, cfg SimConfig) (*Session, *cluster.Cluster, *telemetry.Telemetry) {
 	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: n}).WithPasses(passes)
-	if cfg.Locality == nil {
-		cfg.Locality = DefaultLocalityPolicy()
-	}
+	cfg.Locality = true
 	sess := NewSimSession(clu, app, cfg)
 	tel := telemetry.New()
 	tel.Attach(telemetry.NewRunMetrics(tel.Registry(), []string{"A/cpu", "A/gpu", "B/cpu", "B/gpu"}))
@@ -36,7 +32,7 @@ func localitySession(n int64, passes int, cfg SimConfig) (*Session, *cluster.Clu
 // every unit exactly once.
 func TestLocalityCapacityUnderChaos(t *testing.T) {
 	const n = 16384
-	cfg := SimConfig{Retry: DefaultRetryPolicy()}
+	cfg := SimConfig{Retry: true}
 	sess, clu, _ := localitySession(n, 1, cfg)
 	dev := clu.PUs()[1].Dev // A/Tesla K20c
 	if err := sess.ScheduleAt(0.05, func() {
@@ -102,38 +98,15 @@ func TestLocalityReportMatchesMetrics(t *testing.T) {
 	}
 }
 
-// TestEnforceMemoryTypedError: in legacy mode (no LocalityPolicy) with
-// EnforceMemory on, a block whose input exceeds the target device's MemGB
-// fails the run with a typed *MemoryExceededError instead of silently
-// simulating an impossible placement.
-func TestEnforceMemoryTypedError(t *testing.T) {
+// TestLocalityOversizedBlockRuns: a block whose input exceeds the target
+// device's MemGB runs both by default (the kernel profiles document shared
+// inputs as streamed tiles) and in locality mode, where the residency cache
+// evicts and streams to fit.
+func TestLocalityOversizedBlockRuns(t *testing.T) {
 	// 8N bytes/unit: each unit's quarter-share block is ~1.57 GB, over the
 	// GTX 295's 0.896 GB but under the K20c's 6 GB (CPUs are uncapped).
 	const n = 28000
-	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
-	app := apps.NewMatMul(apps.MatMulConfig{N: n})
-	sess := NewSimSession(clu, app, SimConfig{EnforceMemory: true})
-	_, err := sess.Run(&fixedScheduler{block: n / 4})
-	if err == nil {
-		t.Fatal("an over-capacity block on the GTX 295 must fail the run")
-	}
-	if !errors.Is(err, ErrMemoryExceeded) {
-		t.Fatalf("errors.Is(err, ErrMemoryExceeded) = false for %v", err)
-	}
-	var me *MemoryExceededError
-	if !errors.As(err, &me) {
-		t.Fatalf("errors.As(*MemoryExceededError) = false for %v", err)
-	}
-	if me.PU != "B/GTX 295" {
-		t.Errorf("violating PU = %q, want the 0.896 GB GTX 295", me.PU)
-	}
-	if me.BlockBytes <= me.CapacityBytes {
-		t.Errorf("reported block %.0f bytes does not exceed capacity %.0f", me.BlockBytes, me.CapacityBytes)
-	}
-
-	// The same placement stays legal by default (profiles document streamed
-	// tiles), and in locality mode, where the cache evicts and streams.
-	for _, cfg := range []SimConfig{{}, {EnforceMemory: true, Locality: DefaultLocalityPolicy()}} {
+	for _, cfg := range []SimConfig{{}, {Locality: true}} {
 		clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
 		sess := NewSimSession(clu, apps.NewMatMul(apps.MatMulConfig{N: n}), cfg)
 		if _, err := sess.Run(&fixedScheduler{block: n / 4}); err != nil {
@@ -167,7 +140,7 @@ func TestLocalityFullHitSkipsTransfer(t *testing.T) {
 		}
 		return
 	}
-	loc := run(SimConfig{Locality: DefaultLocalityPolicy()})
+	loc := run(SimConfig{Locality: true})
 	if zero, total := zeroGPU(loc); zero == 0 {
 		t.Errorf("locality second pass produced no zero-transfer GPU block (%d records)", total)
 	}
@@ -181,7 +154,7 @@ func TestLocalityFullHitSkipsTransfer(t *testing.T) {
 // goes to the healthy unit already holding its data, not merely the
 // least-loaded one.
 func TestRequeuePrefersDataHolder(t *testing.T) {
-	sess, _, _ := localitySession(4096, 1, SimConfig{Retry: DefaultRetryPolicy()})
+	sess, _, _ := localitySession(4096, 1, SimConfig{Retry: true})
 	// Warm unit 3 (B/GTX 295) with [0, 256); every other unit is cold.
 	sess.fetchBytes(3, 0, 0, 256)
 	if got := sess.pickRequeueTarget(1, 0, 256); got != 3 {

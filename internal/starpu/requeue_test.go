@@ -60,7 +60,7 @@ func checkMetricsAgree(t *testing.T, rep *Report, reg *telemetry.Registry) {
 func simWithRetry(n int64) (*Session, *cluster.Cluster, *telemetry.Telemetry) {
 	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: n})
-	sess := NewSimSession(clu, app, SimConfig{Retry: DefaultRetryPolicy()})
+	sess := NewSimSession(clu, app, SimConfig{Retry: true})
 	tel := telemetry.New()
 	tel.Attach(telemetry.NewRunMetrics(tel.Registry(), []string{"A/cpu", "A/gpu", "B/cpu", "B/gpu"}))
 	sess.AttachTelemetry(tel)
@@ -166,7 +166,7 @@ func TestRequeueLivePickup(t *testing.T) {
 		Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}, {Name: "w2"}},
 		TotalUnits: units,
 		AppName:    "counting",
-		Retry:      DefaultRetryPolicy(),
+		Retry:      true,
 	})
 	tel := telemetry.New()
 	tel.Attach(telemetry.NewRunMetrics(tel.Registry(), []string{"w0/worker", "w1/worker", "w2/worker"}))
@@ -207,7 +207,7 @@ func TestRequeueLiveMidRunKill(t *testing.T) {
 		Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}},
 		TotalUnits: units,
 		AppName:    "counting",
-		Retry:      DefaultRetryPolicy(),
+		Retry:      true,
 	})
 	killed := false
 	sched := &callbackScheduler{
@@ -248,7 +248,7 @@ func TestRequeueLiveMidRunKill(t *testing.T) {
 func TestRequeueExhaustionSim(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 1, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 1024})
-	sess := NewSimSession(clu, app, SimConfig{Retry: DefaultRetryPolicy()})
+	sess := NewSimSession(clu, app, SimConfig{Retry: true})
 	kill := func() {
 		for i, pu := range clu.PUs() {
 			pu.Dev.SetSpeedFactor(0)
@@ -273,7 +273,7 @@ func TestRequeueExhaustionLive(t *testing.T) {
 		Workers:    []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}},
 		TotalUnits: units,
 		AppName:    "counting",
-		Retry:      DefaultRetryPolicy(),
+		Retry:      true,
 	})
 	for _, pu := range sess.PUs() {
 		pu.Dev.SetSpeedFactor(0)
@@ -289,7 +289,7 @@ func TestRequeueExhaustionLive(t *testing.T) {
 func TestRequeueBlacklist(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 1, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: 512})
-	sess := NewSimSession(clu, app, SimConfig{Retry: DefaultRetryPolicy()})
+	sess := NewSimSession(clu, app, SimConfig{Retry: true})
 	clu.PUs()[1].Dev.SetSpeedFactor(0) // the GPU is dead from the start
 	// A scheduler that stubbornly routes every next block to the dead GPU:
 	// each launch fails, requeues onto the CPU, and charges the GPU with

@@ -8,8 +8,8 @@ import (
 
 // This file is the runtime's failover machinery: fault observation (down/up
 // transitions, deduplicated across observers), and the requeue path that
-// moves blocks off failed units under a RetryPolicy and relaunches them
-// after the policy's backoff through the engine's timer. Cancelling the
+// moves blocks off failed units under the retry policy and relaunches them
+// after its backoff through the engine's timer. Cancelling the
 // copies in flight on a dead unit is the copy table's job (copies.go).
 
 // NoteDeviceDown records that the unit's device has been observed failed.
@@ -63,7 +63,7 @@ func (s *Session) noteDeviceUp(id int) {
 // DeviceStateChanged tells the runtime that the unit's availability may
 // have changed; fault injectors call it right after mutating the device's
 // speed factor. On a down-transition the unit's interruptible copies are
-// cancelled (when a RetryPolicy is attached): their blocks are requeued, or
+// cancelled (when retry is on): their blocks are requeued, or
 // under a HealthPolicy parked until the failure detector moves them. On an
 // up-transition the unit is restored as a requeue target. Idempotent.
 func (s *Session) DeviceStateChanged(id int) {
@@ -90,7 +90,7 @@ func (s *Session) Blacklisted(id int) bool {
 func (s *Session) noteFailure(id int) {
 	s.resilience[id].Failures++
 	s.consecFails[id]++
-	if s.retry != nil && !s.blacklist[id] && s.consecFails[id] >= s.retry.BlacklistAfter {
+	if s.retry && !s.blacklist[id] && s.consecFails[id] >= retryBlacklistAfter {
 		s.blacklist[id] = true
 		s.resilience[id].Blacklisted = true
 		if s.tel != nil {
@@ -126,14 +126,14 @@ func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int
 			Kind: telemetry.EvRequeue, Time: s.eng.now(), PU: fromPU, Seq: seq, Units: hi - lo,
 		})
 	}
-	if s.retry == nil {
+	if !s.retry {
 		s.fail(fmt.Errorf("starpu: block %d requeued without a retry policy: %w", seq, ErrFailedDevice))
 		return
 	}
 	next := retries + 1
-	if next > s.retry.MaxRetries {
+	if next > retryMax {
 		s.fail(fmt.Errorf("starpu: block %d (%d units) exhausted %d retries, last on %s: %w",
-			seq, hi-lo, s.retry.MaxRetries, s.pus[fromPU].Name(), ErrFailedDevice))
+			seq, hi-lo, retryMax, s.pus[fromPU].Name(), ErrFailedDevice))
 		return
 	}
 	target := s.pickRequeueTarget(fromPU, lo, hi)
@@ -146,7 +146,7 @@ func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int
 	if s.leases != nil {
 		s.leases.Grant(seq, target, lo, hi, next)
 	}
-	s.eng.at(s.eng.now()+s.retry.backoff(next), func() {
+	s.eng.at(s.eng.now()+retryBackoff(next), func() {
 		// Under a HealthPolicy the lease may have moved again during the
 		// backoff (the target was itself suspected): the newer copy owns
 		// the block and this relaunch stands down.
@@ -162,7 +162,7 @@ func (s *Session) requeueBlockSettled(fromPU, seq int, lo, hi int64, retries int
 // qualifies. Candidates are ranked by missing bytes for the block's data
 // (locality mode — work should land where its input already lives), then by
 // blocks in flight, then by lowest ID — deterministic. Without a
-// LocalityPolicy every miss is zero and the ranking reduces to the legacy
+// locality every miss is zero and the ranking reduces to the legacy
 // least-loaded rule bit-for-bit. Units soft-blacklisted as stragglers are
 // avoided while any faster survivor exists, but remain a last resort — a
 // slow unit still beats a failed run.

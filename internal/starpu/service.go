@@ -16,8 +16,8 @@ import (
 // workload streams, several applications with distinct kernel profiles
 // share one cluster session, and an admission controller decides
 // admit/defer/shed per request against each app's live p99-vs-SLO signal.
-// The mode is opt-in behind ServicePolicy, mirroring RetryPolicy and
-// friends: sessions built without it keep every legacy code path — and the
+// The mode is opt-in behind ServicePolicy, like the retry, speculation,
+// health and locality policies: sessions built without it keep every legacy code path — and the
 // three pinned golden hashes — bit-identical.
 
 // ServiceApp is one application sharing a service session: a kernel profile
@@ -97,21 +97,12 @@ func itoa(n int) string {
 
 // svcArrival is one materialized request: which app offered it, when, and
 // how many units it carries. The same value type serves as the deferred
-// queue's element.
+// queue's element and as the service-side identity of the block that runs
+// it (the engines substitute its app's profile for the session's).
 type svcArrival struct {
 	app   int32
 	units int64
 	t     float64
-}
-
-// svcBlock is the service-side identity of one dispatched block: the app it
-// belongs to (the engines substitute its profile for the session's) and the
-// member requests batched into it. The common single-request case stores
-// its member inline; only batches allocate the overflow slice.
-type svcBlock struct {
-	app   int32
-	first svcArrival
-	extra []svcArrival
 }
 
 // svcApp is one app's runtime state and accounting.
@@ -159,13 +150,10 @@ type serviceState struct {
 	// bookkeeping, engine seconds): placement = earliest predicted finish.
 	busyUntil []float64
 
-	// blocks records each dispatched block's service identity, indexed by
+	// blocks records the request each dispatched block runs, indexed by
 	// sequence number. Pre-sized to the arrival count so steady-state
 	// dispatch never grows it.
-	blocks []svcBlock
-
-	// window is the live-p99 measurement window (see serviceRefreshP99).
-	window float64
+	blocks []svcArrival
 
 	// feed is serviceFeed as a func value, bound once so that scheduling
 	// each next arrival on the engine's timer allocates nothing.
@@ -175,12 +163,11 @@ type serviceState struct {
 // initService builds the service state onto a constructed session. Must run
 // before the first Run; the engine is already attached.
 func (s *Session) initService(pol ServicePolicy) error {
-	if s.loc != nil {
-		return runtimeError("service mode does not compose with LocalityPolicy " +
+	if s.res != nil {
+		return runtimeError("service mode does not compose with locality " +
 			"(the residency cache models one bytes-per-unit figure; per-app profiles differ)")
 	}
 	sv := &serviceState{pol: pol, ctrl: workload.NewController(pol.Admission)}
-	sv.window = sv.ctrl.Policy().WindowSeconds
 	sv.apps = make([]svcApp, len(pol.Apps))
 	total := 0
 	for i, a := range pol.Apps {
@@ -210,7 +197,7 @@ func (s *Session) initService(pol ServicePolicy) error {
 		return sv.arrivals[i].app < sv.arrivals[j].app
 	})
 	sv.busyUntil = make([]float64, len(s.pus))
-	sv.blocks = make([]svcBlock, 0, total)
+	sv.blocks = make([]svcArrival, 0, total)
 	qcap := sv.ctrl.Policy().MaxQueue
 	if qcap > total {
 		qcap = total
@@ -235,14 +222,12 @@ func (s *Session) initService(pol ServicePolicy) error {
 // NewServiceSimSession builds a simulated open-system session on clu: the
 // policy's apps offer requests over the horizon, and cfg's Retry/Spec/
 // Health/Overheads compose exactly as in closed-system sessions.
-// cfg.Locality and cfg.EnforceMemory are rejected/ignored respectively (see
-// initService).
+// cfg.Locality is rejected (see initService).
 func NewServiceSimSession(clu *cluster.Cluster, pol ServicePolicy, cfg SimConfig) (*Session, error) {
 	np, err := pol.normalized()
 	if err != nil {
 		return nil, err
 	}
-	cfg.EnforceMemory = false
 	s, se := newSimSession(clu, np.Apps[0].Profile, "service", 0, 0, cfg)
 	if err := s.initService(np); err != nil {
 		return nil, err
@@ -265,8 +250,8 @@ func NewServiceLiveSession(kernels []LiveKernel, cfg LiveConfig, pol ServicePoli
 	if len(kernels) != len(np.Apps) {
 		return nil, runtimeError("service live session: %d kernels for %d apps", len(kernels), len(np.Apps))
 	}
-	if cfg.Locality != nil {
-		return nil, runtimeError("service mode does not compose with LocalityPolicy")
+	if cfg.Locality {
+		return nil, runtimeError("service mode does not compose with locality")
 	}
 	cfg.TotalUnits = 0
 	cfg.Profile = np.Apps[0].Profile
@@ -355,7 +340,7 @@ func (s *Session) serviceArrive(r svcArrival) {
 	// the only clock that can expire the poisoned window.
 	s.serviceRefreshP99(a, s.eng.now())
 	d := sv.ctrl.Offer(s.inflight, a.p99, a.slo)
-	if d == workload.Admit && !s.serviceDispatch(r.app, r.units, r, nil) {
+	if d == workload.Admit && !s.serviceDispatch(r) {
 		d = sv.ctrl.Demote()
 	}
 	switch d {
@@ -375,19 +360,19 @@ func (s *Session) serviceArrive(r svcArrival) {
 	}
 }
 
-// serviceDispatch places one block (the first request plus any batched
-// extras, units total) on the unit with the earliest predicted finish. It
-// reports false — touching nothing — when no live, eligible unit exists.
-func (s *Session) serviceDispatch(app int32, units int64, first svcArrival, extra []svcArrival) bool {
+// serviceDispatch places request r as one block on the unit with the
+// earliest predicted finish. It reports false — touching nothing — when no
+// live, eligible unit exists.
+func (s *Session) serviceDispatch(r svcArrival) bool {
 	sv := s.svc
-	pu, eta := s.servicePickPU(app, units)
+	pu, eta := s.servicePickPU(r.app, r.units)
 	if pu < 0 {
 		return false
 	}
-	sv.blocks = append(sv.blocks, svcBlock{app: app, first: first, extra: extra})
-	s.total += units
-	s.remaining += units
-	s.Assign(s.pus[pu], float64(units))
+	sv.blocks = append(sv.blocks, r)
+	s.total += r.units
+	s.remaining += r.units
+	s.Assign(s.pus[pu], float64(r.units))
 	sv.busyUntil[pu] = eta
 	return true
 }
@@ -427,38 +412,41 @@ func (s *Session) servicePickPU(app int32, units int64) (int, float64) {
 	return best, bestEta
 }
 
-// serviceCompleted settles one finished block: every member request's
-// latency (arrival → kernel completion, queueing included) feeds its app's
-// sketch, the cached p99 refreshes, and the first SLO violation time is
-// recorded. Exactly-once across retry and speculation is inherited from the
-// engines: only the winning copy of a block reaches onComplete.
+// serviceCompleted settles one finished block: its request's latency
+// (arrival → kernel completion, queueing included) feeds its app's sketch,
+// the cached p99 refreshes, and the first SLO violation time is recorded.
+// Exactly-once across retry and speculation is inherited from the engines:
+// only the winning copy of a block reaches onComplete.
 func (s *Session) serviceCompleted(rec TaskRecord) {
 	sv := s.svc
-	b := &sv.blocks[rec.Seq]
-	a := &sv.apps[b.app]
+	r := sv.blocks[rec.Seq]
+	a := &sv.apps[r.app]
 	end := rec.ExecEnd
-	s.serviceObserve(a, b.first, end)
-	for _, m := range b.extra {
-		s.serviceObserve(a, m, end)
-	}
-	b.extra = nil
+	s.serviceObserve(a, r, end)
 	s.serviceRefreshP99(a, end)
 	if a.slo > 0 && a.sloViolAt < 0 && a.p99 > a.slo {
 		a.sloViolAt = end
 	}
 }
 
-// p99MinWindowSamples is how many observations the current window needs
-// before its own p99 overrides the previous window's carried value.
-const p99MinWindowSamples = 8
+const (
+	// p99WindowSeconds is the rolling measurement window behind the live p99
+	// signal fed to the admission controller: shedding reacts to the recent
+	// latency distribution and recovers once a burst passes, where a
+	// cumulative p99 would stay poisoned forever.
+	p99WindowSeconds = 1
+	// p99MinWindowSamples is how many observations the current window needs
+	// before its own p99 overrides the previous window's carried value.
+	p99MinWindowSamples = 8
+)
 
 // serviceRefreshP99 updates the app's live p99 from the rolling measurement
-// window (AdmissionPolicy.WindowSeconds): the current window once it holds
+// window (p99WindowSeconds): the current window once it holds
 // enough mass, otherwise the last completed window's value. An idle window
 // clears the carried value, so admission recovers after a burst instead of
 // shedding forever on a poisoned cumulative distribution.
 func (s *Session) serviceRefreshP99(a *svcApp, now float64) {
-	if now >= a.winStart+s.svc.window {
+	if now >= a.winStart+p99WindowSeconds {
 		if a.win.Count() > 0 {
 			a.winPrev = a.win.Quantile(0.99)
 			a.win.Reset()
@@ -482,7 +470,7 @@ func (s *Session) serviceRefreshP99(a *svcApp, now float64) {
 	}
 }
 
-// serviceObserve accounts one member request's completion.
+// serviceObserve accounts one request's completion.
 func (s *Session) serviceObserve(a *svcApp, m svcArrival, end float64) {
 	lat := end - m.t
 	a.sketch.Observe(lat)
@@ -494,55 +482,29 @@ func (s *Session) serviceObserve(a *svcApp, m svcArrival, end float64) {
 	a.unitsDone += m.units
 }
 
-// serviceDrain admits queued requests while capacity allows, batching
-// consecutive same-app requests up to the policy's BatchUnits into one
-// block. A drain stops when the queue empties, capacity is exhausted, or no
-// live unit can take the head-of-line request (FIFO order is preserved —
-// nothing behind it is considered).
+// serviceDrain admits queued requests in FIFO order while capacity allows.
+// A drain stops when the queue empties, capacity is exhausted, or no live
+// unit can take the head-of-line request (nothing behind it is considered).
 func (s *Session) serviceDrain() {
 	sv := s.svc
 	if sv == nil || s.violation != nil {
 		return
 	}
-	batch := sv.ctrl.Policy().BatchUnits
 	for sv.qlen > 0 && sv.ctrl.CanDispatch(s.inflight) {
-		head := sv.peek(0)
-		n := 1
-		units := head.units
-		var extra []svcArrival
-		if batch > 1 {
-			for n < sv.qlen {
-				next := sv.peek(n)
-				if next.app != head.app || units+next.units > batch {
-					break
-				}
-				extra = append(extra, next)
-				units += next.units
-				n++
-			}
-		}
-		if !s.serviceDispatch(head.app, units, head, extra) {
+		head := sv.peek()
+		if !s.serviceDispatch(head) {
 			return // nothing alive to run on; keep the queue intact
 		}
-		sv.pop(n)
-		sv.ctrl.Dispatch(n)
-		a := &sv.apps[head.app]
-		a.admitted += int64(n)
+		sv.pop()
+		sv.ctrl.Dispatch()
+		sv.apps[head.app].admitted++
 		if s.tel != nil {
-			// One admit event per dispatched request, so the
-			// plbhec_admitted_total counter mirrors Controller.Admitted()
-			// (deferrals count both their defer and their later admit).
-			now := s.eng.now()
+			// A deferral counts both its defer and its later admit, so the
+			// plbhec_admitted_total counter mirrors Controller.Admitted().
 			s.tel.Emit(telemetry.Event{
-				Kind: telemetry.EvAdmission, Time: now,
+				Kind: telemetry.EvAdmission, Time: s.eng.now(),
 				PU: -1, Seq: -1, Units: head.units, Name: "admit", Value: float64(head.app),
 			})
-			for _, m := range extra {
-				s.tel.Emit(telemetry.Event{
-					Kind: telemetry.EvAdmission, Time: now,
-					PU: -1, Seq: -1, Units: m.units, Name: "admit", Value: float64(m.app),
-				})
-			}
 		}
 	}
 }
@@ -554,7 +516,7 @@ func (sv *serviceState) push(r svcArrival) {
 	if sv.qlen == len(sv.queue) {
 		grown := make([]svcArrival, 2*len(sv.queue)+1)
 		for i := 0; i < sv.qlen; i++ {
-			grown[i] = sv.peek(i)
+			grown[i] = sv.queue[(sv.qhead+i)%len(sv.queue)]
 		}
 		sv.queue = grown
 		sv.qhead = 0
@@ -563,15 +525,13 @@ func (sv *serviceState) push(r svcArrival) {
 	sv.qlen++
 }
 
-// peek returns the i-th queued request (0 = head) without popping.
-func (sv *serviceState) peek(i int) svcArrival {
-	return sv.queue[(sv.qhead+i)%len(sv.queue)]
-}
+// peek returns the head queued request without popping it.
+func (sv *serviceState) peek() svcArrival { return sv.queue[sv.qhead] }
 
-// pop discards the first n queued requests.
-func (sv *serviceState) pop(n int) {
-	sv.qhead = (sv.qhead + n) % len(sv.queue)
-	sv.qlen -= n
+// pop discards the head queued request.
+func (sv *serviceState) pop() {
+	sv.qhead = (sv.qhead + 1) % len(sv.queue)
+	sv.qlen--
 }
 
 // profileFor returns the kernel profile governing block seq: the owning

@@ -40,7 +40,7 @@ func svcChaosPolicy(clu *cluster.Cluster) ServicePolicy {
 func TestServiceChaosDeviceDeathAndRecovery(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 6})
 	s, err := NewServiceSimSession(clu, svcChaosPolicy(clu), SimConfig{
-		Retry: DefaultRetryPolicy(),
+		Retry: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestServiceChaosDeviceDeathAndRecovery(t *testing.T) {
 func TestServiceChaosStragglerSpeculation(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 16})
 	s, err := NewServiceSimSession(clu, svcChaosPolicy(clu), SimConfig{
-		Retry: DefaultRetryPolicy(),
+		Retry: true,
 		Spec: &SpeculationPolicy{
 			DeadlineMultiplier: 2, MinObservations: 1, SlowAfter: 2,
 		},
@@ -168,7 +168,7 @@ func TestServiceHealthComposition(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				clu := cluster.TableI(cluster.Config{Machines: 2, Seed: seed})
 				s, err := NewServiceSimSession(clu, svcChaosPolicy(clu), SimConfig{
-					Retry: DefaultRetryPolicy(), Spec: spec, Health: DefaultHealthPolicy(),
+					Retry: true, Spec: spec, Health: DefaultHealthPolicy(),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -197,7 +197,7 @@ func TestServiceHealthComposition(t *testing.T) {
 			k := kernelFunc(func(lo, hi int64) { time.Sleep(2 * time.Millisecond) })
 			s, err := NewServiceLiveSession([]LiveKernel{k}, LiveConfig{
 				Workers: []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}, {Name: "w2"}},
-				Retry:   DefaultRetryPolicy(),
+				Retry:   true,
 				Spec:    spec,
 				Health:  liveHealthPolicy(),
 			}, pol)

@@ -336,9 +336,9 @@ func TestServiceConstructionErrors(t *testing.T) {
 	}
 	pol := svcTestPolicy(1)
 	if _, err := NewServiceSimSession(clu, pol, SimConfig{
-		Locality: &LocalityPolicy{},
+		Locality: true,
 	}); err == nil {
-		t.Error("service + LocalityPolicy accepted")
+		t.Error("service + locality accepted")
 	}
 	if _, err := NewServiceLiveSession([]LiveKernel{kernelFunc(func(lo, hi int64) {})},
 		LiveConfig{Workers: []LiveWorkerSpec{{Name: "w"}}}, pol); err == nil {

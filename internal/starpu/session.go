@@ -44,11 +44,10 @@ type Session struct {
 	// wrapped ctx.Err() from Run. Nil means never cancelled.
 	ctx context.Context
 
-	// retry, when non-nil, enables the runtime failover machinery: blocks
-	// on failed units are aborted and requeued instead of failing the run.
-	// Always a normalized copy (see RetryPolicy.normalized); nil keeps the
+	// retry enables the runtime failover machinery: blocks on failed units
+	// are aborted and requeued instead of failing the run. Off keeps the
 	// legacy fail-fast behavior bit-for-bit.
-	retry *RetryPolicy
+	retry bool
 	// resilience accumulates each unit's fault history for the Report.
 	resilience []PUResilience
 	// blacklist marks units excluded from requeue targeting; consecFails
@@ -110,21 +109,13 @@ type Session struct {
 	// label (see NoteFallback); nil until the ladder first engages.
 	fallbacks map[string]int64
 
-	// loc, when non-nil, enables data-residency tracking: block inputs stay
+	// res, when non-nil, enables data-residency tracking: block inputs stay
 	// resident on their device, transfers are charged only on a miss, and
-	// placement decisions weigh data locality. Always a normalized copy
-	// (see LocalityPolicy.normalized); nil keeps legacy behavior
-	// bit-for-bit, mirroring retry and spec. res is the handle cache behind
-	// it and locStats the running summary for Report.Locality.
-	loc      *LocalityPolicy
+	// placement decisions weigh data locality. Nil keeps legacy behavior
+	// bit-for-bit, mirroring retry and spec. locStats is the running
+	// summary for Report.Locality.
 	res      *residency.Tracker
 	locStats *LocalityReport
-	// enforceMem, with loc nil, turns a placement exceeding memCap into a
-	// typed *MemoryExceededError instead of silently simulating impossible
-	// state. memCap is each unit's device-memory budget in bytes (<= 0
-	// unlimited), cluster order.
-	enforceMem bool
-	memCap     []float64
 	// linkCover tracks, per link name, the end of the furthest interval
 	// emitted so far: emitLink clamps each sample's start to it, so
 	// overlapping intervals (requeues, speculative copies, queued live

@@ -39,10 +39,10 @@ type SimConfig struct {
 	// Overheads charges scheduler computations to virtual time. The zero
 	// value means DefaultOverheads; use NoOverheads to disable.
 	Overheads *OverheadModel
-	// Retry, when non-nil, enables runtime failover: blocks in flight on a
-	// failing unit are requeued per the policy instead of erroring the run.
-	// See RetryPolicy; nil preserves the legacy fail-fast behavior exactly.
-	Retry *RetryPolicy
+	// Retry enables runtime failover: blocks in flight on a failing unit are
+	// requeued after a backoff instead of erroring the run (see retryMax).
+	// Off preserves the legacy fail-fast behavior exactly.
+	Retry bool
 	// Spec, when non-nil, enables tail tolerance: watchdog deadlines per
 	// block and speculative backup copies for expired ones. See
 	// SpeculationPolicy; nil preserves the legacy behavior exactly.
@@ -52,23 +52,14 @@ type SimConfig struct {
 	// missing heartbeats (phi-accrual or deadline) instead of the engine's
 	// oracle, requeues on suspicion, and fences stale late completions. See
 	// HealthPolicy; nil preserves the legacy behavior exactly. Implies
-	// Retry (defaulted when nil).
+	// Retry.
 	Health *HealthPolicy
-	// Locality, when non-nil, enables data-residency tracking: shipped
-	// block inputs stay resident on their device (LRU-bounded by
-	// device.Spec.MemGB), transfers are charged only on a genuine miss, and
-	// placement decisions weigh where the data already lives. See
-	// LocalityPolicy; nil preserves the legacy re-pay-every-transfer
-	// behavior exactly.
-	Locality *LocalityPolicy
-	// EnforceMemory, in legacy mode (Locality nil), fails the run with a
-	// typed *MemoryExceededError when a block's input exceeds the target
-	// device's MemGB capacity, instead of silently simulating an impossible
-	// placement. Ignored in locality mode, where the residency cache evicts
-	// and streams to fit. Off by default: the kernel profiles document
-	// shared inputs as streamed tiles, so oversized blocks are legitimate
-	// unless an experiment opts into strict validation.
-	EnforceMemory bool
+	// Locality enables data-residency tracking: shipped block inputs stay
+	// resident on their device (LRU-bounded by device.Spec.MemGB), transfers
+	// are charged only on a genuine miss, and placement decisions weigh
+	// where the data already lives (locality.go). Off preserves the legacy
+	// re-pay-every-transfer behavior exactly.
+	Locality bool
 }
 
 // NoOverheads disables scheduler-overhead charging (for ablations).
@@ -97,19 +88,19 @@ func newSimSession(clu *cluster.Cluster, profile device.KernelProfile, appName s
 		appName:   appName,
 		overheads: ov,
 		chargeOn:  true,
-		retry:     cfg.Retry.normalized(),
+		retry:     cfg.Retry,
 		spec:      cfg.Spec.normalized(),
-		loc:       cfg.Locality.normalized(),
 		health:    cfg.Health.normalized(),
 	}
 	s.initCommon(totalUnits)
 	n := len(s.pus)
-	s.enforceMem = cfg.EnforceMemory
-	s.memCap = make([]float64, n)
-	for i, pu := range s.pus {
-		s.memCap[i] = pu.Dev.MemGB * 1e9
+	if cfg.Locality {
+		memCap := make([]float64, n)
+		for i, pu := range s.pus {
+			memCap[i] = pu.Dev.MemGB * 1e9
+		}
+		s.initLocality(dataUnits, memCap)
 	}
-	s.initLocality(dataUnits, s.memCap)
 	se := &simEngine{
 		eng:      sim.New(),
 		session:  s,

@@ -31,7 +31,7 @@ func runStragglerSim(t *testing.T, n int64, spec *SpeculationPolicy) *Report {
 
 	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
 	app := apps.NewMatMul(apps.MatMulConfig{N: n})
-	sess := NewSimSession(clu, app, SimConfig{Retry: DefaultRetryPolicy(), Spec: spec})
+	sess := NewSimSession(clu, app, SimConfig{Retry: true, Spec: spec})
 	dev := clu.PUs()[stragglerPU].Dev
 	// 500x slowdown: the straggler's next block alone would dominate the
 	// whole run, so makespan inflation is unambiguous without speculation.
@@ -103,7 +103,7 @@ func TestSpeculationFaultFreeInvariance(t *testing.T) {
 	run := func(spec *SpeculationPolicy) *Report {
 		clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 1})
 		app := apps.NewMatMul(apps.MatMulConfig{N: 2048})
-		sess := NewSimSession(clu, app, SimConfig{Retry: DefaultRetryPolicy(), Spec: spec})
+		sess := NewSimSession(clu, app, SimConfig{Retry: true, Spec: spec})
 		rep, err := sess.Run(&fixedScheduler{block: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestSpeculationLiveBackupWins(t *testing.T) {
 		Workers:    []LiveWorkerSpec{{Name: "fast"}, {Name: "slow", Slowdown: 200}},
 		TotalUnits: units,
 		AppName:    "sleepy",
-		Retry:      DefaultRetryPolicy(),
+		Retry:      true,
 		Spec: &SpeculationPolicy{
 			DeadlineMultiplier: 2, MinDeadlineSeconds: 0.01,
 			MinObservations: 1, SlowAfter: 2,
@@ -165,7 +165,7 @@ func TestSpeculationLiveRequeuedCopyArmed(t *testing.T) {
 		Workers:    []LiveWorkerSpec{{Name: "dead"}, {Name: "slow", Slowdown: 30}, {Name: "fast"}},
 		TotalUnits: units,
 		AppName:    "sleepy",
-		Retry:      DefaultRetryPolicy(),
+		Retry:      true,
 		Spec: &SpeculationPolicy{
 			DeadlineMultiplier: 2, MinDeadlineSeconds: 0.005,
 			MinObservations: 1, SlowAfter: 2,

@@ -103,64 +103,33 @@ func DefaultOverheads() OverheadModel {
 	return OverheadModel{FitSeconds: 2e-3, SolveSeconds: 170e-3}
 }
 
-// RetryPolicy configures the runtime's resilience to device failures. When
-// a policy is attached (SimConfig.Retry / LiveConfig.Retry), blocks in
-// flight on a unit that fails are aborted and requeued onto a surviving
-// unit instead of wedging or failing the session, and units that keep
-// failing are blacklisted as requeue targets. A nil policy (the default)
-// disables all of it: failures surface as ErrFailedDevice exactly as
-// before, which keeps scheduler-driven failover behavior — and the golden
-// record streams — bit-identical.
-type RetryPolicy struct {
-	// MaxRetries bounds how many times one block may be requeued before
-	// the run fails with ErrFailedDevice. <= 0 means the default 3.
-	MaxRetries int
-	// BackoffSeconds is the delay before the first relaunch of a requeued
-	// block (engine seconds). <= 0 or non-finite means the default 10 ms.
-	BackoffSeconds float64
-	// BackoffFactor multiplies the delay on each further retry of the same
-	// block. Values < 1 (or non-finite) mean the default 2.
-	BackoffFactor float64
-	// BlacklistAfter is how many consecutive failures charge a unit before
-	// it stops receiving requeued blocks. A recovery (brown-out ending)
-	// resets the count and lifts the blacklist. <= 0 means the default 2.
-	BlacklistAfter int
-}
+// The retry policy (SimConfig.Retry / LiveConfig.Retry): blocks in flight
+// on a unit that fails are aborted and requeued onto a surviving unit after
+// a backoff instead of wedging or failing the session, and units that keep
+// failing are blacklisted as requeue targets. Without it (the default)
+// failures surface as ErrFailedDevice, which keeps scheduler-driven failover
+// — and the golden record streams — bit-identical.
+const (
+	// retryMax bounds how many times one block may be requeued before the
+	// run fails with ErrFailedDevice.
+	retryMax = 3
+	// retryBackoffSeconds is the delay before the first relaunch of a
+	// requeued block (engine seconds); each further retry of the same block
+	// multiplies it by retryBackoffFactor.
+	retryBackoffSeconds = 0.01
+	retryBackoffFactor  = 2
+	// retryBlacklistAfter is how many consecutive failures charge a unit
+	// before it stops receiving requeued blocks. A recovery (brown-out
+	// ending) resets the count and lifts the blacklist.
+	retryBlacklistAfter = 2
+)
 
-// DefaultRetryPolicy returns the policy used by the chaos experiments:
-// 3 retries, 10 ms initial backoff doubling per retry, blacklist after 2
-// consecutive failures.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{MaxRetries: 3, BackoffSeconds: 0.01, BackoffFactor: 2, BlacklistAfter: 2}
-}
-
-// normalized returns a copy with every zero/invalid field replaced by its
-// default, so sessions never consult a half-filled policy.
-func (p *RetryPolicy) normalized() *RetryPolicy {
-	if p == nil {
-		return nil
-	}
-	q := *p
-	if q.MaxRetries <= 0 {
-		q.MaxRetries = 3
-	}
-	if !(q.BackoffSeconds > 0) || q.BackoffSeconds > 1e18 {
-		q.BackoffSeconds = 0.01
-	}
-	if !(q.BackoffFactor >= 1) || q.BackoffFactor > 1e6 {
-		q.BackoffFactor = 2
-	}
-	if q.BlacklistAfter <= 0 {
-		q.BlacklistAfter = 2
-	}
-	return &q
-}
-
-// backoff returns the relaunch delay for the given retry ordinal (1-based).
-func (p *RetryPolicy) backoff(retry int) float64 {
-	d := p.BackoffSeconds
+// retryBackoff returns the relaunch delay for the given retry ordinal
+// (1-based).
+func retryBackoff(retry int) float64 {
+	d := retryBackoffSeconds
 	for i := 1; i < retry; i++ {
-		d *= p.BackoffFactor
+		d *= retryBackoffFactor
 	}
 	return d
 }
@@ -176,7 +145,7 @@ func (p *RetryPolicy) backoff(retry int) float64 {
 // Units whose blocks keep expiring are soft-blacklisted as backup/requeue
 // targets until they complete a block within deadline again. A nil policy
 // (the default) disables all of it and keeps the record stream — including
-// the golden hashes — bit-identical, mirroring RetryPolicy.
+// the golden hashes — bit-identical, as the retry policy does.
 type SpeculationPolicy struct {
 	// DeadlineMultiplier scales the predicted block time into the watchdog
 	// deadline. Values <= 1 (or non-finite) mean the default 3.
@@ -313,10 +282,10 @@ type Report struct {
 	// Locality summarizes the residency cache's activity over the run —
 	// handle hits/misses/evictions, bytes actually transferred vs avoided,
 	// and each unit's final resident footprint. Nil when the session ran
-	// without a LocalityPolicy (the legacy re-pay-every-transfer behavior).
+	// without locality (the legacy re-pay-every-transfer behavior).
 	Locality *LocalityReport
 	// Resilience reports each unit's fault history (cluster order). All
-	// zeros when no fault occurred or no RetryPolicy was attached.
+	// zeros when no fault occurred or retry was off.
 	Resilience []PUResilience
 	// SolverFallbacks counts the scheduler's degradation-ladder transitions
 	// by rung label ("last-good", "hdss", "greedy", "recovered"); nil when

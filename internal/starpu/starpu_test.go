@@ -342,8 +342,8 @@ func TestSimBlockCycleZeroAlloc(t *testing.T) {
 		cfg  SimConfig
 	}{
 		{"none", SimConfig{}},
-		{"Retry", SimConfig{Retry: DefaultRetryPolicy()}},
-		{"Spec", SimConfig{Retry: DefaultRetryPolicy(), Spec: DefaultSpeculationPolicy()}},
+		{"Retry", SimConfig{Retry: true}},
+		{"Spec", SimConfig{Retry: true, Spec: DefaultSpeculationPolicy()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			measure := func(blocks int64) int64 {

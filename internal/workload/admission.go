@@ -43,16 +43,6 @@ type AdmissionPolicy struct {
 	// MaxQueue caps requests waiting in the deferred queue; an arrival that
 	// finds it full is shed. <= 0 means the default 256.
 	MaxQueue int
-	// BatchUnits coalesces consecutive same-app deferred requests into one
-	// dispatched block of up to this many units — fewer, larger blocks
-	// amortize per-launch overhead when the queue is deep. <= 1 disables
-	// batching (one request per block).
-	BatchUnits int64
-	// WindowSeconds is the rolling measurement window behind the live p99
-	// signal fed to Offer: shedding reacts to the recent latency
-	// distribution and recovers once a burst passes, where a cumulative
-	// p99 would stay poisoned forever. <= 0 or non-finite means 1s.
-	WindowSeconds float64
 	// Disabled bypasses every bound: all requests admit immediately.
 	Disabled bool
 }
@@ -65,12 +55,6 @@ func (p AdmissionPolicy) Normalized() AdmissionPolicy {
 	}
 	if q.MaxQueue <= 0 {
 		q.MaxQueue = 256
-	}
-	if q.BatchUnits < 1 {
-		q.BatchUnits = 1
-	}
-	if !(q.WindowSeconds > 0) || math.IsInf(q.WindowSeconds, 0) {
-		q.WindowSeconds = 1
 	}
 	return q
 }
@@ -151,18 +135,13 @@ func (c *Controller) CanDispatch(inflight int) bool {
 	return c.pol.Disabled || inflight < c.pol.MaxInFlight
 }
 
-// Dispatch moves n queued requests to admitted (they were popped and
-// launched as one block). n is clamped to the queued count.
-func (c *Controller) Dispatch(n int) {
-	m := int64(n)
-	if m < 0 {
-		m = 0
+// Dispatch moves the head queued request to admitted (it was popped and
+// launched). It does nothing when the queue is empty.
+func (c *Controller) Dispatch() {
+	if c.deferred > 0 {
+		c.deferred--
+		c.admitted++
 	}
-	if m > c.deferred {
-		m = c.deferred
-	}
-	c.deferred -= m
-	c.admitted += m
 }
 
 // Offered is the total requests seen.

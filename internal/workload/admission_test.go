@@ -45,7 +45,8 @@ func TestAdmissionBasics(t *testing.T) {
 	if !c.CanDispatch(1) {
 		t.Fatal("CanDispatch(1) under MaxInFlight 2 must be true")
 	}
-	c.Dispatch(2)
+	c.Dispatch()
+	c.Dispatch()
 	conserved(t, c)
 	if c.Deferred() != 0 || c.Admitted() != 4 {
 		t.Fatalf("after dispatch: deferred %d admitted %d", c.Deferred(), c.Admitted())
@@ -129,11 +130,11 @@ func TestAdmissionNonFiniteP99NeverSheds(t *testing.T) {
 
 func TestAdmissionNormalizedDefaults(t *testing.T) {
 	p := AdmissionPolicy{}.Normalized()
-	if p.MaxInFlight != 64 || p.MaxQueue != 256 || p.BatchUnits != 1 || p.WindowSeconds != 1 {
+	if p.MaxInFlight != 64 || p.MaxQueue != 256 {
 		t.Fatalf("zero policy normalized to %+v", p)
 	}
-	p = AdmissionPolicy{WindowSeconds: math.Inf(1), BatchUnits: -9}.Normalized()
-	if p.WindowSeconds != 1 || p.BatchUnits != 1 {
+	p = AdmissionPolicy{MaxInFlight: -3, MaxQueue: -9}.Normalized()
+	if p.MaxInFlight != 64 || p.MaxQueue != 256 {
 		t.Fatalf("garbage policy normalized to %+v", p)
 	}
 }
@@ -151,7 +152,7 @@ func TestAdmissionOfferZeroAlloc(t *testing.T) {
 		}
 		if inflight >= 3 {
 			inflight = 0
-			c.Dispatch(1)
+			c.Dispatch()
 		}
 	}); n != 0 {
 		t.Fatalf("Offer/Dispatch allocated %.1f bytes-ops per run, want 0", n)

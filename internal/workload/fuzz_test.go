@@ -89,7 +89,7 @@ func FuzzAdmission(f *testing.F) {
 					inflight--
 				}
 				if c.Deferred() > 0 && c.CanDispatch(inflight) {
-					c.Dispatch(1)
+					c.Dispatch()
 					inflight++
 				}
 			case 3: // failed dispatch
