@@ -88,8 +88,8 @@ func TestLocalityJobsDeterminism(t *testing.T) {
 	}
 }
 
-// TestLocalityNilPolicyIdentical: threading Passes through a Scenario with a
-// zero-value policy must not perturb the legacy record stream — WithPasses(1)
+// TestLocalityNilPolicyIdentical: threading Passes through a Scenario with
+// locality off must not perturb the legacy record stream — WithPasses(1)
 // returns the app unchanged and Locality off leaves the session in legacy
 // mode, so the single-pass hash matches a Scenario that never mentions
 // either field.

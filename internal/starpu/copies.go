@@ -233,7 +233,7 @@ func (s *Session) deliver(c *blockCopy) {
 }
 
 // bounce takes back a copy its unit could not run: the device was down at
-// launch on the simulator, or at pickup on the live engine. Without a
+// launch on the simulator, or at pickup on the live engine. Without
 // retry the run fails. A dead or revoked copy was settled before and
 // is only released; a copy whose twin still runs leaves the block to the
 // twin; any other block is requeued onto a survivor.

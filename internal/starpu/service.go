@@ -17,8 +17,8 @@ import (
 // share one cluster session, and an admission controller decides
 // admit/defer/shed per request against each app's live p99-vs-SLO signal.
 // The mode is opt-in behind ServicePolicy, like the retry, speculation,
-// health and locality policies: sessions built without it keep every legacy code path — and the
-// three pinned golden hashes — bit-identical.
+// health and locality policies: sessions built without it keep every legacy
+// code path — and the three pinned golden hashes — bit-identical.
 
 // ServiceApp is one application sharing a service session: a kernel profile
 // for the device models, a latency SLO, and the arrival stream offering its
@@ -441,8 +441,8 @@ const (
 )
 
 // serviceRefreshP99 updates the app's live p99 from the rolling measurement
-// window (p99WindowSeconds): the current window once it holds
-// enough mass, otherwise the last completed window's value. An idle window
+// window (p99WindowSeconds): the current window once it holds enough mass,
+// otherwise the last completed window's value. An idle window
 // clears the carried value, so admission recovers after a burst instead of
 // shedding forever on a poisoned cumulative distribution.
 func (s *Session) serviceRefreshP99(a *svcApp, now float64) {
@@ -471,15 +471,15 @@ func (s *Session) serviceRefreshP99(a *svcApp, now float64) {
 }
 
 // serviceObserve accounts one request's completion.
-func (s *Session) serviceObserve(a *svcApp, m svcArrival, end float64) {
-	lat := end - m.t
+func (s *Session) serviceObserve(a *svcApp, r svcArrival, end float64) {
+	lat := end - r.t
 	a.sketch.Observe(lat)
 	a.win.Observe(lat)
 	a.reqDone++
 	if a.slo <= 0 || lat <= a.slo {
 		a.withinSLO++
 	}
-	a.unitsDone += m.units
+	a.unitsDone += r.units
 }
 
 // serviceDrain admits queued requests in FIFO order while capacity allows.
