@@ -17,6 +17,11 @@
 // results are identical to a sequential run at any -jobs value. ^C cancels
 // in-flight simulations and exits with the cancellation error.
 //
+// -cell-timeout bounds every repetition of every experiment. A repetition
+// that exceeds it is cancelled and left out of its cell's aggregates; an
+// experiment whose calibration pilot timed out prints one line and is
+// skipped. The number of timed-out repetitions goes to stderr when nonzero.
+//
 // The profiling flags (-cpuprofile, -memprofile, -trace) write standard
 // pprof / runtime-trace files covering the whole run; see docs/PERFORMANCE.md
 // for reading them.
@@ -109,12 +114,12 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	reg := telemetry.NewRegistry()
 	opts := expt.Options{
 		Out: os.Stdout, CSVDir: *csvDir, Seeds: *seeds, Quick: *quick,
-		Jobs: *jobs, Ctx: ctx, CellTimeout: *cellTO,
+		Jobs: *jobs, Ctx: ctx, CellTimeout: *cellTO, Metrics: reg,
 	}
 	if *listen != "" {
-		reg := telemetry.NewRegistry()
 		srv, addr, _, err := telemetry.ListenAndServe(*listen, reg, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "plbbench: -listen: %v\n", err)
@@ -122,7 +127,6 @@ func run() int {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "plbbench: serving progress metrics on http://%s/metrics\n", addr)
-		opts.Metrics = reg
 	}
 
 	var err error
@@ -135,6 +139,9 @@ func run() int {
 	} else {
 		fmt.Fprintf(os.Stderr, "plbbench: unknown experiment %q (try -list)\n", *exp)
 		return 2
+	}
+	if n := reg.Gauge("expt_reps_timed_out").Value(); n > 0 {
+		fmt.Fprintf(os.Stderr, "plbbench: %.0f repetitions timed out (-cell-timeout %v)\n", n, *cellTO)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "plbbench: %v\n", err)

@@ -206,31 +206,34 @@ func TestGoldenServiceWithNilHealth(t *testing.T) {
 	}
 }
 
-// goldenHealthScenario is the pinned failure-detection cell: a phi-accrual
-// detector over 20 ms heartbeats against a schedule that exercises every
-// health path — a real death (true positive, detection latency), a partition
-// that heals (false positive, fencing, rejoin), and a pure heartbeat loss.
-// The horizon is hardcoded rather than pilot-derived so the cell is a
-// constant, like every golden input.
-func goldenHealthScenario() expt.HealthScenario {
-	return expt.HealthScenario{
-		Name:     "golden",
-		Machines: 2,
+// goldenHealthScenario is the pinned failure-detection cell: PLB-HeC with a
+// phi-accrual detector over 20 ms heartbeats against a schedule that
+// exercises every health path — a real death (true positive, detection
+// latency), a partition that heals (false positive, fencing, rejoin), and a
+// pure heartbeat loss. The horizon is hardcoded rather than pilot-derived so
+// the cell is a constant, like every golden input.
+func goldenHealthScenario() expt.Scenario {
+	h := 1.2 // a variable, so fault times round exactly as pilot-derived ones do
+	return expt.Scenario{
+		Kind:     expt.MM,
 		Size:     8192,
+		Machines: 2,
 		Seeds:    3,
 		BaseSeed: 9500,
-		Horizon:  1.2,
-		Policy: &starpu.HealthPolicy{
-			HeartbeatSeconds: 0.02,
-			Detector:         "phi",
-			PhiThreshold:     8,
+		Sim: starpu.SimConfig{
+			Retry: true,
+			Health: &starpu.HealthPolicy{
+				HeartbeatSeconds: 0.02,
+				Detector:         "phi",
+				PhiThreshold:     8,
+			},
 		},
-		Gen: func(_ int64, h float64) fault.Schedule {
+		Prepare: func(_ int, sess *starpu.Session, clu *cluster.Cluster) error {
 			return fault.Schedule{Name: "golden-health", Specs: []fault.FaultSpec{
 				{Kind: fault.HeartbeatLoss, At: 0.10 * h, PU: 0, Duration: 0.10 * h},
 				{Kind: fault.Partition, At: 0.25 * h, PU: 1, Duration: 0.15 * h},
 				{Kind: fault.DeviceDeath, At: 0.50 * h, PU: 3},
-			}}
+			}}.Apply(sess, clu)
 		},
 	}
 }
@@ -241,20 +244,22 @@ func goldenHealthScenario() expt.HealthScenario {
 func goldenHealthHash(t *testing.T, jobs int) string {
 	t.Helper()
 	r := expt.NewRunner(context.Background(), jobs)
-	res, err := r.RunHealthCell(goldenHealthScenario())
+	sc := goldenHealthScenario()
+	res, err := r.RunCell(sc, expt.PLBHeC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Survived != res.Seeds {
-		t.Fatalf("health cell survived %d/%d repetitions", res.Survived, res.Seeds)
+	if res.Makespan.N != sc.Seeds {
+		t.Fatalf("health cell survived %d/%d repetitions", res.Makespan.N, sc.Seeds)
 	}
 	// The pinned run must actually exercise the machinery: a real death
 	// detected, a false suspicion fenced, a heartbeat stream rejoined.
-	if res.Suspicions == 0 || res.FalseSuspects == 0 || res.Fenced == 0 || res.Rejoins == 0 {
+	acc := res.Resilience
+	if acc.Suspicions == 0 || acc.FalseSuspects == 0 || acc.FencedCompletions == 0 || acc.Rejoins == 0 {
 		t.Fatalf("health cell too quiet to pin: suspicions=%d false=%d fenced=%d rejoins=%d",
-			res.Suspicions, res.FalseSuspects, res.Fenced, res.Rejoins)
+			acc.Suspicions, acc.FalseSuspects, acc.FencedCompletions, acc.Rejoins)
 	}
-	if res.DetectionSeconds <= 0 {
+	if acc.DetectionSeconds <= 0 {
 		t.Fatalf("no true-positive detection latency accumulated")
 	}
 	h := fnv.New64a()
@@ -266,13 +271,13 @@ func goldenHealthHash(t *testing.T, jobs int) string {
 		}
 		h.Write(buf[:])
 	}
-	word(uint64(res.Suspicions))
-	word(uint64(res.FalseSuspects))
-	word(uint64(res.Rejoins))
-	word(uint64(res.Fenced))
-	word(uint64(res.Failovers))
-	word(uint64(res.Requeues))
-	word(math.Float64bits(res.DetectionSeconds))
+	word(uint64(acc.Suspicions))
+	word(uint64(acc.FalseSuspects))
+	word(uint64(acc.Rejoins))
+	word(uint64(acc.FencedCompletions))
+	word(uint64(acc.Failovers))
+	word(uint64(acc.Requeues))
+	word(math.Float64bits(acc.DetectionSeconds))
 	word(math.Float64bits(res.Makespan.Mean))
 	word(math.Float64bits(res.Makespan.Std))
 	return fmt.Sprintf("%016x", h.Sum64())

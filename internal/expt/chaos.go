@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
 
 	"plbhec/internal/fault"
@@ -68,121 +67,45 @@ func runChaos(o Options) error {
 	r := o.runner()
 
 	// Pilot run to scale every fault time to a typical makespan.
-	pilotSc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 1, BaseSeed: 9100}
-	pilot, err := r.RunCell(pilotSc, PLBHeC)
-	if err != nil {
+	sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: o.seeds(), BaseSeed: 9100}
+	pilotRep, err := pilot(o, r, "chaos", sc)
+	if pilotRep == nil {
 		return err
 	}
-	horizon := pilot.Makespan.Mean
+	horizon := pilotRep.Makespan
 
+	// Each (scenario, scheduler) pair runs twice — without and with the
+	// speculation policy — under the identical fault schedules, so the Spec
+	// column isolates what watchdog-driven backup copies buy.
 	scenarios := chaosScenarios()
-	type job struct {
-		si   int
-		name SchedName
-	}
-	var jobs []job
-	for si := range scenarios {
+	var cells []Cell
+	for _, csc := range scenarios {
+		plain := sc
+		plain.Sim = starpu.SimConfig{Retry: true}
+		plain.Prepare = faultsAt(csc.gen, horizon)
+		spec := plain
+		spec.Sim.Spec = starpu.DefaultSpeculationPolicy()
 		for _, name := range PaperSchedulers() {
-			jobs = append(jobs, job{si, name})
+			cells = append(cells, Cell{Sc: plain, Name: name}, Cell{Sc: spec, Name: name})
 		}
 	}
-	type cell struct {
-		sum                 stats.Summary // default retry policy, no speculation
-		specSum             stats.Summary // retry + default speculation policy
-		survived, seeds     int
-		failovers, requeues int64
-		specs, wins, wasted int64 // speculation accounting of the spec run
-	}
-	cells := make([]cell, len(jobs))
-	seeds := o.seeds()
-	err = r.forEach(len(jobs), func(ji int) error {
-		j := jobs[ji]
-		times := make([]float64, 0, seeds)
-		specTimes := make([]float64, 0, seeds)
-		c := &cells[ji]
-		c.seeds = seeds
-		for i := 0; i < seeds; i++ {
-			// Each seed runs twice — without and with the speculation
-			// policy — under the identical fault schedule, so the Spec
-			// column isolates what watchdog-driven backup copies buy.
-			rep, err := runChaosRep(r, size, scenarios[j.si], j.name, i, horizon, nil)
-			if err != nil {
-				return err
-			}
-			specRep, specErr := runChaosRep(r, size, scenarios[j.si], j.name, i, horizon,
-				starpu.DefaultSpeculationPolicy())
-			if specErr != nil {
-				return specErr
-			}
-			if rep != nil {
-				times = append(times, rep.Makespan)
-				for _, res := range rep.Resilience {
-					c.failovers += res.Failovers
-					c.requeues += res.Requeues
-				}
-			}
-			if specRep != nil {
-				specTimes = append(specTimes, specRep.Makespan)
-				for _, res := range specRep.Resilience {
-					c.specs += res.Speculations
-					c.wins += res.SpecWins
-					c.wasted += res.SpecWasted
-				}
-			}
-		}
-		c.survived = len(times)
-		c.sum = stats.Summarize(times)
-		c.specSum = stats.Summarize(specTimes)
-		return nil
-	})
+	results, err := r.RunCells(cells)
 	if err != nil {
 		return err
 	}
 
 	t := NewTable(fmt.Sprintf("chaos sweep — MM %d, 2 machines (fault horizon %.2fs, default retry policy; Spec: + default speculation policy)", size, horizon),
 		"Scenario", "Scheduler", "Time s", "Std", "Spec s", "Survived", "Failovers", "Requeues", "Specs", "Wins", "Wasted")
-	for ji, j := range jobs {
-		c := cells[ji]
-		t.AddRow(scenarios[j.si].name, string(j.name),
-			fmt.Sprintf("%.3f", c.sum.Mean), fmt.Sprintf("%.3f", c.sum.Std),
-			fmt.Sprintf("%.3f", c.specSum.Mean),
-			fmt.Sprintf("%d/%d", c.survived, c.seeds),
-			fmt.Sprintf("%d", c.failovers), fmt.Sprintf("%d", c.requeues),
-			fmt.Sprintf("%d", c.specs), fmt.Sprintf("%d", c.wins), fmt.Sprintf("%d", c.wasted))
+	per := 2 * len(PaperSchedulers())
+	for i := 0; i < len(results); i += 2 {
+		res, spec := results[i], results[i+1]
+		t.AddRow(scenarios[i/per].name, string(res.Sched),
+			fmt.Sprintf("%.3f", res.Makespan.Mean), fmt.Sprintf("%.3f", res.Makespan.Std),
+			fmt.Sprintf("%.3f", spec.Makespan.Mean),
+			fmt.Sprintf("%d/%d", res.Makespan.N, res.Scenario.Seeds),
+			fmt.Sprintf("%d", res.Resilience.Failovers), fmt.Sprintf("%d", res.Resilience.Requeues),
+			fmt.Sprintf("%d", spec.Resilience.Speculations), fmt.Sprintf("%d", spec.Resilience.SpecWins),
+			fmt.Sprintf("%d", spec.Resilience.SpecWasted))
 	}
 	return t.Emit(o, "chaos")
-}
-
-// runChaosRep executes one chaos repetition: scheduler name under the
-// scenario's fault schedule for the given seed, with the default retry
-// policy and, when spec is non-nil, the speculation policy on top. A nil
-// report with nil error means the schedule exhausted every unit — a
-// tolerated outcome, the repetition just doesn't contribute a sample.
-func runChaosRep(r *Runner, size int64, csc chaosScenario, name SchedName, seed int, horizon float64, spec *starpu.SpeculationPolicy) (*starpu.Report, error) {
-	sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 1, BaseSeed: 9100 + int64(seed)}
-	app := MakeApp(sc.Kind, sc.Size)
-	clu := sc.Cluster(0)
-	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-		Retry: true,
-		Spec:  spec,
-	})
-	sess.SetContext(r.Context())
-	schedule := csc.gen(int64(seed), horizon)
-	if err := schedule.Apply(sess, clu); err != nil {
-		return nil, fmt.Errorf("%s under %q: %w", name, csc.name, err)
-	}
-	s, err := NewScheduler(name, InitialBlock(sc.Kind, sc.Size, sc.Machines))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sess.Run(s)
-	if err != nil {
-		// A schedule may legitimately exhaust every unit; anything else is
-		// a real failure of the harness.
-		if errors.Is(err, starpu.ErrFailedDevice) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%s under %q: %w", name, csc.name, err)
-	}
-	return rep, nil
 }

@@ -4,11 +4,15 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 	"time"
 
+	"plbhec/internal/cluster"
+	"plbhec/internal/fault"
 	"plbhec/internal/starpu"
+	"plbhec/internal/telemetry"
 )
 
 // hashReport folds a repetition's full TaskRecord stream into an FNV-1a
@@ -44,24 +48,28 @@ func hashReport(rep *starpu.Report) string {
 // sequentially or fan out over a parallel pool. This is the determinism
 // contract of the backoff machinery under concurrent requeues.
 func TestRetryBackoffJobsDeterminism(t *testing.T) {
-	const seeds, size, horizon = 4, 4096, 0.2
+	const seeds, horizon = 4, 0.2
 	death := chaosScenarios()[1] // GPU death mid-run
+	// One single-repetition cell per seed, so every seed's stream is hashed.
+	cells := make([]Cell, seeds)
+	for i := range cells {
+		cells[i] = Cell{Name: PLBHeC, Sc: Scenario{
+			Kind: MM, Size: 4096, Machines: 2, Seeds: 1, BaseSeed: 9100 + int64(i),
+			Sim:     starpu.SimConfig{Retry: true, Spec: starpu.DefaultSpeculationPolicy()},
+			Prepare: faultsAt(death.gen, horizon),
+		}}
+	}
 	sweep := func(jobs int) []string {
-		r := NewRunner(context.Background(), jobs)
-		hashes := make([]string, seeds)
-		err := r.forEach(seeds, func(i int) error {
-			rep, err := runChaosRep(r, size, death, PLBHeC, i, horizon, starpu.DefaultSpeculationPolicy())
-			if err != nil {
-				return err
-			}
-			if rep == nil {
-				return fmt.Errorf("seed %d: run did not survive the schedule", i)
-			}
-			hashes[i] = hashReport(rep)
-			return nil
-		})
+		results, err := NewRunner(context.Background(), jobs).RunCells(cells)
 		if err != nil {
 			t.Fatal(err)
+		}
+		hashes := make([]string, seeds)
+		for i, res := range results {
+			if res.LastReport == nil {
+				t.Fatalf("seed %d: run did not survive the schedule", i)
+			}
+			hashes[i] = hashReport(res.LastReport)
 		}
 		return hashes
 	}
@@ -111,5 +119,62 @@ func TestRunCellNoTimeoutUnchanged(t *testing.T) {
 	}
 	if res.Makespan.N != 2 {
 		t.Errorf("Makespan.N = %d, want 2", res.Makespan.N)
+	}
+}
+
+// TestCellTimeoutEveryExperiment: -cell-timeout reaches every experiment,
+// not only the paper figures. With a deadline no repetition can meet, each
+// experiment that simulates must finish without error, count its cells in
+// expt_cells_done and its cancelled repetitions in expt_reps_timed_out. The
+// network sweep (3 fabrics × 4 schedulers) is checked exactly.
+func TestCellTimeoutEveryExperiment(t *testing.T) {
+	analytic := map[string]bool{"table1": true, "fig1": true, "solver": true}
+	for _, e := range All() {
+		reg := telemetry.NewRegistry()
+		o := Options{Out: io.Discard, Quick: true, Seeds: 2, Jobs: 2,
+			Metrics: reg, CellTimeout: time.Nanosecond}
+		if err := e.Run(o); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+			continue
+		}
+		done := reg.Gauge("expt_cells_done").Value()
+		timedOut := reg.Gauge("expt_reps_timed_out").Value()
+		switch {
+		case e.ID == "network":
+			if done != 12 || timedOut != 24 {
+				t.Errorf("network: %g cells done, %g repetitions timed out; want 12 and 24", done, timedOut)
+			}
+		case analytic[e.ID]:
+		case done == 0 || timedOut == 0:
+			t.Errorf("%s: %g cells done, %g repetitions timed out; want both > 0", e.ID, done, timedOut)
+		}
+	}
+}
+
+// TestLostRepetitions: a fault schedule that kills every unit ends each
+// repetition in starpu.ErrFailedDevice. Under retry that is a lost data
+// point, counted in Result.Lost; without retry it is the cell's error.
+func TestLostRepetitions(t *testing.T) {
+	killAll := func(_ int, sess *starpu.Session, clu *cluster.Cluster) error {
+		s := fault.Schedule{Name: "kill-all"}
+		for pu := range clu.PUs() {
+			s.Specs = append(s.Specs, fault.FaultSpec{Kind: fault.DeviceDeath, At: 0.01, PU: pu})
+		}
+		return s.Apply(sess, clu)
+	}
+	sc := Scenario{Kind: MM, Size: 4096, Machines: 2, Seeds: 2, Prepare: killAll,
+		Sim: starpu.SimConfig{Retry: true}}
+	r := NewRunner(context.Background(), 2)
+	res, err := r.RunCell(sc, PLBHeC)
+	if err != nil {
+		t.Fatalf("lost repetitions must not fail the cell: %v", err)
+	}
+	if res.Lost != 2 || res.TimedOut != 0 || res.Makespan.N != 0 || res.LastReport != nil {
+		t.Errorf("Lost = %d, TimedOut = %d, samples = %d, LastReport = %v; want 2, 0, 0, nil",
+			res.Lost, res.TimedOut, res.Makespan.N, res.LastReport)
+	}
+	sc.Sim.Retry = false
+	if _, err := r.RunCell(sc, PLBHeC); err == nil {
+		t.Error("without retry a run that loses every unit must fail the cell")
 	}
 }

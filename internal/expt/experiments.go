@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"plbhec/internal/starpu"
 	"plbhec/internal/telemetry"
 )
 
@@ -106,7 +107,8 @@ func RunAll(o Options) error {
 	return nil
 }
 
-// quickSize shrinks an input size in quick mode so test runs stay fast.
+// size returns the input size an experiment runs at: s itself, or a
+// quarter of it in quick mode so test runs stay fast.
 func (o Options) size(kind AppKind, s int64) int64 {
 	if !o.Quick {
 		return s
@@ -120,6 +122,22 @@ func (o Options) size(kind AppKind, s int64) int64 {
 		return s / 4
 	}
 	return s
+}
+
+// pilot runs one PLB-HeC repetition of sc on r: the calibration run that
+// scales an experiment's perturbation times or feeds its profiles. A pilot
+// that did not complete prints one line and returns a nil report, so its
+// experiment returns early instead of deriving from a zero makespan.
+func pilot(o Options, r *Runner, id string, sc Scenario) (*starpu.Report, error) {
+	sc.Seeds = 1
+	res, err := r.RunCell(sc, PLBHeC)
+	if err != nil {
+		return nil, err
+	}
+	if res.LastReport == nil {
+		fmt.Fprintf(o.Out, "%s: pilot run %s did not complete; experiment skipped\n", id, sc.Label())
+	}
+	return res.LastReport, nil
 }
 
 // machinesAxis is the paper's four cluster scenarios.

@@ -23,7 +23,7 @@ func RunExplain(o Options) error {
 	r := o.runner()
 	var cells []Cell
 	for _, name := range PaperSchedulers() {
-		cells = append(cells, Cell{sc, name})
+		cells = append(cells, Cell{Sc: sc, Name: name})
 	}
 	results, err := r.RunCells(cells)
 	if err != nil {

@@ -67,7 +67,7 @@ func TestNewSchedulerUnknown(t *testing.T) {
 
 func TestRunCellAggregates(t *testing.T) {
 	sc := Scenario{Kind: MM, Size: 2048, Machines: 2, Seeds: 3, BaseSeed: 1}
-	res, err := RunCell(sc, PLBHeC)
+	res, err := NewRunner(nil, 1).RunCell(sc, PLBHeC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +160,13 @@ func TestFig4ShapeAssertions(t *testing.T) {
 	}
 	// The paper's two headline shapes at full MM scale, 4 machines:
 	// PLB-HeC > HDSS-or-greedy, and greedy wins at the smallest size.
+	r := NewRunner(nil, 1)
 	small := Scenario{Kind: MM, Size: 4096, Machines: 4, Seeds: 3, BaseSeed: 1}
-	gSmall, err := RunCell(small, Greedy)
+	gSmall, err := r.RunCell(small, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSmall, err := RunCell(small, PLBHeC)
+	pSmall, err := r.RunCell(small, PLBHeC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +176,11 @@ func TestFig4ShapeAssertions(t *testing.T) {
 	}
 
 	big := Scenario{Kind: MM, Size: 65536, Machines: 4, Seeds: 3, BaseSeed: 1}
-	gBig, err := RunCell(big, Greedy)
+	gBig, err := r.RunCell(big, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pBig, err := RunCell(big, PLBHeC)
+	pBig, err := r.RunCell(big, PLBHeC)
 	if err != nil {
 		t.Fatal(err)
 	}

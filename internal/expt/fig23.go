@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plbhec/internal/metrics"
-	"plbhec/internal/starpu"
 )
 
 func init() {
@@ -32,6 +31,10 @@ func runFig2(o Options) error {
 		return err
 	}
 	rep := res.LastReport
+	if rep == nil {
+		fmt.Fprintf(o.Out, "fig2: run %s did not complete\n", sc.Label())
+		return nil
+	}
 	fmt.Fprintf(o.Out, "\n== fig2 — PLB-HeC phases on MM-%d, 4 machines ==\n", size)
 
 	// The first recorded distribution marks the end of the modeling phase.
@@ -71,27 +74,21 @@ func runFig2(o Options) error {
 // scheduler synchronizes and redistributes. Rendered as an ASCII Gantt.
 func runFig3(o Options) error {
 	size := o.size(MM, 32768)
-	app := MakeApp(MM, size)
-	sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 1, BaseSeed: 11}
-	clu := sc.Cluster(0)
-	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{})
-	sess.SetContext(o.runner().Context())
-	s, err := NewScheduler(PLBHeC, InitialBlock(MM, size, 2))
-	if err != nil {
-		return err
-	}
 	// Degrade the master GPU to 35% speed one third into the expected run.
-	gpu := clu.Machines[0].GPUs[0]
-	slowAt := 8.0
-	if err := sess.ScheduleAt(slowAt, func() { gpu.SetSpeedFactor(0.35) }); err != nil {
-		return err
-	}
-	rep, err := sess.Run(s)
+	const slowAt = 8.0
+	sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 1, BaseSeed: 11,
+		Prepare: speedAt(slowAt, 0, 0.35)}
+	res, err := o.runner().RunCell(sc, PLBHeC)
 	if err != nil {
 		return err
+	}
+	rep := res.LastReport
+	if rep == nil {
+		fmt.Fprintf(o.Out, "fig3: run %s did not complete\n", sc.Label())
+		return nil
 	}
 	fmt.Fprintf(o.Out, "\n== fig3 — Gantt: %s on 2 machines; %s slows to 35%% at t=%.1fs ==\n",
-		app.Name(), gpu.Name, slowAt)
+		rep.AppName, sc.Cluster(0).Machines[0].GPUs[0].Name, slowAt)
 	fmt.Fprintf(o.Out, "(█ kernel execution, ▒ data transfer, · idle)\n")
 	fmt.Fprint(o.Out, metrics.RenderGantt(rep, 100))
 	fmt.Fprintf(o.Out, "rebalances triggered: %.0f, makespan %.3fs\n",

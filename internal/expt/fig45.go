@@ -50,12 +50,12 @@ func runTimeSweep(o Options, id string, kinds []AppKind) error {
 			for _, m := range o.machinesAxis() {
 				sc := Scenario{Kind: kind, Size: size, Machines: m, Seeds: o.seeds(), BaseSeed: 1000}
 				baseIdx := len(cells)
-				cells = append(cells, Cell{sc, Greedy})
+				cells = append(cells, Cell{Sc: sc, Name: Greedy})
 				for _, name := range PaperSchedulers() {
 					idx := baseIdx
 					if name != Greedy {
 						idx = len(cells)
-						cells = append(cells, Cell{sc, name})
+						cells = append(cells, Cell{Sc: sc, Name: name})
 					}
 					rows = append(rows, rowRef{size, m, name, idx, baseIdx})
 				}
@@ -91,10 +91,10 @@ func runHeadline(o Options) error {
 	r := o.runner()
 	// One cell per scheduler, greedy first as the baseline; all four fan
 	// out together.
-	cells := []Cell{{sc, Greedy}}
+	cells := []Cell{{Sc: sc, Name: Greedy}}
 	for _, name := range PaperSchedulers() {
 		if name != Greedy {
-			cells = append(cells, Cell{sc, name})
+			cells = append(cells, Cell{Sc: sc, Name: name})
 		}
 	}
 	results, err := r.RunCells(cells)

@@ -64,7 +64,7 @@ func sizeSchedGrid(o Options, kind AppKind, baseSeed int64, scheds []SchedName) 
 	for _, size := range twoSizes(o, kind) {
 		sc := Scenario{Kind: kind, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: baseSeed}
 		for _, name := range scheds {
-			cells = append(cells, Cell{sc, name})
+			cells = append(cells, Cell{Sc: sc, Name: name})
 		}
 	}
 	return cells

@@ -3,8 +3,8 @@ package expt
 import (
 	"fmt"
 
+	"plbhec/internal/cluster"
 	"plbhec/internal/starpu"
-	"plbhec/internal/stats"
 )
 
 func init() {
@@ -30,88 +30,43 @@ func init() {
 func runCloud(o Options) error {
 	size := o.size(MM, 32768)
 	r := o.runner()
-	perturbations := []string{
-		"stationary",
-		"QoS drop (master GPU to 40%)",
-		"failure (B's GPU dies)",
-	}
 
 	// Pilot run to place the perturbation at ~40% of a typical makespan,
 	// whatever the scenario scale.
-	pilotSc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 1, BaseSeed: 7000}
-	pilot, err := r.RunCell(pilotSc, PLBHeC)
-	if err != nil {
+	sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: o.seeds(), BaseSeed: 7000}
+	pilotRep, err := pilot(o, r, "cloud", sc)
+	if pilotRep == nil {
 		return err
 	}
-	perturbAt := 0.4 * pilot.Makespan.Mean
+	perturbAt := 0.4 * pilotRep.Makespan
 
-	type job struct {
-		pi   int
-		name SchedName
+	perturbations := []struct {
+		name    string
+		prepare func(int, *starpu.Session, *cluster.Cluster) error
+	}{
+		{"stationary", nil},
+		{"QoS drop (master GPU to 40%)", speedAt(perturbAt, 0, 0.40)},
+		{"failure (B's GPU dies)", speedAt(perturbAt, 1, 0)},
 	}
-	var jobs []job
-	for pi := range perturbations {
+	var cells []Cell
+	for _, p := range perturbations {
+		sc.Prepare = p.prepare
 		for _, name := range PaperSchedulers() {
-			jobs = append(jobs, job{pi, name})
+			cells = append(cells, Cell{Sc: sc, Name: name})
 		}
 	}
-	sums := make([]stats.Summary, len(jobs))
-	rebals := make([]float64, len(jobs))
-	seeds := o.seeds()
-	err = r.forEach(len(jobs), func(ji int) error {
-		j := jobs[ji]
-		times := make([]float64, seeds)
-		seedRebal := make([]float64, seeds)
-		if err := r.forEach(seeds, func(i int) error {
-			sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 1, BaseSeed: 7000 + int64(i)}
-			app := MakeApp(sc.Kind, sc.Size)
-			clu := sc.Cluster(0)
-			sess := starpu.NewSimSession(clu, app, starpu.SimConfig{})
-			sess.SetContext(r.Context())
-			switch j.pi {
-			case 1:
-				gpu := clu.Machines[0].GPUs[0]
-				if err := sess.ScheduleAt(perturbAt, func() { gpu.SetSpeedFactor(0.40) }); err != nil {
-					return err
-				}
-			case 2:
-				gpu := clu.Machines[1].GPUs[0]
-				if err := sess.ScheduleAt(perturbAt, func() { gpu.SetSpeedFactor(0) }); err != nil {
-					return err
-				}
-			}
-			s, err := NewScheduler(j.name, InitialBlock(sc.Kind, sc.Size, sc.Machines))
-			if err != nil {
-				return err
-			}
-			rep, err := sess.Run(s)
-			if err != nil {
-				return fmt.Errorf("%s under %q: %w", j.name, perturbations[j.pi], err)
-			}
-			times[i] = rep.Makespan
-			seedRebal[i] = rep.SchedulerStats["rebalances"]
-			return nil
-		}); err != nil {
-			return err
-		}
-		sums[ji] = stats.Summarize(times)
-		var rebal float64
-		for _, v := range seedRebal {
-			rebal += v / float64(seeds)
-		}
-		rebals[ji] = rebal
-		return nil
-	})
+	results, err := r.RunCells(cells)
 	if err != nil {
 		return err
 	}
 
 	t := NewTable(fmt.Sprintf("cloud/fault scenarios — MM %d, 2 machines (perturbation at t=%.2fs)", size, perturbAt),
 		"Scenario", "Scheduler", "Time s", "Std", "Rebalances")
-	for ji, j := range jobs {
-		t.AddRow(perturbations[j.pi], string(j.name),
-			fmt.Sprintf("%.3f", sums[ji].Mean), fmt.Sprintf("%.3f", sums[ji].Std),
-			fmt.Sprintf("%.1f", rebals[ji]))
+	per := len(PaperSchedulers())
+	for i, res := range results {
+		t.AddRow(perturbations[i/per].name, string(res.Sched),
+			fmt.Sprintf("%.3f", res.Makespan.Mean), fmt.Sprintf("%.3f", res.Makespan.Std),
+			fmt.Sprintf("%.1f", res.SchedStats["rebalances"]))
 	}
 	return t.Emit(o, "cloud")
 }
@@ -121,46 +76,36 @@ func runCloud(o Options) error {
 // and GTX 680.
 func runDualGPU(o Options) error {
 	size := o.size(MM, 65536)
-	r := o.runner()
+	configs := []struct {
+		label string
+		dual  bool
+	}{
+		{"single GPU per machine", false},
+		{"dual boards enabled", true},
+	}
+	scheds := []SchedName{PLBHeC, Greedy}
+	var cells []Cell
+	for _, c := range configs {
+		sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 8000,
+			NewCluster: func(seed int64) *cluster.Cluster {
+				return cluster.TableI(cluster.Config{
+					Machines: 4, Seed: seed, NoiseSigma: cluster.DefaultNoiseSigma, DualGPU: c.dual,
+				})
+			}}
+		for _, name := range scheds {
+			cells = append(cells, Cell{Sc: sc, Name: name})
+		}
+	}
+	results, err := o.runner().RunCells(cells)
+	if err != nil {
+		return err
+	}
+
 	t := NewTable(fmt.Sprintf("dual-GPU boards — MM %d, 4 machines", size),
 		"Configuration", "PUs", "Scheduler", "Time s", "Std")
-	for _, dual := range []bool{false, true} {
-		label := "single GPU per machine"
-		if dual {
-			label = "dual boards enabled"
-		}
-		for _, name := range []SchedName{PLBHeC, Greedy} {
-			seeds := o.seeds()
-			times := make([]float64, seeds)
-			puCounts := make([]int, seeds)
-			err := r.forEach(seeds, func(i int) error {
-				app := MakeApp(MM, size)
-				clu := clusterWithDual(4, 8000+int64(i), dual)
-				puCounts[i] = len(clu.PUs())
-				s, err := NewScheduler(name, InitialBlock(MM, size, 4))
-				if err != nil {
-					return err
-				}
-				sess := starpu.NewSimSession(clu, app, starpu.SimConfig{})
-				sess.SetContext(r.Context())
-				rep, err := sess.Run(s)
-				if err != nil {
-					return err
-				}
-				times[i] = rep.Makespan
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			pus := 0
-			if seeds > 0 {
-				pus = puCounts[seeds-1]
-			}
-			sum := stats.Summarize(times)
-			t.AddRow(label, pus, string(name),
-				fmt.Sprintf("%.3f", sum.Mean), fmt.Sprintf("%.3f", sum.Std))
-		}
+	for i, res := range results {
+		t.AddRow(configs[i/len(scheds)].label, len(res.PUNames), string(res.Sched),
+			fmt.Sprintf("%.3f", res.Makespan.Mean), fmt.Sprintf("%.3f", res.Makespan.Std))
 	}
 	if err := t.Emit(o, "dualgpu"); err != nil {
 		return err

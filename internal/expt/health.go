@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
 
 	"plbhec/internal/fault"
@@ -16,129 +15,6 @@ func init() {
 		Desc:  "Failure-detection sweep: phi-accrual vs deadline detectors under deaths, partitions, and heartbeat loss — detection latency against false suspicions and fenced completions",
 		Run:   runHealth,
 	})
-}
-
-// HealthScenario is one failure-detection cell: a heartbeat/detector policy
-// run against a seeded fault-schedule generator on a Table I cluster, with
-// the retry machinery engaged. Like chaosScenario, the schedule is a pure
-// function of (scenario, seed), and the cell is a pure function of the
-// scenario — which is what lets the root golden test pin a hash over it.
-type HealthScenario struct {
-	Name     string
-	Machines int
-	Size     int64 // MatMul N
-	Seeds    int   // repetitions (0 = DefaultSeeds)
-	BaseSeed int64 // repetition i seeds cluster noise with BaseSeed+i
-	// Horizon scales the generator's fault times; the sweep derives it from
-	// a pilot run, golden tests hardcode it.
-	Horizon float64
-	// Policy is the health policy under test (must be non-nil: a nil policy
-	// has no detector and the cell would measure nothing).
-	Policy *starpu.HealthPolicy
-	// Gen maps a repetition seed to that repetition's fault schedule.
-	Gen func(seed int64, horizon float64) fault.Schedule
-}
-
-// Label names the scenario for error messages, e.g. "health-partition-m2".
-func (sc HealthScenario) Label() string {
-	return fmt.Sprintf("health-%s-m%d", sc.Name, sc.Machines)
-}
-
-// HealthResult aggregates the repetitions of one failure-detection cell:
-// makespan over surviving repetitions plus the summed health accounting from
-// Report.Resilience.
-type HealthResult struct {
-	Scenario HealthScenario
-
-	Makespan        stats.Summary
-	Survived, Seeds int
-
-	// Detector accounting, summed over units and surviving repetitions.
-	Suspicions, FalseSuspects int64
-	Rejoins, Fenced           int64
-	Failovers, Requeues       int64
-	// DetectionSeconds sums true-positive detection lag; MeanDetection is
-	// its per-true-suspicion mean (0 when there were none).
-	DetectionSeconds float64
-	MeanDetection    float64
-
-	// LastReport is the final surviving repetition's full report.
-	LastReport *starpu.Report
-}
-
-// RunHealthCell executes one failure-detection cell over all repetitions,
-// fanning them out over the runner's pool and aggregating in seed order. A
-// repetition whose schedule exhausts every unit contributes no sample but is
-// not an error, matching the chaos sweep's survival semantics.
-func (r *Runner) RunHealthCell(sc HealthScenario) (*HealthResult, error) {
-	if sc.Seeds <= 0 {
-		sc.Seeds = DefaultSeeds
-	}
-	reports := make([]*starpu.Report, sc.Seeds)
-	err := r.forEach(sc.Seeds, func(i int) error {
-		rep, err := RunHealthRep(r, sc, i)
-		reports[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &HealthResult{Scenario: sc, Seeds: sc.Seeds}
-	var times []float64
-	for _, rep := range reports {
-		if rep == nil {
-			continue
-		}
-		res.LastReport = rep
-		times = append(times, rep.Makespan)
-		for _, u := range rep.Resilience {
-			res.Suspicions += u.Suspicions
-			res.FalseSuspects += u.FalseSuspects
-			res.Rejoins += u.Rejoins
-			res.Fenced += u.FencedCompletions
-			res.Failovers += u.Failovers
-			res.Requeues += u.Requeues
-			res.DetectionSeconds += u.DetectionSeconds
-		}
-	}
-	res.Survived = len(times)
-	res.Makespan = stats.Summarize(times)
-	if tp := res.Suspicions - res.FalseSuspects; tp > 0 {
-		res.MeanDetection = res.DetectionSeconds / float64(tp)
-	}
-	return res, nil
-}
-
-// RunHealthRep executes one repetition of a failure-detection cell: PLB-HeC
-// under the scenario's fault schedule with the health policy attached and the
-// default retry policy requeueing suspects' blocks. A nil report with nil
-// error means the schedule exhausted every unit — a tolerated outcome.
-func RunHealthRep(r *Runner, sc HealthScenario, seed int) (*starpu.Report, error) {
-	base := Scenario{Kind: MM, Size: sc.Size, Machines: sc.Machines, Seeds: 1, BaseSeed: sc.BaseSeed + int64(seed)}
-	app := MakeApp(base.Kind, base.Size)
-	clu := base.Cluster(0)
-	sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
-		Retry:  true,
-		Health: sc.Policy,
-	})
-	sess.SetContext(r.Context())
-	schedule := sc.Gen(int64(seed), sc.Horizon)
-	if err := schedule.Apply(sess, clu); err != nil {
-		return nil, fmt.Errorf("%s: %w", sc.Label(), err)
-	}
-	s, err := NewScheduler(PLBHeC, InitialBlock(base.Kind, base.Size, base.Machines))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sess.Run(s)
-	if err != nil {
-		if errors.Is(err, starpu.ErrFailedDevice) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%s seed %d: %w", sc.Label(), seed, err)
-	}
-	return rep, nil
 }
 
 // healthFaultGens returns the named fault-schedule generators the detection
@@ -191,24 +67,24 @@ func runHealth(o Options) error {
 	// Pilot run to scale fault times and the heartbeat period to a typical
 	// makespan: ~60 heartbeats per run keeps the phi window meaningful at
 	// every -quick input scale.
-	pilot, err := r.RunCell(Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 1, BaseSeed: 9500}, PLBHeC)
-	if err != nil {
+	sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: o.seeds(), BaseSeed: 9500}
+	pilotRep, err := pilot(o, r, "health", sc)
+	if pilotRep == nil {
 		return err
 	}
-	horizon := pilot.Makespan.Mean
+	horizon := pilotRep.Makespan
 	hb := horizon / 60
 
-	type detCfg struct {
-		name string
-		pol  *starpu.HealthPolicy
-	}
 	phi := func(th float64) *starpu.HealthPolicy {
 		return &starpu.HealthPolicy{HeartbeatSeconds: hb, Detector: "phi", PhiThreshold: th}
 	}
 	deadline := func(mult float64) *starpu.HealthPolicy {
 		return &starpu.HealthPolicy{HeartbeatSeconds: hb, Detector: "deadline", TimeoutSeconds: mult * hb}
 	}
-	dets := []detCfg{
+	dets := []struct {
+		name string
+		pol  *starpu.HealthPolicy
+	}{
 		{"phi θ=4", phi(4)},
 		{"phi θ=8", phi(8)},
 		{"phi θ=12", phi(12)},
@@ -217,49 +93,35 @@ func runHealth(o Options) error {
 	}
 
 	gens := healthFaultGens()
-	type job struct {
-		gi, di int
-	}
-	var jobs []job
-	for gi := range gens {
-		for di := range dets {
-			jobs = append(jobs, job{gi, di})
+	var cells []Cell
+	for _, g := range gens {
+		sc.Prepare = faultsAt(g.gen, horizon)
+		for _, d := range dets {
+			sc.Sim = starpu.SimConfig{Retry: true, Health: d.pol}
+			cells = append(cells, Cell{Sc: sc, Name: PLBHeC})
 		}
 	}
-	results := make([]*HealthResult, len(jobs))
-	err = r.forEach(len(jobs), func(ji int) error {
-		j := jobs[ji]
-		res, err := r.RunHealthCell(HealthScenario{
-			Name:     gens[j.gi].name,
-			Machines: 2,
-			Size:     size,
-			Seeds:    o.seeds(),
-			BaseSeed: 9500,
-			Horizon:  horizon,
-			Policy:   dets[j.di].pol,
-			Gen:      gens[j.gi].gen,
-		})
-		if err != nil {
-			return err
-		}
-		results[ji] = res
-		return nil
-	})
+	results, err := r.RunCells(cells)
 	if err != nil {
 		return err
 	}
 
 	t := NewTable(fmt.Sprintf("failure detection — MM %d, 2 machines, heartbeat %.3fs (fault horizon %.2fs, PLB-HeC + default retry)", size, hb, horizon),
 		"Scenario", "Detector", "Time s", "Survived", "Suspicions", "False", "Fenced", "Rejoins", "Det lat s", "Requeues")
-	for ji, j := range jobs {
-		res := results[ji]
-		t.AddRow(gens[j.gi].name, dets[j.di].name,
+	for i, res := range results {
+		acc := res.Resilience
+		// Mean detection lag over suspicions of units that were really down.
+		meanDet := 0.0
+		if tp := acc.Suspicions - acc.FalseSuspects; tp > 0 {
+			meanDet = acc.DetectionSeconds / float64(tp)
+		}
+		t.AddRow(gens[i/len(dets)].name, dets[i%len(dets)].name,
 			fmt.Sprintf("%.3f", res.Makespan.Mean),
-			fmt.Sprintf("%d/%d", res.Survived, res.Seeds),
-			fmt.Sprintf("%d", res.Suspicions), fmt.Sprintf("%d", res.FalseSuspects),
-			fmt.Sprintf("%d", res.Fenced), fmt.Sprintf("%d", res.Rejoins),
-			fmt.Sprintf("%.4f", res.MeanDetection),
-			fmt.Sprintf("%d", res.Requeues))
+			fmt.Sprintf("%d/%d", res.Makespan.N, res.Scenario.Seeds),
+			fmt.Sprintf("%d", acc.Suspicions), fmt.Sprintf("%d", acc.FalseSuspects),
+			fmt.Sprintf("%d", acc.FencedCompletions), fmt.Sprintf("%d", acc.Rejoins),
+			fmt.Sprintf("%.4f", meanDet),
+			fmt.Sprintf("%d", acc.Requeues))
 	}
 	return t.Emit(o, "health")
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"plbhec/internal/cluster"
-	"plbhec/internal/starpu"
-	"plbhec/internal/stats"
 )
 
 func init() {
@@ -28,7 +26,6 @@ func init() {
 // is driven by its fixed small blocks and exists on both clusters.)
 func runHeterogeneity(o Options) error {
 	size := o.size(MM, 65536)
-	seeds := o.seeds()
 
 	t := NewTable(
 		fmt.Sprintf("heterogeneity scaling — MM %d, 4 machines", size),
@@ -36,88 +33,47 @@ func runHeterogeneity(o Options) error {
 
 	clusters := []struct {
 		name string
-		mk   func(seed int64) *cluster.Cluster
+		mk   func(seed int64) *cluster.Cluster // nil: Table I
 	}{
 		{"homogeneous (4×A)", func(seed int64) *cluster.Cluster {
 			return cluster.Homogeneous(4, cluster.Config{Seed: seed, NoiseSigma: cluster.DefaultNoiseSigma})
 		}},
-		{"heterogeneous (A–D)", func(seed int64) *cluster.Cluster {
-			return cluster.TableI(cluster.Config{Machines: 4, Seed: seed, NoiseSigma: cluster.DefaultNoiseSigma})
-		}},
+		{"heterogeneous (A–D)", nil},
 	}
 
-	r := o.runner()
 	scheds := []SchedName{Greedy, PLBHeC, HDSS}
-	type job struct {
-		ci   int
-		name SchedName
-	}
-	var jobs []job
-	for ci := range clusters {
+	var cells []Cell
+	for _, c := range clusters {
+		sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 9800, NewCluster: c.mk}
 		for _, name := range scheds {
-			jobs = append(jobs, job{ci, name})
+			cells = append(cells, Cell{Sc: sc, Name: name})
 		}
 	}
-	sums := make([]stats.Summary, len(jobs))
-	err := r.forEach(len(jobs), func(ji int) error {
-		j := jobs[ji]
-		c := clusters[j.ci]
-		times := make([]float64, seeds)
-		if err := r.forEach(seeds, func(i int) error {
-			app := MakeApp(MM, size)
-			s, err := NewScheduler(j.name, InitialBlock(MM, size, 4))
-			if err != nil {
-				return err
-			}
-			sess := starpu.NewSimSession(c.mk(9800+int64(i)), app, starpu.SimConfig{})
-			sess.SetContext(r.Context())
-			rep, err := sess.Run(s)
-			if err != nil {
-				return fmt.Errorf("%s on %s: %w", j.name, c.name, err)
-			}
-			times[i] = rep.Makespan
-			return nil
-		}); err != nil {
-			return err
-		}
-		sums[ji] = stats.Summarize(times)
-		return nil
-	})
+	results, err := o.runner().RunCells(cells)
 	if err != nil {
 		return err
 	}
 
-	gains := map[string]float64{}
-	plbMean := map[string]float64{}
-	hdssMean := map[string]float64{}
-	var greedyMean float64
-	for ji, j := range jobs {
-		c := clusters[j.ci]
-		sum := sums[ji]
-		if j.name == Greedy {
-			greedyMean = sum.Mean
+	var gains, plbMean, hdssMean [2]float64
+	for ci, c := range clusters {
+		group := results[ci*len(scheds) : (ci+1)*len(scheds)]
+		greedy, plb, hdss := find(group, Greedy), find(group, PLBHeC), find(group, HDSS)
+		gains[ci] = greedy.Makespan.Mean / plb.Makespan.Mean
+		plbMean[ci], hdssMean[ci] = plb.Makespan.Mean, hdss.Makespan.Mean
+		for _, res := range group {
+			t.AddRow(c.name, string(res.Sched),
+				fmt.Sprintf("%.3f", res.Makespan.Mean), fmt.Sprintf("%.3f", res.Makespan.Std),
+				fmt.Sprintf("%.2f", greedy.Makespan.Mean/res.Makespan.Mean))
 		}
-		sp := greedyMean / sum.Mean
-		if j.name == PLBHeC {
-			gains[c.name] = sp
-			plbMean[c.name] = sum.Mean
-		}
-		if j.name == HDSS {
-			hdssMean[c.name] = sum.Mean
-		}
-		t.AddRow(c.name, string(j.name),
-			fmt.Sprintf("%.3f", sum.Mean), fmt.Sprintf("%.3f", sum.Std),
-			fmt.Sprintf("%.2f", sp))
 	}
 	if err := t.Emit(o, "heterogeneity"); err != nil {
 		return err
 	}
-	homo, hetero := "homogeneous (4×A)", "heterogeneous (A–D)"
 	fmt.Fprintf(o.Out, "PLB-HeC vs HDSS (curve model vs single weight): "+
 		"%.2fx on the homogeneous cluster → %.2fx on the heterogeneous one\n"+
 		"(the paper's \"highest performance gains with more heterogeneous clusters\";\n"+
 		" vs greedy the gains are %.2fx and %.2fx — driven by block size, not heterogeneity)\n",
-		hdssMean[homo]/plbMean[homo], hdssMean[hetero]/plbMean[hetero],
-		gains[homo], gains[hetero])
+		hdssMean[0]/plbMean[0], hdssMean[1]/plbMean[1],
+		gains[0], gains[1])
 	return nil
 }

@@ -2,8 +2,6 @@ package expt
 
 import (
 	"fmt"
-
-	"plbhec/internal/starpu"
 )
 
 func init() {
@@ -34,61 +32,45 @@ func runLocality(o Options) error {
 		fmt.Sprintf("data residency — MM %d ×%d passes, 4 machines", size, localityPasses),
 		"Scheduler", "Baseline GB", "Shipped GB", "Drop %", "Hit rate", "Evictions",
 		"Time s", "Legacy s")
-	r := o.runner()
-	names := PaperSchedulers()
-	type cell struct {
-		loc    *starpu.LocalityReport
-		time   float64
-		legacy float64
+	var cells []Cell
+	for _, name := range PaperSchedulers() {
+		sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), Passes: localityPasses}
+		legacy := sc
+		sc.Sim.Locality = true
+		cells = append(cells, Cell{Sc: sc, Name: name}, Cell{Sc: legacy, Name: name})
 	}
-	cells := make([]cell, len(names))
-	err := r.forEach(len(names), func(ni int) error {
-		sc := Scenario{
-			Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(),
-			Passes:   localityPasses,
-			Locality: true,
-		}
-		res, err := r.RunCell(sc, names[ni])
-		if err != nil {
-			return err
-		}
-		sc.Locality = false
-		base, err := r.RunCell(sc, names[ni])
-		if err != nil {
-			return err
-		}
-		if res.LastReport == nil || res.LastReport.Locality == nil {
-			return fmt.Errorf("locality: %s produced no residency report", names[ni])
-		}
-		cells[ni] = cell{
-			loc:    res.LastReport.Locality,
-			time:   res.Makespan.Mean,
-			legacy: base.Makespan.Mean,
-		}
-		return nil
-	})
+	results, err := o.runner().RunCells(cells)
 	if err != nil {
 		return err
 	}
-	for ni, name := range names {
-		c := cells[ni]
-		baseline := c.loc.BaselineBytes()
+	for i := 0; i < len(results); i += 2 {
+		res, legacy := results[i], results[i+1]
+		if res.LastReport == nil {
+			t.AddRow(string(res.Sched), "-", "-", "-", "-", "-", "-",
+				fmt.Sprintf("%.3f", legacy.Makespan.Mean))
+			continue
+		}
+		loc := res.LastReport.Locality
+		if loc == nil {
+			return fmt.Errorf("locality: %s produced no residency report", res.Sched)
+		}
+		baseline := loc.BaselineBytes()
 		drop := 0.0
 		if baseline > 0 {
-			drop = 100 * c.loc.SavedBytes / baseline
+			drop = 100 * loc.SavedBytes / baseline
 		}
 		hitRate := 0.0
-		if n := c.loc.Hits + c.loc.Misses; n > 0 {
-			hitRate = float64(c.loc.Hits) / float64(n)
+		if n := loc.Hits + loc.Misses; n > 0 {
+			hitRate = float64(loc.Hits) / float64(n)
 		}
-		t.AddRow(string(name),
+		t.AddRow(string(res.Sched),
 			fmt.Sprintf("%.2f", baseline/1e9),
-			fmt.Sprintf("%.2f", c.loc.TransferredBytes/1e9),
+			fmt.Sprintf("%.2f", loc.TransferredBytes/1e9),
 			fmt.Sprintf("%.1f", drop),
 			fmt.Sprintf("%.3f", hitRate),
-			fmt.Sprintf("%d", c.loc.Evictions),
-			fmt.Sprintf("%.3f", c.time),
-			fmt.Sprintf("%.3f", c.legacy))
+			fmt.Sprintf("%d", loc.Evictions),
+			fmt.Sprintf("%.3f", res.Makespan.Mean),
+			fmt.Sprintf("%.3f", legacy.Makespan.Mean))
 	}
 	return t.Emit(o, "locality")
 }

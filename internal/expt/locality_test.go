@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"plbhec/internal/starpu"
 )
 
 // localitySmokeScenario is the repeated-handle workload the CI smoke gate
@@ -12,8 +14,8 @@ import (
 func localitySmokeScenario() Scenario {
 	return Scenario{
 		Kind: MM, Size: 4096, Machines: 4, Seeds: 2,
-		Passes:   4,
-		Locality: true,
+		Passes: 4,
+		Sim:    starpu.SimConfig{Locality: true},
 	}
 }
 
@@ -98,7 +100,7 @@ func TestLocalityNilPolicyIdentical(t *testing.T) {
 	plain := Scenario{Kind: MM, Size: 4096, Machines: 4, Seeds: 1}
 	spelled := plain
 	spelled.Passes = 1
-	spelled.Locality = false
+	spelled.Sim.Locality = false
 	a, err := r.RunCell(plain, PLBHeC)
 	if err != nil {
 		t.Fatal(err)

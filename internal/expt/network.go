@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"plbhec/internal/cluster"
-	"plbhec/internal/starpu"
-	"plbhec/internal/stats"
 )
 
 func init() {
@@ -38,64 +36,31 @@ func runNetwork(o Options) error {
 	t := NewTable(
 		fmt.Sprintf("interconnect sensitivity — MM %d, 4 machines", size),
 		"Fabric", "Scheduler", "Time s", "Std", "Speedup vs greedy")
-	seeds := o.seeds()
-	r := o.runner()
-	type job struct {
-		fi   int
-		name SchedName
-	}
-	var jobs []job
-	for fi := range fabrics {
+	var cells []Cell
+	for _, f := range fabrics {
+		sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 9500,
+			NewCluster: func(seed int64) *cluster.Cluster {
+				return cluster.TableI(cluster.Config{
+					Machines: 4, Seed: seed, NoiseSigma: cluster.DefaultNoiseSigma, Fabric: &f.link,
+				})
+			}}
 		for _, name := range PaperSchedulers() {
-			jobs = append(jobs, job{fi, name})
+			cells = append(cells, Cell{Sc: sc, Name: name})
 		}
 	}
-	sums := make([]stats.Summary, len(jobs))
-	err := r.forEach(len(jobs), func(ji int) error {
-		j := jobs[ji]
-		f := fabrics[j.fi]
-		times := make([]float64, seeds)
-		if err := r.forEach(seeds, func(i int) error {
-			app := MakeApp(MM, size)
-			link := f.link
-			clu := cluster.TableI(cluster.Config{
-				Machines: 4, Seed: 9500 + int64(i),
-				NoiseSigma: cluster.DefaultNoiseSigma,
-				Fabric:     &link,
-			})
-			s, err := NewScheduler(j.name, InitialBlock(MM, size, 4))
-			if err != nil {
-				return err
-			}
-			sess := starpu.NewSimSession(clu, app, starpu.SimConfig{})
-			sess.SetContext(r.Context())
-			rep, err := sess.Run(s)
-			if err != nil {
-				return fmt.Errorf("%s on %s: %w", j.name, f.name, err)
-			}
-			times[i] = rep.Makespan
-			return nil
-		}); err != nil {
-			return err
-		}
-		sums[ji] = stats.Summarize(times)
-		return nil
-	})
+	results, err := o.runner().RunCells(cells)
 	if err != nil {
 		return err
 	}
-	// Greedy is last in PaperSchedulers, so resolve each fabric's baseline
-	// before emitting its rows.
-	greedyMean := make([]float64, len(fabrics))
-	for ji, j := range jobs {
-		if j.name == Greedy {
-			greedyMean[j.fi] = sums[ji].Mean
+	per := len(PaperSchedulers())
+	for fi, f := range fabrics {
+		group := results[fi*per : (fi+1)*per]
+		greedy := find(group, Greedy)
+		for _, res := range group {
+			t.AddRow(f.name, string(res.Sched),
+				fmt.Sprintf("%.3f", res.Makespan.Mean), fmt.Sprintf("%.3f", res.Makespan.Std),
+				fmt.Sprintf("%.2f", greedy.Makespan.Mean/res.Makespan.Mean))
 		}
-	}
-	for ji, j := range jobs {
-		t.AddRow(fabrics[j.fi].name, string(j.name),
-			fmt.Sprintf("%.3f", sums[ji].Mean), fmt.Sprintf("%.3f", sums[ji].Std),
-			fmt.Sprintf("%.2f", greedyMean[j.fi]/sums[ji].Mean))
 	}
 	return t.Emit(o, "network")
 }

@@ -30,25 +30,18 @@ type ObservedRun struct {
 // the distribution settled before a deadline — instead of only inspecting
 // the final report.
 func RunObserved(sc Scenario, name SchedName, seed int, sampleTimes []float64) (*ObservedRun, error) {
-	app := MakeApp(sc.Kind, sc.Size)
-	clu := sc.Cluster(seed)
-	cfg := starpu.SimConfig{}
-	if sc.NoOverheads {
-		cfg.Overheads = starpu.NoOverheads()
-	}
-	sess := starpu.NewSimSession(clu, app, cfg)
-	sched, err := NewScheduler(name, InitialBlock(sc.Kind, sc.Size, sc.Machines))
+	c := Cell{Sc: sc, Name: name}
+	sess, sched, err := c.Build(seed)
 	if err != nil {
 		return nil, err
 	}
 
 	tel := telemetry.New()
-	tel.Attach(telemetry.NewRunMetrics(tel.Registry(), puNames(clu)))
+	tel.Attach(telemetry.NewRunMetrics(tel.Registry(), puNames(sess.PUs())))
 	sess.AttachTelemetry(tel)
 
 	run := &ObservedRun{}
 	for _, t := range sampleTimes {
-		t := t
 		if err := sess.ScheduleAt(t, func() {
 			run.Samples = append(run.Samples, MetricSample{Time: t, Snap: tel.Registry().Snapshot()})
 		}); err != nil {
@@ -58,16 +51,15 @@ func RunObserved(sc Scenario, name SchedName, seed int, sampleTimes []float64) (
 
 	rep, err := sess.Run(sched)
 	if err != nil {
-		return nil, fmt.Errorf("expt: observed %s/%s seed %d: %w", sc.Label(), name, seed, err)
+		return nil, fmt.Errorf("expt: observed %s seed %d: %w", c.Label(), seed, err)
 	}
 	run.Report = rep
 	run.Final = tel.Registry().Snapshot()
 	return run, nil
 }
 
-// puNames lists the cluster's processing units in stable order.
-func puNames(clu *cluster.Cluster) []string {
-	pus := clu.PUs()
+// puNames lists the processing units' names in cluster order.
+func puNames(pus []*cluster.PU) []string {
 	names := make([]string, len(pus))
 	for i, pu := range pus {
 		names[i] = pu.Name()

@@ -1,11 +1,16 @@
 package expt
 
-import "testing"
+import (
+	"testing"
+
+	"plbhec/internal/starpu"
+)
 
 // TestRunObserved asserts the mid-run snapshot API: samples arrive in
 // order, progress counters are monotonic across them, and the scheduler's
 // convergence markers (modeling coverage, at least one solve) are visible
-// in the registry before the run ends.
+// in the registry before the run ends. It also checks that an observed run
+// runs the same workload as the cell it observes.
 func TestRunObserved(t *testing.T) {
 	sc := Scenario{Kind: MM, Size: 2048, Machines: 2, Seeds: 1}
 
@@ -60,5 +65,33 @@ func TestRunObserved(t *testing.T) {
 	}
 	if n := run.Final.Total(done); n != float64(len(run.Report.Records)) {
 		t.Errorf("final completed = %g, want %d (report records)", n, len(run.Report.Records))
+	}
+
+	// An observed run builds its session the way every cell does, so
+	// Passes and Sim reach it: a three-pass locality scenario processes all
+	// 12,288 units, carries a residency report, and produces the same
+	// record stream as the cell's repetition.
+	loc := Scenario{Kind: MM, Size: 4096, Machines: 2, Seeds: 1, Passes: 3,
+		Sim: starpu.SimConfig{Locality: true}}
+	obs, err := RunObserved(loc, PLBHeC, 0, nil)
+	if err != nil {
+		t.Fatalf("RunObserved(locality): %v", err)
+	}
+	res, err := NewRunner(nil, 1).RunCell(loc, PLBHeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units int64
+	for _, r := range obs.Report.Records {
+		units += r.Units
+	}
+	if units != 3*4096 {
+		t.Errorf("observed run processed %d units, want %d", units, 3*4096)
+	}
+	if obs.Report.Locality == nil {
+		t.Error("observed locality run carried no residency report")
+	}
+	if got, want := hashReport(obs.Report), hashReport(res.LastReport); got != want {
+		t.Errorf("observed record stream %s differs from the cell's %s", got, want)
 	}
 }

@@ -40,15 +40,16 @@ type Runner struct {
 	// sequential execution on the token it already holds.
 	sem chan struct{}
 
-	// cellTimeout bounds each repetition's wall time: when > 0, RunCell
+	// cellTimeout bounds each repetition's wall time: when > 0, runReps
 	// wraps the session context in a deadline and records a repetition
 	// that blows it as timed-out instead of hanging the sweep (or failing
 	// it — a stuck cell is a data point, not a harness error).
 	cellTimeout time.Duration
 
-	cellsActive *telemetry.Gauge
-	cellsDone   *telemetry.Gauge
-	cellPanics  *telemetry.Gauge
+	cellsActive  *telemetry.Gauge
+	cellsDone    *telemetry.Gauge
+	cellPanics   *telemetry.Gauge
+	repsTimedOut *telemetry.Gauge
 }
 
 // NewRunner builds a pool bounded to jobs concurrent workers (jobs <= 0
@@ -79,9 +80,10 @@ func (r *Runner) SetCellTimeout(d time.Duration) { r.cellTimeout = d }
 
 // AttachMetrics publishes the runner's progress gauges on reg:
 //
-//	expt_cells_active  — cells currently executing
-//	expt_cells_done    — cells finished (ok or failed)
-//	expt_cell_panics   — panics contained into per-cell errors
+//	expt_cells_active   — cells currently executing
+//	expt_cells_done     — cells finished (ok or failed)
+//	expt_cell_panics    — panics contained into per-cell errors
+//	expt_reps_timed_out — repetitions cancelled by the cell timeout
 //
 // A nil registry detaches the gauges (they still work, nobody reads them),
 // so runner code updates them unconditionally.
@@ -89,9 +91,11 @@ func (r *Runner) AttachMetrics(reg *telemetry.Registry) {
 	reg.Help("expt_cells_active", "Experiment cells currently executing.")
 	reg.Help("expt_cells_done", "Experiment cells finished, successfully or not.")
 	reg.Help("expt_cell_panics", "Panics contained into per-cell errors.")
+	reg.Help("expt_reps_timed_out", "Repetitions cancelled by the cell timeout.")
 	r.cellsActive = reg.Gauge("expt_cells_active")
 	r.cellsDone = reg.Gauge("expt_cells_done")
 	r.cellPanics = reg.Gauge("expt_cell_panics")
+	r.repsTimedOut = reg.Gauge("expt_reps_timed_out")
 }
 
 // forEach runs fn(i) for every i in [0, n), fanning indices out over the
@@ -141,19 +145,13 @@ func (r *Runner) protect(i int, fn func(int) error) (err error) {
 	return fn(i)
 }
 
-// Cell names one (scenario, scheduler) combination of an experiment grid.
-type Cell struct {
-	Sc   Scenario
-	Name SchedName
-}
-
 // RunCells executes the cells on the pool and returns their results in
 // input order. Every cell runs to completion even if another fails; the
 // first (lowest-index) error is returned alongside whatever succeeded.
 func (r *Runner) RunCells(cells []Cell) ([]*Result, error) {
 	out := make([]*Result, len(cells))
 	err := r.forEach(len(cells), func(i int) error {
-		res, err := r.RunCell(cells[i].Sc, cells[i].Name)
+		res, err := r.runCell(cells[i])
 		out[i] = res
 		return err
 	})

@@ -13,7 +13,7 @@ func benchCells() []Cell {
 	for _, size := range []int64{2048, 4096} {
 		sc := Scenario{Kind: MM, Size: size, Machines: 2, Seeds: 4, BaseSeed: 7}
 		for _, name := range []SchedName{PLBHeC, Greedy} {
-			cells = append(cells, Cell{sc, name})
+			cells = append(cells, Cell{Sc: sc, Name: name})
 		}
 	}
 	return cells

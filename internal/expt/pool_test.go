@@ -16,10 +16,10 @@ func testCells() []Cell {
 	scA := Scenario{Kind: MM, Size: 2048, Machines: 2, Seeds: 3, BaseSeed: 42}
 	scB := Scenario{Kind: MM, Size: 4096, Machines: 2, Seeds: 3, BaseSeed: 42}
 	return []Cell{
-		{scA, PLBHeC},
-		{scA, Greedy},
-		{scB, PLBHeC},
-		{scB, Greedy},
+		{Sc: scA, Name: PLBHeC},
+		{Sc: scA, Name: Greedy},
+		{Sc: scB, Name: PLBHeC},
+		{Sc: scB, Name: Greedy},
 	}
 }
 
@@ -115,7 +115,7 @@ func TestRunCellPanicContained(t *testing.T) {
 	r := NewRunner(context.Background(), 2)
 	r.AttachMetrics(reg)
 	bad := Scenario{Kind: AppKind("nope"), Size: 1024, Machines: 1, Seeds: 2, BaseSeed: 1}
-	_, err := r.RunCells([]Cell{{bad, PLBHeC}})
+	_, err := r.RunCells([]Cell{{Sc: bad, Name: PLBHeC}})
 	if err == nil || !strings.Contains(err.Error(), "unknown app kind") {
 		t.Fatalf("err = %v, want contained panic", err)
 	}

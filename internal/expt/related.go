@@ -5,7 +5,6 @@ import (
 
 	"plbhec/internal/sched"
 	"plbhec/internal/starpu"
-	"plbhec/internal/stats"
 )
 
 func init() {
@@ -23,76 +22,54 @@ func init() {
 // prior PLB-HeC run on the same cluster, per [17]'s design.
 func runRelated(o Options) error {
 	size := o.size(MM, 65536)
-	seeds := o.seeds()
 	blk := InitialBlock(MM, size, 4)
+
+	r := o.runner()
+	// Profiling run for [17]: one PLB-HeC execution on the target cluster.
+	prof, err := pilot(o, r, "related", Scenario{Kind: MM, Size: size, Machines: 4, BaseSeed: 9000})
+	if prof == nil {
+		return err
+	}
+	rates := sched.RatesFromReport(prof)
+
+	sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 9100}
+	entries := []struct {
+		origin string
+		cell   Cell
+	}{
+		{"this paper", Cell{Sc: sc, Name: PLBHeC}},
+		{"[19] Belviranli et al.", Cell{Sc: sc, Name: HDSS}},
+		{"[18] Acosta et al.", Cell{Sc: sc, Name: Acosta}},
+		{"StarPU default", Cell{Sc: sc, Name: Greedy}},
+		{"[17] de Camargo", Cell{Sc: sc, Name: StaticProfile,
+			Sched: func() starpu.Scheduler { return sched.NewStaticProfile(rates) }}},
+		{"[20] Hummel et al.", Cell{Sc: sc, Name: "weighted-factoring", Sched: func() starpu.Scheduler {
+			return sched.NewWeightedFactoring(sched.Config{InitialBlockSize: blk}, rates)
+		}}},
+		{"ablation", Cell{Sc: sc, Name: "static-oracle",
+			Sched: func() starpu.Scheduler { return sched.NewStatic() }}},
+	}
+	cells := make([]Cell, len(entries))
+	for i, e := range entries {
+		cells[i] = e.cell
+	}
+	results, err := r.RunCells(cells)
+	if err != nil {
+		return err
+	}
 
 	t := NewTable(
 		fmt.Sprintf("related-work comparison — MM %d, 4 machines", size),
 		"Scheduler", "Origin", "Time s", "Std", "Speedup vs greedy")
-
-	r := o.runner()
-	// Profiling run for [17]: one PLB-HeC execution on the target cluster.
-	profSc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: 1, BaseSeed: 9000}
-	profRes, err := r.RunCell(profSc, PLBHeC)
-	if err != nil {
-		return err
-	}
-	rates := sched.RatesFromReport(profRes.LastReport)
-
-	entries := []struct {
-		name   string
-		origin string
-		mk     func() starpu.Scheduler
-	}{
-		{"plb-hec", "this paper", func() starpu.Scheduler { return sched.NewPLBHeC(sched.Config{InitialBlockSize: blk}) }},
-		{"hdss", "[19] Belviranli et al.", func() starpu.Scheduler { return sched.NewHDSS(sched.Config{InitialBlockSize: blk}) }},
-		{"acosta", "[18] Acosta et al.", func() starpu.Scheduler { return sched.NewAcosta(sched.Config{InitialBlockSize: blk}) }},
-		{"greedy", "StarPU default", func() starpu.Scheduler { return sched.NewGreedy(sched.Config{InitialBlockSize: blk}) }},
-		{"static-profile", "[17] de Camargo", func() starpu.Scheduler { return sched.NewStaticProfile(rates) }},
-		{"weighted-factoring", "[20] Hummel et al.", func() starpu.Scheduler {
-			return sched.NewWeightedFactoring(sched.Config{InitialBlockSize: blk}, rates)
-		}},
-		{"static-oracle", "ablation", func() starpu.Scheduler { return sched.NewStatic() }},
-	}
-
-	results := make([]stats.Summary, len(entries))
-	err = r.forEach(len(entries), func(ei int) error {
-		e := entries[ei]
-		times := make([]float64, seeds)
-		if err := r.forEach(seeds, func(i int) error {
-			sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: 1, BaseSeed: 9100 + int64(i)}
-			app := MakeApp(sc.Kind, sc.Size)
-			sess := starpu.NewSimSession(sc.Cluster(0), app, starpu.SimConfig{})
-			sess.SetContext(r.Context())
-			rep, err := sess.Run(e.mk())
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.name, err)
-			}
-			times[i] = rep.Makespan
-			return nil
-		}); err != nil {
-			return err
-		}
-		results[ei] = stats.Summarize(times)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	var greedyMean float64
-	for ei, e := range entries {
-		if e.name == "greedy" {
-			greedyMean = results[ei].Mean
-		}
-	}
-	for ei, e := range entries {
+	greedyMean := find(results, Greedy).Makespan.Mean
+	for i, res := range results {
 		sp := "-"
 		if greedyMean > 0 {
-			sp = fmt.Sprintf("%.2f", greedyMean/results[ei].Mean)
+			sp = fmt.Sprintf("%.2f", greedyMean/res.Makespan.Mean)
 		}
-		t.AddRow(e.name, e.origin,
-			fmt.Sprintf("%.3f", results[ei].Mean),
-			fmt.Sprintf("%.3f", results[ei].Std), sp)
+		t.AddRow(string(res.Sched), entries[i].origin,
+			fmt.Sprintf("%.3f", res.Makespan.Mean),
+			fmt.Sprintf("%.3f", res.Makespan.Std), sp)
 	}
 	return t.Emit(o, "related")
 }

@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"context"
-
 	"plbhec/internal/metrics"
 	"plbhec/internal/starpu"
 	"plbhec/internal/stats"
@@ -44,40 +42,44 @@ type Result struct {
 	// trace rendering.
 	LastReport *starpu.Report
 
-	// TimedOut counts repetitions cancelled by the runner's cell timeout
-	// (-cell-timeout). They contribute no samples to the aggregates above;
-	// a cell where every repetition timed out reports zero-valued
-	// summaries and a nil LastReport.
-	TimedOut int
-}
+	// Resilience sums the runtime's per-unit fault accounting (failovers,
+	// requeues, speculation, failure detection) over every unit of every
+	// completed repetition, in seed order.
+	Resilience starpu.PUResilience
 
-// RunCell executes one (scenario, scheduler) cell over all repetitions,
-// strictly sequentially. It is the compatibility entry point; sweeps that
-// want parallelism and cancellation go through Runner.RunCell, which
-// produces bit-for-bit identical results.
-func RunCell(sc Scenario, name SchedName) (*Result, error) {
-	return NewRunner(context.Background(), 1).RunCell(sc, name)
+	// TimedOut counts repetitions cancelled by the runner's cell timeout
+	// (-cell-timeout). Lost counts repetitions whose fault schedule
+	// exhausted every unit (only under Sim.Retry or Sim.Health). Neither
+	// contributes samples to the aggregates above; a cell with no
+	// completed repetition reports zero-valued summaries and a nil
+	// LastReport.
+	TimedOut, Lost int
 }
 
 // RunCell executes one (scenario, scheduler) cell, fanning the repetitions
-// out over the runner's pool and aggregating them in seed order. The
-// session construction lives in scenarioSource; the shared fan-out engine
-// is runReps (see source.go).
+// out over the runner's pool and aggregating them in seed order.
 func (r *Runner) RunCell(sc Scenario, name SchedName) (*Result, error) {
-	if sc.Seeds <= 0 {
-		sc.Seeds = DefaultSeeds
+	return r.runCell(Cell{Sc: sc, Name: name})
+}
+
+// runCell executes one cell. Session construction lives in Cell.Build; the
+// shared fan-out engine is runReps (see source.go).
+func (r *Runner) runCell(c Cell) (*Result, error) {
+	if c.Sc.Seeds <= 0 {
+		c.Sc.Seeds = DefaultSeeds
 	}
-	reports, err := r.runReps(scenarioSource{sc: sc, name: name}, sc.Seeds)
+	sc := c.Sc
+	out, err := r.runReps(c, sc.Seeds, c.lossy())
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{Scenario: sc, Sched: name, SchedStats: map[string]float64{}}
+	res := &Result{Scenario: sc, Sched: c.Name, SchedStats: map[string]float64{},
+		TimedOut: out.timedOut, Lost: out.lost}
 	var makespans, idles []float64
 	var dists, puIdles [][]float64
-	for _, rep := range reports {
+	for _, rep := range out.reports {
 		if rep == nil {
-			res.TimedOut++
 			continue
 		}
 		res.LastReport = rep
@@ -93,7 +95,7 @@ func (r *Runner) RunCell(sc Scenario, name SchedName) (*Result, error) {
 		makespans = append(makespans, rep.Makespan)
 		idles = append(idles, metrics.MeanIdle(rep))
 		dist := metrics.ModelingDistribution(rep)
-		if name == Acosta {
+		if c.Name == Acosta {
 			dist = metrics.FinalDistribution(rep)
 		}
 		if dist != nil {
@@ -108,6 +110,9 @@ func (r *Runner) RunCell(sc Scenario, name SchedName) (*Result, error) {
 		for k, v := range rep.SchedulerStats {
 			res.SchedStats[k] += v / float64(sc.Seeds)
 		}
+		for _, u := range rep.Resilience {
+			addResilience(&res.Resilience, u)
+		}
 	}
 	res.Makespan = stats.Summarize(makespans)
 	res.MeanIdle = stats.Summarize(idles)
@@ -119,6 +124,26 @@ func (r *Runner) RunCell(sc Scenario, name SchedName) (*Result, error) {
 		res.LatencyP50, res.LatencyP99, res.LatencyP999 = lat[0], lat[1], lat[2]
 	}
 	return res, nil
+}
+
+// addResilience adds one unit's fault accounting into sum. The two
+// end-of-run blacklist flags become "any unit ended blacklisted".
+func addResilience(sum *starpu.PUResilience, u starpu.PUResilience) {
+	sum.Failovers += u.Failovers
+	sum.Recoveries += u.Recoveries
+	sum.Requeues += u.Requeues
+	sum.Failures += u.Failures
+	sum.Blacklisted = sum.Blacklisted || u.Blacklisted
+	sum.Speculations += u.Speculations
+	sum.SpecWins += u.SpecWins
+	sum.SpecWasted += u.SpecWasted
+	sum.SlowBlacklisted = sum.SlowBlacklisted || u.SlowBlacklisted
+	sum.Suspicions += u.Suspicions
+	sum.FalseSuspects += u.FalseSuspects
+	sum.Rejoins += u.Rejoins
+	sum.FencedCompletions += u.FencedCompletions
+	sum.BlacklistLifts += u.BlacklistLifts
+	sum.DetectionSeconds += u.DetectionSeconds
 }
 
 // columnStats returns per-column mean and sample standard deviation of a
@@ -143,6 +168,16 @@ func columnStats(rows [][]float64) (mean, std []float64) {
 		std[c] = stats.StdDev(col)
 	}
 	return mean, std
+}
+
+// find returns the result of scheduler name among rs (nil when absent).
+func find(rs []*Result, name SchedName) *Result {
+	for _, res := range rs {
+		if res.Sched == name {
+			return res
+		}
+	}
+	return nil
 }
 
 // Speedup returns a's speedup relative to base (base/a in mean makespan).

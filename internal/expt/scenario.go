@@ -11,6 +11,7 @@ import (
 
 	"plbhec/internal/apps"
 	"plbhec/internal/cluster"
+	"plbhec/internal/fault"
 	"plbhec/internal/sched"
 	"plbhec/internal/starpu"
 )
@@ -147,22 +148,26 @@ func PaperSizes(kind AppKind) []int64 {
 	panic(fmt.Sprintf("expt: unknown app kind %q", kind))
 }
 
-// Scenario is one cell of the evaluation grid.
+// Scenario is one cell of the evaluation grid: the workload, the cluster
+// and the runtime configuration every repetition shares.
 type Scenario struct {
 	Kind     AppKind
 	Size     int64
 	Machines int
 	Seeds    int   // repetitions (the paper reports averages of 10)
 	BaseSeed int64 // first seed; repetition i uses BaseSeed+i
-	// NoOverheads disables the charged scheduler overheads (ablation).
-	NoOverheads bool
 	// Passes repeats the input this many times over (a repeated-handle
 	// workload: work unit u reads datum u mod Size). <= 1 means one pass.
 	Passes int
-	// Locality enables data-residency tracking for every repetition (see
-	// starpu.SimConfig.Locality). Off keeps the legacy re-pay-every-transfer
-	// behavior bit-for-bit.
-	Locality bool
+	// Sim configures every repetition's session: charged overheads, retry,
+	// speculation, failure detection and data residency.
+	Sim starpu.SimConfig
+	// NewCluster builds a repetition's cluster from its seed. Nil means the
+	// Table I cluster on Machines nodes with the default noise.
+	NewCluster func(seed int64) *cluster.Cluster
+	// Prepare, when non-nil, runs on repetition i's fresh session before
+	// the run starts: it installs fault schedules and speed perturbations.
+	Prepare func(i int, sess *starpu.Session, clu *cluster.Cluster) error
 }
 
 // DefaultSeeds is the paper's repetition count.
@@ -170,9 +175,13 @@ const DefaultSeeds = 10
 
 // Cluster builds the scenario's cluster for repetition i.
 func (sc Scenario) Cluster(i int) *cluster.Cluster {
+	seed := sc.BaseSeed + int64(i)
+	if sc.NewCluster != nil {
+		return sc.NewCluster(seed)
+	}
 	return cluster.TableI(cluster.Config{
 		Machines:   sc.Machines,
-		Seed:       sc.BaseSeed + int64(i),
+		Seed:       seed,
 		NoiseSigma: cluster.DefaultNoiseSigma,
 	})
 }
@@ -182,34 +191,19 @@ func (sc Scenario) Label() string {
 	return fmt.Sprintf("%s-%d-m%d", sc.Kind, sc.Size, sc.Machines)
 }
 
-// clusterWithDual builds a Table I cluster with the dual-GPU boards
-// optionally enabled.
-func clusterWithDual(machines int, seed int64, dual bool) *cluster.Cluster {
-	return cluster.TableI(cluster.Config{
-		Machines:   machines,
-		Seed:       seed,
-		NoiseSigma: cluster.DefaultNoiseSigma,
-		DualGPU:    dual,
-	})
+// speedAt returns a Prepare hook that sets the speed factor of machine m's
+// first GPU to factor at engine time t.
+func speedAt(t float64, m int, factor float64) func(int, *starpu.Session, *cluster.Cluster) error {
+	return func(_ int, sess *starpu.Session, clu *cluster.Cluster) error {
+		gpu := clu.Machines[m].GPUs[0]
+		return sess.ScheduleAt(t, func() { gpu.SetSpeedFactor(factor) })
+	}
 }
 
-// clusterLink builds an inter-node link with the given bandwidth (test
-// helper for fabric sweeps).
-func clusterLink(bwBps float64) cluster.Link {
-	return cluster.Link{Name: "fabric", BandwidthBps: bwBps, LatencySec: 50e-6}
-}
-
-// clusterWithFabric builds a Table I cluster on a custom fabric.
-func clusterWithFabric(machines int, seed int64, link *cluster.Link) *cluster.Cluster {
-	return cluster.TableI(cluster.Config{
-		Machines:   machines,
-		Seed:       seed,
-		NoiseSigma: cluster.DefaultNoiseSigma,
-		Fabric:     link,
-	})
-}
-
-// newSimSession is a small helper for tests in this package.
-func newSimSession(clu *cluster.Cluster, app *apps.App) *starpu.Session {
-	return starpu.NewSimSession(clu, app, starpu.SimConfig{})
+// faultsAt returns a Prepare hook that installs gen's schedule for each
+// repetition, with fault times scaled to horizon.
+func faultsAt(gen func(seed int64, horizon float64) fault.Schedule, horizon float64) func(int, *starpu.Session, *cluster.Cluster) error {
+	return func(i int, sess *starpu.Session, clu *cluster.Cluster) error {
+		return gen(int64(i), horizon).Apply(sess, clu)
+	}
 }

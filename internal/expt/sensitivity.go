@@ -6,7 +6,6 @@ import (
 	"plbhec/internal/cluster"
 	"plbhec/internal/sched"
 	"plbhec/internal/starpu"
-	"plbhec/internal/stats"
 )
 
 func init() {
@@ -30,48 +29,14 @@ func init() {
 	})
 }
 
-// plbWith runs PLB-HeC with a tweak over several seeds on one scenario,
-// fanning the repetitions over the runner's pool, and returns the makespan
-// summary plus mean rebalances (reduced in seed order).
-func plbWith(r *Runner, kind AppKind, size int64, machines, seeds int, baseSeed int64,
-	noise float64, perturbAt, perturbFactor float64,
-	tweak func(*sched.PLBHeC)) (stats.Summary, float64, error) {
-
-	times := make([]float64, seeds)
-	seedRebal := make([]float64, seeds)
-	err := r.forEach(seeds, func(i int) error {
-		app := MakeApp(kind, size)
-		clu := cluster.TableI(cluster.Config{
-			Machines: machines, Seed: baseSeed + int64(i), NoiseSigma: noise,
-		})
-		sess := starpu.NewSimSession(clu, app, starpu.SimConfig{})
-		sess.SetContext(r.Context())
-		if perturbAt > 0 {
-			gpu := clu.Machines[0].GPUs[0]
-			if err := sess.ScheduleAt(perturbAt, func() { gpu.SetSpeedFactor(perturbFactor) }); err != nil {
-				return err
-			}
-		}
-		p := sched.NewPLBHeC(sched.Config{InitialBlockSize: InitialBlock(kind, size, machines)})
-		if tweak != nil {
-			tweak(p)
-		}
-		rep, err := sess.Run(p)
-		if err != nil {
-			return err
-		}
-		times[i] = rep.Makespan
-		seedRebal[i] = rep.SchedulerStats["rebalances"]
-		return nil
-	})
-	if err != nil {
-		return stats.Summary{}, 0, err
-	}
-	var rebal float64
-	for _, v := range seedRebal {
-		rebal += v / float64(seeds)
-	}
-	return stats.Summarize(times), rebal, nil
+// plbTuned returns a cell running PLB-HeC on sc with tune applied to each
+// repetition's scheduler.
+func plbTuned(sc Scenario, tune func(*sched.PLBHeC)) Cell {
+	return Cell{Sc: sc, Name: PLBHeC, Sched: func() starpu.Scheduler {
+		p := sched.NewPLBHeC(sched.Config{InitialBlockSize: InitialBlock(sc.Kind, sc.Size, sc.Machines)})
+		tune(p)
+		return p
+	}}
 }
 
 // runThreshold sweeps the rebalancing threshold under a mid-run QoS drop
@@ -85,22 +50,28 @@ func runThreshold(o Options) error {
 	size := o.size(MM, 65536)
 	r := o.runner()
 	// Pilot for the perturbation time.
-	pilot, _, err := plbWith(r, MM, size, 4, 1, 9900, cluster.DefaultNoiseSigma, 0, 0, nil)
+	sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 9900}
+	pilotRep, err := pilot(o, r, "threshold", sc)
+	if pilotRep == nil {
+		return err
+	}
+	perturbAt := 0.35 * pilotRep.Makespan
+	sc.Prepare = speedAt(perturbAt, 0, 0.40)
+
+	thresholds := []float64{0.02, 0.05, 0.10, 0.20, 0.50, 2.0, 0}
+	cells := make([]Cell, len(thresholds))
+	for i, thr := range thresholds {
+		cells[i] = plbTuned(sc, func(p *sched.PLBHeC) { p.Threshold = thr })
+	}
+	results, err := r.RunCells(cells)
 	if err != nil {
 		return err
 	}
-	perturbAt := 0.35 * pilot.Mean
 
 	t := NewTable(
 		fmt.Sprintf("threshold sweep — MM %d, 4 machines, master GPU to 40%% at t=%.1fs", size, perturbAt),
 		"Threshold", "Time s", "Std", "Rebalances")
-	for _, thr := range []float64{0.02, 0.05, 0.10, 0.20, 0.50, 2.0, 0} {
-		sum, rebal, err := plbWith(r, MM, size, 4, o.seeds(), 9900,
-			cluster.DefaultNoiseSigma, perturbAt, 0.40,
-			func(p *sched.PLBHeC) { p.Threshold = thr })
-		if err != nil {
-			return err
-		}
+	for i, thr := range thresholds {
 		label := fmt.Sprintf("%.0f%%", thr*100)
 		switch {
 		case thr == 0.10:
@@ -108,10 +79,15 @@ func runThreshold(o Options) error {
 		case thr == 0:
 			label = "off (no rebalancing)"
 		}
-		t.AddRow(label, fmt.Sprintf("%.3f", sum.Mean), fmt.Sprintf("%.3f", sum.Std),
-			fmt.Sprintf("%.1f", rebal))
+		addMakespanRow(t, label, results[i])
 	}
 	return t.Emit(o, "threshold")
+}
+
+// addMakespanRow appends a (label, mean, std, mean rebalances) row.
+func addMakespanRow(t *Table, label string, res *Result) {
+	t.AddRow(label, fmt.Sprintf("%.3f", res.Makespan.Mean), fmt.Sprintf("%.3f", res.Makespan.Std),
+		fmt.Sprintf("%.1f", res.SchedStats["rebalances"]))
 }
 
 // runBlockSize sweeps the initial block size on the stationary headline
@@ -122,40 +98,27 @@ func runThreshold(o Options) error {
 // probing round on the slowest CPU.
 func runBlockSize(o Options) error {
 	size := o.size(MM, 65536)
-	seeds := o.seeds()
 	def := InitialBlock(MM, size, 4)
+	sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 9950}
+
+	blocks := []float64{4, 8, 16, 32, 64, 128}
+	var cells []Cell
+	for _, blk := range blocks {
+		cfg := sched.Config{InitialBlockSize: blk}
+		cells = append(cells,
+			Cell{Sc: sc, Name: PLBHeC, Sched: func() starpu.Scheduler { return sched.NewPLBHeC(cfg) }},
+			Cell{Sc: sc, Name: Greedy, Sched: func() starpu.Scheduler { return sched.NewGreedy(cfg) }})
+	}
+	results, err := o.runner().RunCells(cells)
+	if err != nil {
+		return err
+	}
 
 	t := NewTable(
 		fmt.Sprintf("initial block size sweep — MM %d, 4 machines (per-app default %.0f)", size, def),
 		"Block", "PLB-HeC s", "Std", "Greedy s", "Std")
-	r := o.runner()
-	for _, blk := range []float64{4, 8, 16, 32, 64, 128} {
-		plbTimes := make([]float64, seeds)
-		greedyTimes := make([]float64, seeds)
-		err := r.forEach(seeds, func(i int) error {
-			sc := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: 1, BaseSeed: 9950 + int64(i)}
-			app := MakeApp(sc.Kind, sc.Size)
-			sess := starpu.NewSimSession(sc.Cluster(0), app, starpu.SimConfig{})
-			sess.SetContext(r.Context())
-			rep, err := sess.Run(sched.NewPLBHeC(sched.Config{InitialBlockSize: blk}))
-			if err != nil {
-				return err
-			}
-			plbTimes[i] = rep.Makespan
-			app2 := MakeApp(sc.Kind, sc.Size)
-			sess2 := starpu.NewSimSession(sc.Cluster(0), app2, starpu.SimConfig{})
-			sess2.SetContext(r.Context())
-			rep2, err := sess2.Run(sched.NewGreedy(sched.Config{InitialBlockSize: blk}))
-			if err != nil {
-				return err
-			}
-			greedyTimes[i] = rep2.Makespan
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		ps, gs := stats.Summarize(plbTimes), stats.Summarize(greedyTimes)
+	for i, blk := range blocks {
+		ps, gs := results[2*i].Makespan, results[2*i+1].Makespan
 		t.AddRow(fmt.Sprintf("%.0f", blk),
 			fmt.Sprintf("%.3f", ps.Mean), fmt.Sprintf("%.3f", ps.Std),
 			fmt.Sprintf("%.3f", gs.Mean), fmt.Sprintf("%.3f", gs.Std))
@@ -168,21 +131,28 @@ func runBlockSize(o Options) error {
 // cost little; heavy noise forces spurious rebalances.
 func runNoise(o Options) error {
 	size := o.size(MM, 65536)
+	sigmas := []float64{0, 0.005, 0.015, 0.05, 0.10}
+	cells := make([]Cell, len(sigmas))
+	for i, sigma := range sigmas {
+		cells[i] = Cell{Name: PLBHeC, Sc: Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 9990,
+			NewCluster: func(seed int64) *cluster.Cluster {
+				return cluster.TableI(cluster.Config{Machines: 4, Seed: seed, NoiseSigma: sigma})
+			}}}
+	}
+	results, err := o.runner().RunCells(cells)
+	if err != nil {
+		return err
+	}
+
 	t := NewTable(
 		fmt.Sprintf("measurement-noise sweep — MM %d, 4 machines, PLB-HeC", size),
 		"Noise σ", "Time s", "Std", "Rebalances")
-	r := o.runner()
-	for _, sigma := range []float64{0, 0.005, 0.015, 0.05, 0.10} {
-		sum, rebal, err := plbWith(r, MM, size, 4, o.seeds(), 9990, sigma, 0, 0, nil)
-		if err != nil {
-			return err
-		}
+	for i, sigma := range sigmas {
 		label := fmt.Sprintf("%.1f%%", sigma*100)
 		if sigma == cluster.DefaultNoiseSigma {
 			label += " (default)"
 		}
-		t.AddRow(label, fmt.Sprintf("%.3f", sum.Mean), fmt.Sprintf("%.3f", sum.Std),
-			fmt.Sprintf("%.1f", rebal))
+		addMakespanRow(t, label, results[i])
 	}
 	return t.Emit(o, "noise")
 }

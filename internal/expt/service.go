@@ -37,7 +37,7 @@ func (sc ServiceScenario) Label() string {
 }
 
 // serviceSource adapts a ServiceScenario to cellSource, the open-system
-// counterpart of scenarioSource.
+// counterpart of Cell.
 type serviceSource struct {
 	sc ServiceScenario
 }
@@ -100,30 +100,23 @@ type ServiceResult struct {
 	TimedOut int
 }
 
-// RunServiceCell executes one open-system cell over all repetitions,
-// sequentially. Sweeps wanting parallelism go through Runner.RunServiceCell.
-func RunServiceCell(sc ServiceScenario) (*ServiceResult, error) {
-	return NewRunner(nil, 1).RunServiceCell(sc)
-}
-
 // RunServiceCell executes one open-system cell, fanning the repetitions out
 // over the runner's pool and aggregating them in seed order.
 func (r *Runner) RunServiceCell(sc ServiceScenario) (*ServiceResult, error) {
 	if sc.Seeds <= 0 {
 		sc.Seeds = DefaultSeeds
 	}
-	reports, err := r.runReps(serviceSource{sc: sc}, sc.Seeds)
+	out, err := r.runReps(serviceSource{sc: sc}, sc.Seeds, false)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &ServiceResult{Scenario: sc}
+	res := &ServiceResult{Scenario: sc, TimedOut: out.timedOut}
 	var makespans []float64
 	goodputs := make([][]float64, len(sc.Policy.Apps))
 	shedRates := make([][]float64, len(sc.Policy.Apps))
-	for _, rep := range reports {
+	for _, rep := range out.reports {
 		if rep == nil {
-			res.TimedOut++
 			continue
 		}
 		sv := rep.Service

@@ -2,6 +2,8 @@ package expt
 
 import (
 	"testing"
+
+	"plbhec/internal/cluster"
 )
 
 // The shape regression suite: one test per paper artifact asserting the
@@ -11,7 +13,7 @@ import (
 func cell(t *testing.T, kind AppKind, size int64, machines int, name SchedName) *Result {
 	t.Helper()
 	sc := Scenario{Kind: kind, Size: size, Machines: machines, Seeds: 3, BaseSeed: 400}
-	res, err := RunCell(sc, name)
+	res, err := NewRunner(nil, 1).RunCell(sc, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,29 +108,20 @@ func TestShapeNetworkCompression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale shape test")
 	}
-	// Reuse the network experiment's machinery at reduced seeds via the
-	// fabric override directly.
+	r := NewRunner(nil, 1)
 	speedup := func(bwBps float64) float64 {
-		var plb, greedy float64
-		for _, name := range []SchedName{PLBHeC, Greedy} {
-			app := MakeApp(MM, 65536)
-			link := clusterLink(bwBps)
-			clu := clusterWithFabric(4, 401, &link)
-			s, err := NewScheduler(name, InitialBlock(MM, 65536, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := newSimSession(clu, app).Run(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if name == PLBHeC {
-				plb = rep.Makespan
-			} else {
-				greedy = rep.Makespan
-			}
+		sc := Scenario{Kind: MM, Size: 65536, Machines: 4, Seeds: 1, BaseSeed: 401,
+			NewCluster: func(seed int64) *cluster.Cluster {
+				return cluster.TableI(cluster.Config{
+					Machines: 4, Seed: seed, NoiseSigma: cluster.DefaultNoiseSigma,
+					Fabric: &cluster.Link{Name: "fabric", BandwidthBps: bwBps, LatencySec: 50e-6},
+				})
+			}}
+		res, err := r.RunCells([]Cell{{Sc: sc, Name: PLBHeC}, {Sc: sc, Name: Greedy}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return greedy / plb
+		return Speedup(res[0], res[1])
 	}
 	slow := speedup(117e6)
 	fast := speedup(1.17e9)

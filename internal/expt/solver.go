@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"plbhec/internal/ipm"
+	"plbhec/internal/sched"
+	"plbhec/internal/starpu"
 	"plbhec/internal/stats"
 )
 
@@ -75,37 +77,33 @@ func runSolver(o Options) error {
 func runAblation(o Options) error {
 	size := o.size(MM, 65536)
 	base := Scenario{Kind: MM, Size: size, Machines: 4, Seeds: o.seeds(), BaseSeed: 5000}
-
-	t := NewTable(fmt.Sprintf("PLB-HeC ablations — MM %d, 4 machines", size),
-		"Variant", "Time s", "Std", "vs full")
-	pool := o.runner()
-	full, err := pool.RunCell(base, PLBHeC)
+	noOv := base
+	noOv.Sim.Overheads = starpu.NoOverheads()
+	variants := []struct {
+		label string
+		cell  Cell
+	}{
+		{"full PLB-HeC", Cell{Sc: base, Name: PLBHeC}},
+		{"no charged fit/solve overheads", Cell{Sc: noOv, Name: PLBHeC}},
+		{"rebalancing disabled", plbTuned(base, func(p *sched.PLBHeC) { p.Threshold = 0 })},
+		{"single execution step (one block per unit)", plbTuned(base, func(p *sched.PLBHeC) { p.ExecutionSteps = 1 })},
+	}
+	cells := make([]Cell, len(variants))
+	for i, v := range variants {
+		cells[i] = v.cell
+	}
+	results, err := o.runner().RunCells(cells)
 	if err != nil {
 		return err
 	}
-	add := func(label string, r *Result) {
-		t.AddRow(label, fmt.Sprintf("%.3f", r.Makespan.Mean),
-			fmt.Sprintf("%.3f", r.Makespan.Std),
-			fmt.Sprintf("%+.1f%%", 100*(r.Makespan.Mean/full.Makespan.Mean-1)))
-	}
-	add("full PLB-HeC", full)
 
-	noOv := base
-	noOv.NoOverheads = true
-	if r, err := pool.RunCell(noOv, PLBHeC); err == nil {
-		add("no charged fit/solve overheads", r)
-	} else {
-		return err
-	}
-	if r, err := runPLBVariant(pool, base, func(p *plbKnobs) { p.noRebalance = true }); err == nil {
-		add("rebalancing disabled", r)
-	} else {
-		return err
-	}
-	if r, err := runPLBVariant(pool, base, func(p *plbKnobs) { p.oneStep = true }); err == nil {
-		add("single execution step (one block per unit)", r)
-	} else {
-		return err
+	t := NewTable(fmt.Sprintf("PLB-HeC ablations — MM %d, 4 machines", size),
+		"Variant", "Time s", "Std", "vs full")
+	full := results[0]
+	for i, res := range results {
+		t.AddRow(variants[i].label, fmt.Sprintf("%.3f", res.Makespan.Mean),
+			fmt.Sprintf("%.3f", res.Makespan.Std),
+			fmt.Sprintf("%+.1f%%", 100*(res.Makespan.Mean/full.Makespan.Mean-1)))
 	}
 	return t.Emit(o, "ablation")
 }

@@ -2,8 +2,10 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"plbhec/internal/apps"
 	"plbhec/internal/cluster"
@@ -216,6 +218,56 @@ func TestChaosMachinePermutationInvariance(t *testing.T) {
 	for id, ua := range a {
 		if ub, ok := b[id]; !ok || ub != ua {
 			t.Errorf("identity %q: %d units vs %d after permutation", id, ua, ub)
+		}
+	}
+}
+
+// TestChaosPermanentPartitionTerminates: a unit cut off for good under a
+// HealthPolicy must not wedge the run. A scheduler may assign a block to
+// the unit after the detector already suspects it; that block's copy is
+// abandoned behind the partition and must move to a survivor at once,
+// because the detector never fires twice for the same suspicion. Each run
+// gets a wall-clock guard: the bug this pins made simulated time grow
+// without bound, with only heartbeat timers firing.
+func TestChaosPermanentPartitionTerminates(t *testing.T) {
+	const n = 8192
+	for name, mk := range chaosSchedulers() {
+		for _, at := range []float64{0, 0.05, 0.1, 0.2} {
+			label := fmt.Sprintf("%s/partition@%g", name, at)
+			clu := cluster.TableI(cluster.Config{
+				Machines: 2, Seed: 9500, NoiseSigma: cluster.DefaultNoiseSigma,
+			})
+			app := apps.NewMatMul(apps.MatMulConfig{N: n})
+			sess := starpu.NewSimSession(clu, app, starpu.SimConfig{
+				Retry: true,
+				Health: &starpu.HealthPolicy{
+					HeartbeatSeconds: 0.02, Detector: "phi", PhiThreshold: 8,
+				},
+			})
+			s := fault.Schedule{Name: "permanent-partition", Specs: []fault.FaultSpec{
+				{Kind: fault.Partition, At: at, PU: 3},
+			}}
+			if err := s.Apply(sess, clu); err != nil {
+				t.Fatalf("%s: apply: %v", label, err)
+			}
+			type outcome struct {
+				rep *starpu.Report
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				rep, err := sess.Run(mk())
+				done <- outcome{rep, err}
+			}()
+			select {
+			case o := <-done:
+				if o.err != nil {
+					t.Fatalf("%s: %v", label, o.err)
+				}
+				checkChaosInvariants(t, label, o.rep, n, nil)
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s: run still going after 30 s of wall time", label)
+			}
 		}
 	}
 }

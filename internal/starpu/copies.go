@@ -294,8 +294,10 @@ func (s *Session) abandon(c *blockCopy) {
 // drop settles the block of a copy that just died with its unit. Under a
 // HealthPolicy the copy's account settles and the block stays parked on its
 // lease, marked lost: only the failure detector, or the unit's recovery,
-// moves it, so detection latency stays a measured cost. Otherwise a twin
-// still running elsewhere completes the block, or it is requeued.
+// moves it, so detection latency stays a measured cost. A unit the detector
+// already suspects will not be suspected again, so its lost block moves at
+// once. Otherwise a twin still running elsewhere completes the block, or it
+// is requeued.
 func (s *Session) drop(c *blockCopy) {
 	pu, twin := c.rec.PU, c.twin
 	if twin != nil {
@@ -306,6 +308,9 @@ func (s *Session) drop(c *blockCopy) {
 		s.inflightPU[pu]--
 		if l := s.leases.Get(c.rec.Seq); l != nil && l.Owner == pu {
 			l.Lost = true
+			if s.suspected[pu] {
+				s.reassignLease(pu, c.rec.Seq)
+			}
 		}
 	case twin != nil:
 		s.inflightPU[pu]--
