@@ -256,7 +256,7 @@ func BenchmarkSolveN(b *testing.B) {
 // water-filling solves, execution — on a generated 10,000-PU cluster
 // (2000 nodes × 1 CPU + 4 GPUs). Work conservation and record sanity are
 // asserted every iteration. Next to the simulated makespan it reports the
-// solves, the failed ones (each a degradation-ladder descent) and the τ
+// solves, the failed ones (each falls back to an even split) and the τ
 // steps per solve, so a time won by a degraded path shows.
 func BenchmarkSim10kPU(b *testing.B) {
 	const totalUnits = 16 << 20

@@ -32,9 +32,16 @@ type Config struct {
 	// timeout PhiAccrual applies while a unit's window has fewer than
 	// MinSamples intervals.
 	TimeoutSeconds float64
-	WindowSize     int // inter-arrival samples kept per unit
-	MinSamples     int // arrivals before the fitted window is trusted
 }
+
+const (
+	// WindowSize is how many inter-arrival samples the detector keeps per
+	// unit.
+	WindowSize = 32
+	// MinSamples is how many intervals a unit's window needs before the
+	// phi rules trust its fitted distribution.
+	MinSamples = 3
+)
 
 // minStd returns the floor applied to the window's standard deviation. A
 // perfectly periodic heartbeat stream (the simulator's) has zero variance,
@@ -49,7 +56,7 @@ func (c Config) minStd() float64 {
 // with incrementally maintained first and second moments.
 type unitState struct {
 	last  float64 // time of the most recent heartbeat
-	win   []float64
+	win   [WindowSize]float64
 	next  int // ring index of the slot written next
 	n     int // samples currently in the window
 	sum   float64
@@ -67,11 +74,7 @@ type Detector struct {
 // NewDetector builds a detector for n units, all considered heard-from at
 // time 0 (session start counts as a heartbeat).
 func NewDetector(cfg Config, n int) *Detector {
-	d := &Detector{cfg: cfg, units: make([]unitState, n)}
-	for i := range d.units {
-		d.units[i].win = make([]float64, cfg.WindowSize)
-	}
-	return d
+	return &Detector{cfg: cfg, units: make([]unitState, n)}
 }
 
 // Heartbeat records a heartbeat from unit u at time t. Arrivals at or before
@@ -84,7 +87,7 @@ func (d *Detector) Heartbeat(u int, t float64) {
 	if dt <= 0 {
 		return
 	}
-	if s.n == len(s.win) {
+	if s.n == WindowSize {
 		old := s.win[s.next]
 		s.sum -= old
 		s.sumsq -= old * old
@@ -94,7 +97,7 @@ func (d *Detector) Heartbeat(u int, t float64) {
 	s.win[s.next] = dt
 	s.sum += dt
 	s.sumsq += dt * dt
-	s.next = (s.next + 1) % len(s.win)
+	s.next = (s.next + 1) % WindowSize
 }
 
 // LastSeen returns the time of unit u's most recent heartbeat.
@@ -105,7 +108,7 @@ func (d *Detector) LastSeen(u int) float64 { return d.units[u].last }
 // TimeoutSeconds silence — the behavior HealthPolicy documents — instead of
 // the fitted distribution.
 func (d *Detector) bootstrapping(u int) bool {
-	return d.units[u].n < d.cfg.MinSamples
+	return d.units[u].n < MinSamples
 }
 
 // stats returns the window's mean and (floored) standard deviation, falling
@@ -114,7 +117,7 @@ func (d *Detector) bootstrapping(u int) bool {
 // against division by a zero-sample window).
 func (d *Detector) stats(u int) (mean, std float64) {
 	s := &d.units[u]
-	if s.n < d.cfg.MinSamples {
+	if s.n < MinSamples {
 		return d.cfg.IntervalSeconds, d.cfg.minStd()
 	}
 	mean = s.sum / float64(s.n)

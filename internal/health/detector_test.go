@@ -7,7 +7,7 @@ import (
 
 func phiCfg() Config {
 	return Config{Kind: PhiAccrual, IntervalSeconds: 0.05, PhiThreshold: 8,
-		TimeoutSeconds: 0.15, WindowSize: 32, MinSamples: 3}
+		TimeoutSeconds: 0.15}
 }
 
 // TestPhiMonotoneInSilence: phi must be non-decreasing in silence, zero-ish
@@ -145,16 +145,15 @@ func TestDuplicateHeartbeat(t *testing.T) {
 
 // TestWindowSlides: the ring buffer must forget samples beyond WindowSize.
 func TestWindowSlides(t *testing.T) {
-	cfg := phiCfg()
-	cfg.WindowSize = 4
-	d := NewDetector(cfg, 1)
+	d := NewDetector(phiCfg(), 1)
 	now := 0.0
-	// Four slow intervals, then many fast ones: the slow history must age out.
-	for i := 0; i < 4; i++ {
+	// A full window of slow intervals, then more than a window of fast
+	// ones: the slow history must age out.
+	for i := 0; i < WindowSize; i++ {
 		now += 0.5
 		d.Heartbeat(0, now)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < WindowSize+8; i++ {
 		now += 0.05
 		d.Heartbeat(0, now)
 	}

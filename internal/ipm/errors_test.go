@@ -8,7 +8,7 @@ import (
 
 // Classification coverage: corrupted inputs and pathological curves must
 // surface typed errors (never garbage distributions), because the
-// scheduler's degradation ladder branches on them.
+// scheduler falls back to an even split on them.
 
 func TestSolveNonFiniteTotal(t *testing.T) {
 	for _, total := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

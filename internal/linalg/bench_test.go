@@ -62,11 +62,3 @@ func BenchmarkQRLeastSquares(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMatMul32(b *testing.B) {
-	m := benchMatrix(32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Mul(m)
-	}
-}

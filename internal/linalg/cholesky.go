@@ -10,20 +10,9 @@ type Cholesky struct {
 	l *Matrix
 }
 
-// FactorCholesky computes the Cholesky factorization of the symmetric
-// positive definite matrix a (only the lower triangle of a is read). It
-// returns ErrSingular if a is not positive definite.
-func FactorCholesky(a *Matrix) (*Cholesky, error) {
-	c := &Cholesky{}
-	if err := c.Factor(a); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Factor (re)computes the factorization of a into c, reusing c's storage
 // when the size allows. Only the lower triangle of a is read. On error the
-// factor is invalid and must not be used with Solve.
+// factor is invalid and must not be used with SolveInto.
 func (c *Cholesky) Factor(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return ErrDimension
@@ -57,15 +46,6 @@ func (c *Cholesky) Factor(a *Matrix) error {
 	return nil
 }
 
-// Solve solves A·x = b given the factorization.
-func (c *Cholesky) Solve(b Vector) (Vector, error) {
-	x := NewVector(c.l.Rows)
-	if err := c.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveInto solves A·x = b into the caller-provided x (len n). x may alias
 // b; the solve happens in place on x. It never allocates.
 func (c *Cholesky) SolveInto(x, b Vector) error {
@@ -95,6 +75,3 @@ func (c *Cholesky) SolveInto(x, b Vector) error {
 	}
 	return nil
 }
-
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }

@@ -8,53 +8,10 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestVectorDot(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	if got := v.Dot(w); got != 32 {
-		t.Errorf("Dot = %g, want 32", got)
-	}
-}
-
-func TestVectorDotDimensionPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on mismatched lengths")
-		}
-	}()
-	Vector{1}.Dot(Vector{1, 2})
-}
-
-func TestVectorNorm2(t *testing.T) {
-	v := Vector{3, 4}
-	if got := v.Norm2(); !almostEq(got, 5, 1e-12) {
-		t.Errorf("Norm2 = %g, want 5", got)
-	}
-	// Scaling robustness: huge components must not overflow.
-	h := Vector{1e200, 1e200}
-	if got := h.Norm2(); math.IsInf(got, 0) {
-		t.Error("Norm2 overflowed on large components")
-	}
-	if got := (Vector{}).Norm2(); got != 0 {
-		t.Errorf("empty Norm2 = %g, want 0", got)
-	}
-}
-
 func TestVectorHelpers(t *testing.T) {
 	v := Vector{-2, 7, 1}
 	if v.NormInf() != 7 {
 		t.Errorf("NormInf = %g", v.NormInf())
-	}
-	if v.Sum() != 6 {
-		t.Errorf("Sum = %g", v.Sum())
-	}
-	if v.Min() != -2 || v.Max() != 7 {
-		t.Errorf("Min/Max = %g/%g", v.Min(), v.Max())
-	}
-	w := v.Clone()
-	w[0] = 100
-	if v[0] == 100 {
-		t.Error("Clone aliases storage")
 	}
 	u := Vector{1, 1, 1}
 	u.AddScaled(2, Vector{1, 2, 3})
@@ -74,46 +31,44 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// mulVec returns a·x.
+func mulVec(a *Matrix, x Vector) Vector {
+	out := NewVector(a.Rows)
+	for i := range out {
+		for j, xj := range x {
+			out[i] += a.At(i, j) * xj
+		}
+	}
+	return out
+}
+
 func TestMatrixBasics(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	if m.At(1, 0) != 3 {
 		t.Errorf("At(1,0) = %g", m.At(1, 0))
 	}
-	mt := m.T()
-	if mt.At(0, 1) != 3 {
-		t.Errorf("T At(0,1) = %g", mt.At(0, 1))
+	c := m.Clone()
+	c.Set(1, 0, 5)
+	c.Add(1, 0, 1)
+	if c.At(1, 0) != 6 {
+		t.Errorf("Set+Add At(1,0) = %g, want 6", c.At(1, 0))
 	}
-	v := m.MulVec(Vector{1, 1})
-	if v[0] != 3 || v[1] != 7 {
-		t.Errorf("MulVec = %v", v)
+	if m.At(1, 0) != 3 {
+		t.Error("Clone aliases storage")
 	}
-	p := m.Mul(Identity(2))
-	for i := range p.Data {
-		if p.Data[i] != m.Data[i] {
-			t.Errorf("Mul identity changed data: %v", p.Data)
-		}
-	}
-	if m.MaxAbs() != 4 {
-		t.Errorf("MaxAbs = %g", m.MaxAbs())
-	}
-}
-
-func TestMatrixMulShapes(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(3, 4)
-	if got := a.Mul(b); got.Rows != 2 || got.Cols != 4 {
-		t.Errorf("Mul shape = %dx%d", got.Rows, got.Cols)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected dimension panic")
-		}
-	}()
-	b.Mul(a.Mul(b))
 }
 
 func TestLUSolve(t *testing.T) {
-	a := FromRows([][]float64{{4, 3}, {6, 3}})
+	a := fromRows([][]float64{{4, 3}, {6, 3}})
 	x, err := SolveLinear(a, Vector{10, 12})
 	if err != nil {
 		t.Fatal(err)
@@ -125,29 +80,9 @@ func TestLUSolve(t *testing.T) {
 }
 
 func TestLUSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := SolveLinear(a, Vector{1, 2}); err == nil {
 		t.Error("expected ErrSingular for rank-1 matrix")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 3}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), 6, 1e-12) {
-		t.Errorf("Det = %g, want 6", f.Det())
-	}
-	// Pivoted case flips sign bookkeeping; determinant must be invariant.
-	b := FromRows([][]float64{{0, 1}, {1, 0}})
-	f2, err := FactorLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f2.Det(), -1, 1e-12) {
-		t.Errorf("Det = %g, want -1", f2.Det())
 	}
 }
 
@@ -171,7 +106,7 @@ func TestLUSolveProperty(t *testing.T) {
 		for i := range want {
 			want[i] = rng()*10 - 5
 		}
-		b := a.MulVec(want)
+		b := mulVec(a, want)
 		got, err := SolveLinear(a, b)
 		if err != nil {
 			return false
@@ -200,7 +135,7 @@ func leastSquares(a *Matrix, b Vector) (Vector, error) {
 
 func TestQRLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent: y = 2x + 1 sampled at 4 points.
-	a := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	a := fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	b := Vector{1, 3, 5, 7}
 	x, err := leastSquares(a, b)
 	if err != nil {
@@ -213,7 +148,7 @@ func TestQRLeastSquaresExact(t *testing.T) {
 
 func TestQRRankDeficientFallsBackToRidge(t *testing.T) {
 	// Two identical columns: classic rank deficiency.
-	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	b := Vector{2, 4, 6}
 	x, err := leastSquares(a, b)
 	if err != nil {
@@ -222,8 +157,7 @@ func TestQRRankDeficientFallsBackToRidge(t *testing.T) {
 	// Ridge splits the weight between the duplicated columns; the fitted
 	// values must still match the data.
 	for i := 0; i < a.Rows; i++ {
-		fit := a.Row(i).Dot(x)
-		if !almostEq(fit, b[i], 1e-3) {
+		if fit := a.At(i, 0)*x[0] + a.At(i, 1)*x[1]; !almostEq(fit, b[i], 1e-3) {
 			t.Errorf("fitted[%d] = %g, want %g", i, fit, b[i])
 		}
 	}
@@ -246,10 +180,17 @@ func TestQRResidualOrthogonality(t *testing.T) {
 		if err != nil {
 			return true // skip pathological draws
 		}
-		r := b.Clone().AddScaled(-1, a.MulVec(x))
-		at := a.T()
-		proj := at.MulVec(r)
-		return proj.NormInf() < 1e-8
+		r := mulVec(a, x).Scale(-1).AddScaled(1, b)
+		for j := 0; j < n; j++ { // (Aᵀ·r)_j
+			var proj float64
+			for i := 0; i < m; i++ {
+				proj += a.At(i, j) * r[i]
+			}
+			if math.Abs(proj) >= 1e-8 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -257,40 +198,45 @@ func TestQRResidualOrthogonality(t *testing.T) {
 }
 
 func TestQRWideMatrixRejected(t *testing.T) {
-	if _, err := FactorQR(NewMatrix(2, 3)); err == nil {
+	var f QR
+	if err := f.Factor(NewMatrix(2, 3)); err == nil {
 		t.Error("expected ErrDimension for wide matrix")
 	}
 }
 
 func TestCholeskySolve(t *testing.T) {
-	// SPD matrix from AᵀA.
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
-	c, err := FactorCholesky(a)
-	if err != nil {
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
+	var c Cholesky
+	if err := c.Factor(a); err != nil {
 		t.Fatal(err)
 	}
-	x, err := c.Solve(Vector{10, 8})
-	if err != nil {
+	x := NewVector(2)
+	if err := c.SolveInto(x, Vector{10, 8}); err != nil {
 		t.Fatal(err)
 	}
 	// Check A·x = b.
-	b := a.MulVec(x)
+	b := mulVec(a, x)
 	if !almostEq(b[0], 10, 1e-10) || !almostEq(b[1], 8, 1e-10) {
 		t.Errorf("A·x = %v, want [10 8]", b)
 	}
 	// L·Lᵀ must reconstruct A.
-	l := c.L()
-	rec := l.Mul(l.T())
-	for i := range a.Data {
-		if !almostEq(rec.Data[i], a.Data[i], 1e-10) {
-			t.Errorf("L·Lᵀ = %v, want %v", rec.Data, a.Data)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			var rec float64
+			for k := 0; k < 2; k++ {
+				rec += c.l.At(i, k) * c.l.At(j, k)
+			}
+			if !almostEq(rec, a.At(i, j), 1e-10) {
+				t.Errorf("(L·Lᵀ)[%d][%d] = %g, want %g", i, j, rec, a.At(i, j))
+			}
 		}
 	}
 }
 
 func TestCholeskyNotPositiveDefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := FactorCholesky(a); err == nil {
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	var c Cholesky
+	if err := c.Factor(a); err == nil {
 		t.Error("expected ErrSingular for indefinite matrix")
 	}
 }

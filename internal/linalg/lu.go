@@ -7,9 +7,8 @@ import "math"
 // zero value is ready to use with Factor; re-factoring reuses the packed
 // storage and pivot array, so warm solves allocate nothing.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int // +1 or -1, parity of the permutation
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization of the square matrix a with partial
@@ -39,7 +38,6 @@ func (f *LU) Factor(a *Matrix) error {
 	} else {
 		f.piv = f.piv[:n]
 	}
-	f.sign = 1
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -62,7 +60,6 @@ func (f *LU) Factor(a *Matrix) error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -123,15 +120,6 @@ func (f *LU) SolveInto(x, b Vector) error {
 		x[i] = s / row[i]
 	}
 	return nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveLinear factors a and solves a·x = b in one call. a and b are

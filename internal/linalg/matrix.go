@@ -1,11 +1,5 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -18,30 +12,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic("linalg: negative matrix dimension")
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(ErrDimension)
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Reset reshapes m to rows×cols and zeroes every entry, reusing the backing
@@ -74,80 +44,9 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add increments element (i,j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// MulVec returns m·v.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if len(v) != m.Cols {
-		panic(ErrDimension)
-	}
-	out := NewVector(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Row(i).Dot(v)
-	}
-	return out
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(ErrDimension)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mik := range mrow {
-			if mik == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				orow[j] += mik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute entry (the max-norm).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, x := range m.Data {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// IsFinite reports whether every entry is finite.
-func (m *Matrix) IsFinite() bool { return Vector(m.Data).IsFinite() }
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		fmt.Fprintf(&b, "%v\n", []float64(m.Row(i)))
-	}
-	return b.String()
 }

@@ -14,15 +14,6 @@ type QR struct {
 	work  Vector // scratch for SolveInto (len m)
 }
 
-// FactorQR computes the Householder QR factorization of a (m ≥ n required).
-func FactorQR(a *Matrix) (*QR, error) {
-	f := &QR{}
-	if err := f.Factor(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Factor (re)computes the factorization of a into f, reusing f's storage
 // when capacity allows. a is not modified.
 func (f *QR) Factor(a *Matrix) error {
@@ -87,16 +78,6 @@ func resizeZero(v Vector, n int) Vector {
 	return v
 }
 
-// Solve computes the least-squares solution x minimizing ‖A·x − b‖₂.
-// It returns ErrSingular if R has a zero diagonal entry (rank-deficient A).
-func (f *QR) Solve(b Vector) (Vector, error) {
-	x := NewVector(f.qr.Cols)
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveInto computes the least-squares solution into the caller-provided x
 // (len n). b is not modified. After the first call at a given size it never
 // allocates (an internal scratch vector is reused across calls).
@@ -138,9 +119,6 @@ func (f *QR) SolveInto(x, b Vector) error {
 	}
 	return nil
 }
-
-// RDiag returns the diagonal of R; near-zero entries signal rank deficiency.
-func (f *QR) RDiag() Vector { return f.rdiag.Clone() }
 
 // LeastSquares solves min ‖A·x − b‖₂ via QR. If A is rank-deficient it
 // retries with a small ridge penalty (Tikhonov regularization), which the

@@ -8,7 +8,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -25,46 +24,6 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	w := make(Vector, len(v))
-	copy(w, v)
-	return w
-}
-
-// Dot returns the inner product of v and w.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(ErrDimension)
-	}
-	var s float64
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm, computed with scaling to avoid
-// overflow/underflow.
-func (v Vector) Norm2() float64 {
-	var scale, ssq float64 = 0, 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // NormInf returns the max-absolute-value norm.
 func (v Vector) NormInf() float64 {
 	var m float64
@@ -74,15 +33,6 @@ func (v Vector) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of the elements of v.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // AddScaled sets v = v + alpha*w in place and returns v.
@@ -104,34 +54,6 @@ func (v Vector) Scale(alpha float64) Vector {
 	return v
 }
 
-// Min returns the smallest element of v. It panics on an empty vector.
-func (v Vector) Min() float64 {
-	if len(v) == 0 {
-		panic("linalg: Min of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of v. It panics on an empty vector.
-func (v Vector) Max() float64 {
-	if len(v) == 0 {
-		panic("linalg: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // IsFinite reports whether every element is finite (no NaN or Inf).
 func (v Vector) IsFinite() bool {
 	for _, x := range v {
@@ -141,6 +63,3 @@ func (v Vector) IsFinite() bool {
 	}
 	return true
 }
-
-// String renders the vector for debugging.
-func (v Vector) String() string { return fmt.Sprintf("%v", []float64(v)) }

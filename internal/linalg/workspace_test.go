@@ -3,14 +3,19 @@ package linalg
 import "testing"
 
 // reusable-workspace tests: re-Factoring into an existing object must give
-// the exact same factors and solutions as the one-shot constructors, and
-// warm Factor+SolveInto must not allocate.
+// the exact same factors and solutions as a fresh one, and warm
+// Factor+SolveInto must not allocate.
 
 func spdMatrix(n int) *Matrix {
 	a := benchMatrix(n)
 	// Make it symmetric positive definite: A·Aᵀ + n·I.
-	s := a.Mul(a.T())
+	s := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				s.Add(i, j, a.At(i, k)*a.At(j, k))
+			}
+		}
 		s.Add(i, i, float64(n))
 	}
 	return s
@@ -48,22 +53,20 @@ func TestCholeskyRefactorMatchesOneShot(t *testing.T) {
 	if err := c.Factor(b); err != nil { // re-factor at a different size
 		t.Fatal(err)
 	}
-	one, err := FactorCholesky(b)
-	if err != nil {
+	var one Cholesky
+	if err := one.Factor(b); err != nil {
 		t.Fatal(err)
 	}
-	wantL, gotL := one.L(), c.L()
-	for i := range wantL.Data {
-		if wantL.Data[i] != gotL.Data[i] {
-			t.Fatalf("refactored L differs at %d: %v vs %v", i, gotL.Data[i], wantL.Data[i])
+	for i := range one.l.Data {
+		if one.l.Data[i] != c.l.Data[i] {
+			t.Fatalf("refactored L differs at %d: %v vs %v", i, c.l.Data[i], one.l.Data[i])
 		}
 	}
-	x := NewVector(6)
+	x, want := NewVector(6), NewVector(6)
 	if err := c.SolveInto(x, rhsB); err != nil {
 		t.Fatal(err)
 	}
-	want, err := one.Solve(rhsB)
-	if err != nil {
+	if err := one.SolveInto(want, rhsB); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -89,9 +92,6 @@ func TestLURefactorMatchesOneShot(t *testing.T) {
 	one, err := FactorLU(b)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f.Det() != one.Det() {
-		t.Fatalf("Det %v vs %v", f.Det(), one.Det())
 	}
 	x := NewVector(7)
 	if err := f.SolveInto(x, rhs); err != nil {
@@ -125,16 +125,15 @@ func TestQRRefactorMatchesOneShot(t *testing.T) {
 	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
-	one, err := FactorQR(a)
-	if err != nil {
+	var one QR
+	if err := one.Factor(a); err != nil {
 		t.Fatal(err)
 	}
-	x := NewVector(3)
+	x, want := NewVector(3), NewVector(3)
 	if err := f.SolveInto(x, rhs); err != nil {
 		t.Fatal(err)
 	}
-	want, err := one.Solve(rhs)
-	if err != nil {
+	if err := one.SolveInto(want, rhs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -164,7 +163,7 @@ func TestWarmFactorSolveZeroAlloc(t *testing.T) {
 		rhs8[i] = float64(i + 1)
 	}
 	// Two equal columns: the least-squares solve takes its ridge retry.
-	deficient := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	deficient := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	rhs3 := Vector{2, 4, 6}
 	var c Cholesky
 	var l LU

@@ -12,6 +12,7 @@ import (
 	"plbhec/internal/fault"
 	"plbhec/internal/fit"
 	"plbhec/internal/ipm"
+	"plbhec/internal/profile"
 	"plbhec/internal/starpu"
 )
 
@@ -275,6 +276,98 @@ func FuzzSolverInputs(f *testing.F) {
 		for _, tag := range []string{"first", "reused"} {
 			res, err := sv.Solve(ipm.Problem{Curves: curves, Total: total})
 			check(tag, res, err)
+		}
+	})
+}
+
+// FuzzFitLiveSolve feeds production-shaped profiles through the scheduler's
+// model pipeline: profile.Sampler.FitLive over the live units, dead units
+// replaced by deadCurve, then one ipm.Solver.Solve over the remaining
+// total. The contract: FitLive either returns a classified error, or the
+// solve succeeds with finite, non-negative block sizes that give dead units
+// nothing and sum to the total. A failed solve is therefore unreachable
+// from a validated model set, which is why PLBHeC handles one with a plain
+// even split.
+//
+// The contract holds inside the envelope the engines produce, and the
+// decoder keeps every input inside it: 1–4 units with at least one alive,
+// 2–6 samples per unit, integer block sizes in [1, total] with total ≤ 2³⁰,
+// and execution and transfer seconds log-uniform in [1e-9, 1e7] (transfer
+// seconds may also be exactly 0, as on the live engine). Raw IEEE-754
+// seconds far outside it (about 1e270 s) do break it — R² turns NaN and the
+// solve fails — and FuzzSolverInputs covers that garbage separately.
+func FuzzFitLiveSolve(f *testing.F) {
+	f.Add([]byte{1})
+	f.Add([]byte{3, 0b0101, 0, 16, 0, 0, 4, 1, 0, 128, 0, 2, 0, 140, 0, 3, 0, 150, 0, 9})
+	f.Add([]byte{2, 0, 255, 255, 255, 255, 5, 200, 40, 30, 7, 100, 1, 50, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() uint64 { // one byte per call; zeros once exhausted
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return uint64(b)
+		}
+		next16 := func() uint64 { return next()<<8 | next() }
+		seconds := func() float64 { // log-uniform in [1e-9, 1e7]
+			return math.Pow(10, -9+16*float64(next16())/math.MaxUint16)
+		}
+
+		n := 1 + int(next()%4)
+		mask := next()
+		dead := make([]bool, n)
+		alive := 0
+		for pu := range dead {
+			dead[pu] = mask>>pu&1 == 1
+			if !dead[pu] {
+				alive++
+			}
+		}
+		if alive == 0 {
+			dead[0] = false
+		}
+		total := 1 + (next16()<<16|next16())%(1<<30)
+
+		smp := profile.NewSampler(n)
+		for pu := 0; pu < n; pu++ {
+			for k := 2 + int(next()%5); k > 0; k-- {
+				units := float64(1 + (next16()<<16|next16())%total)
+				trans := 0.0
+				if next()&1 == 1 {
+					trans = seconds()
+				}
+				smp.Add(pu, units, seconds(), trans)
+			}
+		}
+
+		ms, err := smp.FitLive(float64(total), dead)
+		if err != nil {
+			if !errors.Is(err, profile.ErrNeedSamples) && !errors.Is(err, fit.ErrNonFinite) &&
+				!errors.Is(err, fit.ErrDegenerate) && !errors.Is(err, fit.ErrTooFewPoints) {
+				t.Fatalf("unclassified FitLive error: %v", err)
+			}
+			return
+		}
+		curves := ms.Curves(nil)
+		for pu := range curves {
+			if dead[pu] {
+				curves[pu] = deadCurve{}
+			}
+		}
+		res, err := ipm.NewSolver(ipm.Options{}).Solve(ipm.Problem{Curves: curves, Total: float64(total)})
+		if err != nil {
+			t.Fatalf("solve failed on a validated model set: %v\nmodels: %v", err, ms.PU)
+		}
+		var sum float64
+		for pu, x := range res.X {
+			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 || (dead[pu] && x != 0) {
+				t.Fatalf("block size %g for unit %d (dead %v)", x, pu, dead[pu])
+			}
+			sum += x
+		}
+		if math.Abs(sum-float64(total)) > 1e-6*float64(total) {
+			t.Fatalf("block sizes sum to %g, want %d", sum, total)
 		}
 	})
 }

@@ -79,8 +79,8 @@ type PLBHeC struct {
 	solver *ipm.Solver
 	// curves is the solve's curve slice, rebuilt from models at each solve.
 	curves []ipm.Curve
-	// failSolves makes every solve fail, so tests can drive the
-	// degradation ladder.
+	// failSolves makes every solve fail, so tests can drive the failed-solve
+	// branch.
 	failSolves bool
 
 	phase        int // modeling, executing, draining
@@ -133,12 +133,6 @@ type PLBHeC struct {
 	// the fit sees one consistent regime.
 	regime []float64
 
-	// rung is the scheduler's current degradation-ladder position (0 =
-	// normal PLB-HeC solve; see ladder.go), and lastGood the most recent
-	// successfully solved distribution, the ladder's first fallback.
-	rung     int
-	lastGood []float64
-
 	stats plbStats
 	// firstModels snapshots the models used by the first solve (debugging
 	// and the Fig. 1 reproduction inspect them).
@@ -156,8 +150,6 @@ type plbStats struct {
 	solved, steps float64
 	modelRounds   float64
 	failures      float64
-	// ladder counts failed solves handled by the degradation ladder.
-	ladder float64
 }
 
 const (
@@ -201,8 +193,6 @@ func (p *PLBHeC) Stats() map[string]float64 {
 		"modelRounds":      p.stats.modelRounds,
 		"modelUnits":       p.usedUnits,
 		"failures":         p.stats.failures,
-		"ladderFallbacks":  p.stats.ladder,
-		"ladderRung":       float64(p.rung),
 	}
 }
 
@@ -437,9 +427,9 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 			Kind: telemetry.EvSolve, Time: s.Now(), PU: -1, Name: "failed",
 		})
 		// Classified solver failure (non-finite inputs, every unit dead):
-		// descend the degradation ladder — last-good distribution, then
-		// HDSS throughput weights, then even split.
-		p.degrade(s)
+		// spread the data evenly over the surviving units, as when no model
+		// fits.
+		p.evenShareAlive()
 		return
 	}
 	p.stats.solverSeconds += res.WallTime.Seconds()
@@ -455,7 +445,6 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	for i, x := range res.X {
 		p.share[i] = x / remaining
 	}
-	p.noteSolveOK(s)
 }
 
 // submitBlocks hands every unit its first block of the new distribution.

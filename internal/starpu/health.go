@@ -35,18 +35,10 @@ type HealthPolicy struct {
 	// i.e. P(false positive) ≈ 1e-8 under the fitted arrival model).
 	PhiThreshold float64
 	// TimeoutSeconds is the deadline detector's timeout, and the bootstrap
-	// timeout the phi detector uses before it has phiMinSamples intervals
-	// (default 3 × HeartbeatSeconds).
+	// timeout the phi detector uses before it has health.MinSamples
+	// intervals (default 3 × HeartbeatSeconds).
 	TimeoutSeconds float64
 }
-
-const (
-	// phiWindowSize is the phi detector's interval window.
-	phiWindowSize = 32
-	// phiMinSamples is how many intervals the phi detector needs before
-	// trusting its fitted distribution.
-	phiMinSamples = 3
-)
 
 // DefaultHealthPolicy returns the policy used by the chaos experiments:
 // 50 ms heartbeats under a phi-accrual detector at threshold 8.
@@ -92,8 +84,6 @@ func (p *HealthPolicy) detectorConfig() health.Config {
 		IntervalSeconds: p.HeartbeatSeconds,
 		PhiThreshold:    p.PhiThreshold,
 		TimeoutSeconds:  p.TimeoutSeconds,
-		WindowSize:      phiWindowSize,
-		MinSamples:      phiMinSamples,
 	}
 }
 

@@ -105,9 +105,6 @@ type Session struct {
 	// consecutive watchdog expirations and drives it (see noteExpiry).
 	slow      []bool
 	slowCount []int
-	// fallbacks counts scheduler degradation-ladder transitions by rung
-	// label (see NoteFallback); nil until the ladder first engages.
-	fallbacks map[string]int64
 
 	// res, when non-nil, enables data-residency tracking: block inputs stay
 	// resident on their device, transfers are charged only on a miss, and
@@ -450,12 +447,6 @@ func (s *Session) Run(sched Scheduler) (*Report, error) {
 		var lat [3]float64
 		sk.QuantilesInto(latencyQuantiles[:], lat[:])
 		rep.LatencyP50, rep.LatencyP99, rep.LatencyP999 = lat[0], lat[1], lat[2]
-	}
-	if len(s.fallbacks) > 0 {
-		rep.SolverFallbacks = make(map[string]int64, len(s.fallbacks))
-		for k, v := range s.fallbacks {
-			rep.SolverFallbacks[k] = v
-		}
 	}
 	return rep, nil
 }

@@ -31,23 +31,6 @@ func (s *Session) SlowBlacklisted(id int) bool {
 	return s.spec != nil && id >= 0 && id < len(s.pus) && s.slow[id]
 }
 
-// NoteFallback records one scheduler degradation-ladder transition: rung is
-// the label entered ("last-good", "hdss", "greedy", or "recovered") and
-// level its position in the chain. It feeds Report.SolverFallbacks and
-// emits EvFallback.
-func (s *Session) NoteFallback(rung string, level int) {
-	if s.fallbacks == nil {
-		s.fallbacks = make(map[string]int64, 4)
-	}
-	s.fallbacks[rung]++
-	if s.tel != nil {
-		s.tel.Emit(telemetry.Event{
-			Kind: telemetry.EvFallback, Time: s.eng.now(),
-			PU: -1, Name: rung, Value: float64(level),
-		})
-	}
-}
-
 // watchdogDeadline returns the watchdog budget in seconds for a block of
 // units launched on pu, or 0 when no deadline can be armed (no policy, no
 // usable prediction, and too few observations for the baseline).

@@ -287,10 +287,6 @@ type Report struct {
 	// Resilience reports each unit's fault history (cluster order). All
 	// zeros when no fault occurred or retry was off.
 	Resilience []PUResilience
-	// SolverFallbacks counts the scheduler's degradation-ladder transitions
-	// by rung label ("last-good", "hdss", "greedy", "recovered"); nil when
-	// the ladder never engaged.
-	SolverFallbacks map[string]int64
 	// SolverStats summarizes the block-size solver's activity over the run,
 	// derived from the scheduler's counters. Nil for schedulers that report
 	// no solver activity (greedy, HDSS, Acosta, static).

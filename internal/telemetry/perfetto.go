@@ -18,9 +18,8 @@ import (
 //     scheduler phases, master-side fit/solve overhead slices, and instant
 //     markers (fits, solves, rebalances, distribution changes); a
 //     "resilience" thread with failover/requeue/recovery/blacklist/
-//     speculation markers and speculation-race flow arrows; and a "ladder"
-//     thread with degradation-ladder transitions. The resilience and ladder
-//     threads appear only when the run produced such events.
+//     speculation markers and speculation-race flow arrows. The resilience
+//     thread appears only when the run produced such events.
 //   - pid 2 "links": one thread per communication link (NIC, PCIe, live
 //     worker queues) carrying occupancy slices.
 //
@@ -78,7 +77,6 @@ const (
 	pidLinks  = 2
 	tidSched  = 1000 // scheduler track, clear of any realistic PU count
 	tidResil  = 1001 // resilience track: failovers, requeues, speculation
-	tidLadder = 1002 // degradation-ladder track: fallback transitions
 )
 
 // perfettoEvent is one trace_event entry. Every entry carries the four
@@ -121,20 +119,15 @@ func (p *PerfettoSink) Write(w io.Writer) error {
 		meta(pidEngine, i, "thread_name", n)
 	}
 	meta(pidEngine, tidSched, "thread_name", "scheduler")
-	var hasResil, hasLadder bool
+	var hasResil bool
 	for _, ev := range p.events {
 		switch ev.Kind {
 		case EvFailover, EvRequeue, EvRecovery, EvBlacklist, EvSpeculate:
 			hasResil = true
-		case EvFallback:
-			hasLadder = true
 		}
 	}
 	if hasResil {
 		meta(pidEngine, tidResil, "thread_name", "resilience")
-	}
-	if hasLadder {
-		meta(pidEngine, tidLadder, "thread_name", "ladder")
 	}
 	for name, tid := range p.linkTID {
 		meta(pidLinks, tid, "thread_name", name)
@@ -248,8 +241,6 @@ func (p *PerfettoSink) Write(w io.Writer) error {
 					})
 				}
 			}
-		case EvFallback:
-			instant(ev, tidLadder, "fallback: "+ev.Name, map[string]any{"rung": ev.Value})
 		}
 	}
 	closePhase(maxTs)

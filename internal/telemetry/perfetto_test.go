@@ -94,9 +94,9 @@ func TestPerfettoShape(t *testing.T) {
 
 // TestPerfettoResilienceTracks covers the gap-fill: requeue, speculation,
 // blacklist and recovery markers land on a named "resilience" thread,
-// fallbacks on a "ladder" thread, fit/solve overhead renders as slices on
-// the scheduler track, and a resolved speculation race draws a flow-arrow
-// pair. The extra tracks only exist when the run produced such events.
+// fit/solve overhead renders as slices on the scheduler track, and a
+// resolved speculation race draws a flow-arrow pair. The resilience track
+// only exists when the run produced such events.
 func TestPerfettoResilienceTracks(t *testing.T) {
 	p := feedPerfetto()
 	p.Consume(Event{Kind: EvOverhead, Time: 1.3, End: 1.4, PU: -1, Name: "solve"})
@@ -105,7 +105,6 @@ func TestPerfettoResilienceTracks(t *testing.T) {
 	p.Consume(Event{Kind: EvRecovery, Time: 3.2, Name: "m1/cpu", PU: 0})
 	p.Consume(Event{Kind: EvSpeculate, Time: 3.3, Name: "launch", PU: 0, Seq: 6, Units: 64, Value: 1})
 	p.Consume(Event{Kind: EvSpeculate, Time: 3.6, Name: "win", PU: 0, Seq: 6, Units: 64, Value: 1})
-	p.Consume(Event{Kind: EvFallback, Time: 3.7, Name: "hdss", Value: 1})
 	p.SetCriticalFlow([]FlowPoint{{PU: -1, Time: 0}, {PU: 0, Time: 1.1}, {PU: 1, Time: 2.9}})
 
 	var buf bytes.Buffer
@@ -131,7 +130,7 @@ func TestPerfettoResilienceTracks(t *testing.T) {
 		}
 	}
 	for name, tid := range map[string]float64{
-		"m1/cpu": 0, "m1/gpu": 1, "scheduler": 1000, "resilience": 1001, "ladder": 1002,
+		"m1/cpu": 0, "m1/gpu": 1, "scheduler": 1000, "resilience": 1001,
 	} {
 		if got, ok := tracks[name]; !ok || got != tid {
 			t.Errorf("track %q: tid = %v, present = %v, want %v", name, got, ok, tid)
@@ -155,7 +154,6 @@ func TestPerfettoResilienceTracks(t *testing.T) {
 		"blacklist: m1/cpu": 1001,
 		"recovery: m1/cpu":  1001,
 		"speculate: launch": 1001,
-		"fallback: hdss":    1002,
 		"solve":             1000,
 	} {
 		if got := onTid(name); got != tid {
@@ -180,17 +178,15 @@ func TestPerfettoResilienceTracks(t *testing.T) {
 	}
 }
 
-// Without resilience or ladder events the extra tracks stay out of the
-// trace, keeping small runs small.
+// Without resilience events the resilience track stays out of the trace,
+// keeping small runs small.
 func TestPerfettoNoSpuriousTracks(t *testing.T) {
 	var buf bytes.Buffer
 	if err := feedPerfetto().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"resilience", "ladder"} {
-		if bytes.Contains(buf.Bytes(), []byte(name)) {
-			t.Errorf("track %q present in a run without its events", name)
-		}
+	if bytes.Contains(buf.Bytes(), []byte("resilience")) {
+		t.Error(`track "resilience" present in a run without its events`)
 	}
 }
 

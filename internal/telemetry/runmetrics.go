@@ -100,7 +100,6 @@ func NewRunMetrics(reg *Registry, puNames []string) *RunMetrics {
 	reg.Help("plbhec_speculations_total", "Backup copies launched for watchdog-expired blocks")
 	reg.Help("plbhec_spec_wins_total", "Speculated blocks whose backup copy finished first")
 	reg.Help("plbhec_spec_wasted_total", "Speculated blocks whose original copy finished first")
-	reg.Help("plbhec_fallbacks_total", "Scheduler degradation-ladder transitions by rung")
 	reg.Help("plbhec_handle_hits_total", "Block-input handles already resident on their target unit (transfer avoided)")
 	reg.Help("plbhec_handle_misses_total", "Block-input handles fetched onto their target unit (transfer paid)")
 	reg.Help("plbhec_handle_evictions_total", "Resident handles displaced by memory-capacity pressure (LRU)")
@@ -276,12 +275,6 @@ func (m *RunMetrics) Consume(ev Event) {
 		default:
 			m.speculations.Inc()
 		}
-	case EvFallback:
-		rung := ev.Name
-		if rung == "" {
-			rung = "unspecified"
-		}
-		m.reg.Counter("plbhec_fallbacks_total", Label{"rung", rung}).Inc()
 	case EvResidency:
 		// Only "fetch" transactions carry hit/miss/eviction counts; an
 		// "invalidate" (device death) is a failure signal, not capacity

@@ -3,7 +3,7 @@
 // queue → transfer → wait → compute spans per block, linked by parent
 // edges, plus master-side fit/solve overhead spans, speculation-race
 // spans charged to the losing copy's unit, and marker spans for
-// rebalances, requeues and degradation-ladder transitions.
+// rebalances and requeues.
 //
 // The Recorder is a telemetry.Sink, so both engines emit spans for free
 // through the existing event bus; attachment is passive and cannot perturb
@@ -47,9 +47,6 @@ const (
 	// KindRequeue is a zero-length marker for a block moved off a failed
 	// unit.
 	KindRequeue
-	// KindFallback is a zero-length degradation-ladder marker (Label is the
-	// rung).
-	KindFallback
 )
 
 // String names the kind for tables and debug output.
@@ -71,8 +68,6 @@ func (k Kind) String() string {
 		return "stall"
 	case KindRequeue:
 		return "requeue"
-	case KindFallback:
-		return "fallback"
 	}
 	return "unknown"
 }
@@ -92,7 +87,7 @@ type Span struct {
 	Units  int64 // block size in work units, 0 when not block-scoped
 	Start  float64
 	End    float64
-	Label  string // kind-specific detail ("fit", "win", rung, cause...)
+	Label  string // kind-specific detail ("fit", "win", cause...)
 }
 
 // Duration is the span's extent in engine seconds.
@@ -166,9 +161,6 @@ func (r *Recorder) Consume(ev telemetry.Event) {
 	case telemetry.EvRequeue:
 		r.push(Span{Parent: -1, Kind: KindRequeue, PU: int32(ev.PU), Aux: -1,
 			Seq: int32(ev.Seq), Units: ev.Units, Start: ev.Time, End: ev.Time})
-	case telemetry.EvFallback:
-		r.push(Span{Parent: -1, Kind: KindFallback, PU: -1, Aux: -1, Seq: -1,
-			Start: ev.Time, End: ev.Time, Label: ev.Name})
 	}
 }
 

@@ -76,10 +76,6 @@ const (
 	// "wasted" (the original finished first): Time, PU (straggling unit),
 	// Seq, Units, Name, Value (backup unit).
 	EvSpeculate
-	// EvFallback marks a scheduler degradation-ladder transition: Time,
-	// PU = -1, Name (the rung entered: "last-good", "hdss", "greedy", or
-	// "recovered" when a later solve succeeds again), Value (rung number).
-	EvFallback
 	// EvOverhead is one master-side scheduling-computation interval charged
 	// to the clock (simulation only): Time (start), End, Name ("fit" or
 	// "solve"), PU = -1. Transfers queued behind the master wait until End.
@@ -144,8 +140,6 @@ func (k EventKind) String() string {
 		return "blacklist"
 	case EvSpeculate:
 		return "speculate"
-	case EvFallback:
-		return "fallback"
 	case EvOverhead:
 		return "overhead"
 	case EvResidency:
