@@ -22,13 +22,13 @@ import (
 // (schedule, seed) must reproduce every abort, requeue and backoff
 // bit-exactly. Update it only for deliberate numeric changes, alongside
 // goldenQuickSweepHash.
-const goldenChaosHash = "3024fd5474b3c05d"
+const goldenChaosHash = "af7ff8daa01149d1"
 
 // goldenPermutationHash pins PLB-HeC's per-identity unit totals on the
 // 3-machine permutation cluster (amd64). Together with
 // TestGoldenMachinePermutation's relabeling check it freezes the block
 // distribution itself, not just its permutation-invariance.
-const goldenPermutationHash = "96a0de0bdf61e67b"
+const goldenPermutationHash = "0a736c108600cf05"
 
 // chaosScenario is the canonical mixed-fault schedule used by the golden
 // test: every declarative fault kind except Straggler, timed to land inside

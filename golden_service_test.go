@@ -21,7 +21,7 @@ import (
 // goldenChaosHash, goldenPermutationHash) are asserted by golden_test.go and
 // golden_chaos_test.go in the same suite — service mode must leave all three
 // untouched, since sessions without a ServicePolicy never enter its code.
-const goldenServiceHashConst = "3bb50c8f86fa5563"
+const goldenServiceHashConst = "579520db8e71fabf"
 
 // goldenServiceCells is a representative slice of the service sweep: a
 // Poisson cell and a bursty cell, both two-app, with bounded admission.

@@ -131,6 +131,26 @@ func TestLiveBlackScholesDeterministicPerOption(t *testing.T) {
 	}
 }
 
+// TestLiveBlackScholesOptionAllocations bounds the per-option cost of the
+// live kernel to its own noise stream: the Monte-Carlo loop allocates
+// nothing.
+func TestLiveBlackScholesOptionAllocations(t *testing.T) {
+	bs := NewLiveBlackScholes(1, 64, 4, 3)
+	if n := testing.AllocsPerRun(100, func() { bs.Execute(0, 1) }); n > 2 {
+		t.Errorf("Execute of one option allocates %.0f objects, want at most 2", n)
+	}
+}
+
+// BenchmarkLiveBlackScholesOption prices one option at the shape the live
+// benchmark workload runs (1,024 paths of one step).
+func BenchmarkLiveBlackScholesOption(b *testing.B) {
+	bs := NewLiveBlackScholes(1, 1024, 1, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bs.Execute(0, 1)
+	}
+}
+
 func TestLiveGRNCorrectness(t *testing.T) {
 	g := NewLiveGRN(60, 24, 11)
 	g.Execute(30, 60)

@@ -55,9 +55,10 @@ func (bs *LiveBlackScholes) Execute(lo, hi int64) {
 		dt := opt.Maturity / float64(bs.Steps)
 		drift := (opt.Rate - 0.5*opt.Volatility*opt.Volatility) * dt
 		vol := opt.Volatility * math.Sqrt(dt)
+		logS0 := math.Log(opt.Spot)
 		var payoff float64
 		for p := 0; p < bs.Paths; p++ {
-			logS := math.Log(opt.Spot)
+			logS := logS0
 			for s := 0; s < bs.Steps; s++ {
 				logS += drift + vol*rng.Normal(0, 1)
 			}

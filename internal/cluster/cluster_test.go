@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -189,6 +191,37 @@ func TestSyntheticCluster(t *testing.T) {
 		}
 	}()
 	Synthetic(0, 1, Config{})
+}
+
+// TestSyntheticSetupAllocation is the set-up gate of the 100k-unit tier:
+// building a 100,000-unit cluster allocates at most 135 MB. A noise stream
+// per device was once 6.7 KB; the gate holds it to a small fixed cost.
+func TestSyntheticSetupAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := Synthetic(20000, 4, Config{Seed: 1, NoiseSigma: DefaultNoiseSigma})
+	runtime.ReadMemStats(&after)
+	if len(c.PUs()) != 100000 {
+		t.Fatalf("got %d units, want 100000", len(c.PUs()))
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 135 {
+		t.Errorf("Synthetic at 100k units allocated %.1f MB, gate 135 MB", mb)
+	}
+}
+
+var clusterSink *Cluster
+
+// BenchmarkSynthetic builds generated clusters at the 10k- and 100k-unit
+// tiers; B/op is the set-up allocation the tiers pay before any run.
+func BenchmarkSynthetic(b *testing.B) {
+	for _, nodes := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("%dPU", nodes*5), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clusterSink = Synthetic(nodes, 4, Config{Seed: 1, NoiseSigma: DefaultNoiseSigma})
+			}
+		})
+	}
 }
 
 func TestHomogeneousCluster(t *testing.T) {

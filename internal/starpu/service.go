@@ -382,18 +382,20 @@ func (s *Session) serviceDispatch(r svcArrival) bool {
 // Predictions use the noise-free device model (NominalExecSeconds — the
 // noisy ExecSeconds draws from the device RNG and would perturb the
 // deterministic record stream) plus the nominal transfer path. Failed,
-// blacklisted, suspected and straggler-marked units are skipped; ties break
-// to the lowest ID. Returns -1 when no unit qualifies.
+// blacklisted and suspected units are skipped; ties break to the lowest ID.
+// Units soft-blacklisted as stragglers are avoided while any other unit
+// qualifies, but remain a last resort, as in pickRequeueTarget: only a block
+// finished within deadline lifts the mark, so a pool that skipped every
+// marked unit could stop dispatching for good. Returns -1 when no unit
+// qualifies.
 func (s *Session) servicePickPU(app int32, units int64) (int, float64) {
 	sv := s.svc
 	prof := &sv.apps[app].prof
 	now := s.eng.now()
 	best, bestEta := -1, 0.0
+	bestSlow, bestSlowEta := -1, 0.0
 	for i, pu := range s.pus {
 		if pu.Dev.Failed() || s.blacklist[i] || s.Suspected(i) {
-			continue
-		}
-		if s.spec != nil && s.slow[i] {
 			continue
 		}
 		exec := pu.Dev.NominalExecSeconds(*prof, float64(units))
@@ -405,9 +407,18 @@ func (s *Session) servicePickPU(app int32, units int64) (int, float64) {
 			start = now
 		}
 		eta := start + pu.NominalTransferSeconds(float64(units)*prof.TransferBytesPerUnit) + exec
+		if s.spec != nil && s.slow[i] {
+			if bestSlow < 0 || eta < bestSlowEta {
+				bestSlow, bestSlowEta = i, eta
+			}
+			continue
+		}
 		if best < 0 || eta < bestEta {
 			best, bestEta = i, eta
 		}
+	}
+	if best < 0 {
+		return bestSlow, bestSlowEta
 	}
 	return best, bestEta
 }

@@ -6,6 +6,7 @@ import (
 
 	"plbhec/internal/apps"
 	"plbhec/internal/cluster"
+	"plbhec/internal/telemetry"
 	"plbhec/internal/workload"
 )
 
@@ -91,7 +92,15 @@ func TestServiceChaosDeviceDeathAndRecovery(t *testing.T) {
 
 // TestServiceChaosStragglerSpeculation turns a unit into a 20x straggler
 // mid-stream under a speculation policy: backup copies win, exactly-once
-// holds across the duplicated executions, and the accounts stay conserved.
+// holds across the duplicated executions, the accounts stay conserved, and
+// the healthy units carry the half-load stream without shedding.
+//
+// A simulated block's duration is fixed at launch, and the ETA dispatcher
+// reads the live speed factor, so a unit slowed between two dispatches
+// simply stops receiving work and no watchdog ever fires. The slowdown
+// therefore lands on the target's first submit at t >= 1: the submit event
+// precedes the launch, so that block is on the target when it slows and
+// runs 20x long by construction.
 func TestServiceChaosStragglerSpeculation(t *testing.T) {
 	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 16})
 	s, err := NewServiceSimSession(clu, svcChaosPolicy(clu), SimConfig{
@@ -107,14 +116,21 @@ func TestServiceChaosStragglerSpeculation(t *testing.T) {
 	// straggler must be one of them for the fault to matter: PU 1 is the
 	// machine-A GPU, busy throughout the stream.
 	const target = 1
-	if err := s.ScheduleAt(1.0, func() {
-		s.PUs()[target].Dev.SetSpeedFactor(0.05)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	slowed := false
+	tel := telemetry.New()
+	tel.Attach(sinkFunc(func(ev telemetry.Event) {
+		if !slowed && ev.Kind == telemetry.EvTaskSubmit && ev.PU == target && ev.Time >= 1 {
+			slowed = true
+			s.PUs()[target].Dev.SetSpeedFactor(0.05)
+		}
+	}))
+	s.AttachTelemetry(tel)
 	rep, err := s.RunService()
 	if err != nil {
 		t.Fatalf("straggler killed the run: %v", err)
+	}
+	if !slowed {
+		t.Fatal("the target received no block after t = 1; the fault never applied")
 	}
 	sv := rep.Service
 	checkServiceConservation(t, sv)
@@ -124,6 +140,54 @@ func TestServiceChaosStragglerSpeculation(t *testing.T) {
 	}
 	if rep.Resilience[target].Speculations < 1 {
 		t.Errorf("20x straggler tripped no watchdog: %+v", rep.Resilience[target])
+	}
+	if sv.Shed != 0 {
+		t.Errorf("healthy units shed %d of %d requests at half load", sv.Shed, sv.Offered)
+	}
+}
+
+// TestServiceSlowMarksKeepLastUnit soft-blacklists every unit through the
+// watchdog's own accounting before the stream starts. No watchdog can arm
+// (the baseline needs more observations than the run makes), so no block
+// finished within deadline ever lifts a mark. The marks must not empty the
+// pool: the stream is served in full on the marked units.
+func TestServiceSlowMarksKeepLastUnit(t *testing.T) {
+	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 16})
+	spec := &SpeculationPolicy{MinObservations: 1 << 30, SlowAfter: 2}
+	s, err := NewServiceSimSession(clu, svcChaosPolicy(clu), SimConfig{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScheduleAt(0, func() {
+		for pu := range s.PUs() {
+			for k := 0; k < spec.SlowAfter; k++ {
+				s.noteExpiry(pu)
+			}
+			if !s.SlowBlacklisted(pu) {
+				t.Fatalf("unit %d not marked after %d expirations", pu, spec.SlowAfter)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.RunService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := rep.Service
+	checkServiceConservation(t, sv)
+	checkExactlyOnce(t, rep.Records, rep.TotalUnits)
+	if sv.Admitted == 0 || sv.Shed != 0 || sv.Admitted != sv.Offered {
+		t.Errorf("every unit marked slow: offered %d, admitted %d, shed %d; want all admitted",
+			sv.Offered, sv.Admitted, sv.Shed)
+	}
+	if sv.Apps[0].RequestsDone != sv.Apps[0].Admitted {
+		t.Errorf("admitted %d but completed %d", sv.Apps[0].Admitted, sv.Apps[0].RequestsDone)
+	}
+	for pu, r := range rep.Resilience {
+		if !r.SlowBlacklisted {
+			t.Errorf("unit %d lost its mark; the pool was never all-slow", pu)
+		}
 	}
 }
 

@@ -159,8 +159,9 @@ type SpeculationPolicy struct {
 	// installed). <= 0 means the default 3.
 	MinObservations int
 	// SlowAfter is how many consecutive watchdog expirations mark a unit as
-	// a straggler: it stops receiving backups and requeued blocks (soft
-	// blacklist) until it completes a block within deadline. <= 0 means the
+	// a straggler: it stops receiving backups, and receives requeued blocks
+	// and service requests only when no other unit qualifies (soft
+	// blacklist), until it completes a block within deadline. <= 0 means the
 	// default 2.
 	SlowAfter int
 }

@@ -6,7 +6,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 )
 
@@ -107,17 +107,27 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// RNG wraps math/rand with deterministic stream splitting so that every
-// device, task and repetition gets an independent but reproducible noise
-// stream from one experiment seed.
+// RNG is a deterministic noise stream with stream splitting, so that every
+// device, task and repetition gets an independent but reproducible stream
+// from one experiment seed. It is a PCG generator (math/rand/v2) held by
+// value: creating or splitting a stream costs one 48-byte allocation and a
+// few multiplies, cheap enough to give every device of a 100k-unit cluster
+// and every option of a live Monte-Carlo kernel its own stream.
 type RNG struct {
 	base int64
-	r    *rand.Rand
+	src  rand.PCG
+	r    rand.Rand // draws from src; an RNG is only used through its pointer
 }
+
+// pcgStream is the fixed second PCG seed word; the first is the RNG seed.
+const pcgStream = 0x9E3779B97F4A7C15
 
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{base: seed, r: rand.New(rand.NewSource(seed))}
+	g := &RNG{base: seed}
+	g.src.Seed(uint64(seed), pcgStream)
+	g.r = *rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent child stream identified by id. The same
@@ -136,7 +146,7 @@ func (g *RNG) Split(id int64) *RNG {
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform sample in [0,n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.r.IntN(n) }
 
 // Normal returns a sample from N(mu, sigma²).
 func (g *RNG) Normal(mu, sigma float64) float64 {

@@ -105,6 +105,23 @@ func TestRNGSplitIndependentOfConsumption(t *testing.T) {
 	}
 }
 
+// rngSink keeps the allocation tests' streams on the heap, as every real
+// caller's are.
+var rngSink *RNG
+
+// TestRNGAllocations pins the cost that lets every device of a 100k-unit
+// cluster and every live Monte-Carlo option own a stream: creating or
+// splitting one is a single allocation.
+func TestRNGAllocations(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { rngSink = NewRNG(3) }); n > 1 {
+		t.Errorf("NewRNG allocates %.0f objects, want at most 1", n)
+	}
+	g := NewRNG(3)
+	if n := testing.AllocsPerRun(100, func() { rngSink = g.Split(7) }); n > 1 {
+		t.Errorf("Split allocates %.0f objects, want at most 1", n)
+	}
+}
+
 func TestLogNormalFactor(t *testing.T) {
 	g := NewRNG(5)
 	if g.LogNormalFactor(0) != 1 {
