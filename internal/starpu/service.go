@@ -2,7 +2,6 @@ package starpu
 
 import (
 	"math"
-	"sort"
 
 	"plbhec/internal/cluster"
 	"plbhec/internal/device"
@@ -169,33 +168,22 @@ func (s *Session) initService(pol ServicePolicy) error {
 	}
 	sv := &serviceState{pol: pol, ctrl: workload.NewController(pol.Admission)}
 	sv.apps = make([]svcApp, len(pol.Apps))
+	scheds := make([]workload.Schedule, len(pol.Apps))
 	total := 0
 	for i, a := range pol.Apps {
 		sp := a.Arrivals
 		// Mix the policy seed and the app index into the stream seed so one
 		// repetition seed reseeds every stream while keeping them distinct.
 		sp.Seed = sp.Seed + pol.Seed*0x9E3779B9 + int64(i)*0x85EBCA6B
-		sched := sp.Generate(pol.Horizon)
+		scheds[i] = sp.Generate(pol.Horizon)
 		sv.apps[i] = svcApp{
 			name: a.Name, prof: a.Profile, slo: a.SLOSeconds,
 			sketch: stats.NewQuantileSketch(), win: stats.NewQuantileSketch(),
 			winPrev: math.NaN(), p99: math.NaN(), sloViolAt: -1,
 		}
-		for _, ar := range sched.Arrivals {
-			sv.arrivals = append(sv.arrivals, svcArrival{app: int32(i), units: ar.Units, t: ar.Time})
-		}
-		total += len(sched.Arrivals)
+		total += len(scheds[i].Arrivals)
 	}
-	// Merge the per-app streams by time; ties resolve by app order, then by
-	// within-app order — fully deterministic. Stable sort preserves each
-	// app's (already sorted) relative order, so only the app index is needed
-	// as a tiebreak.
-	sort.SliceStable(sv.arrivals, func(i, j int) bool {
-		if sv.arrivals[i].t != sv.arrivals[j].t {
-			return sv.arrivals[i].t < sv.arrivals[j].t
-		}
-		return sv.arrivals[i].app < sv.arrivals[j].app
-	})
+	sv.arrivals = mergeArrivals(scheds, total)
 	sv.busyUntil = make([]float64, len(s.pus))
 	sv.blocks = make([]svcArrival, 0, total)
 	qcap := sv.ctrl.Policy().MaxQueue
@@ -211,12 +199,34 @@ func (s *Session) initService(pol ServicePolicy) error {
 	s.appName = "service"
 	// Grow the record log to the offered-load ceiling so the steady-state
 	// arrival → dispatch → complete cycle stays allocation-free (the
-	// zero-alloc guard test pins this; NewServiceSimSession grows the event
-	// heap the same way).
+	// zero-alloc guard test pins this).
 	if cap(s.records) < total {
 		s.records = append(make([]TaskRecord, 0, total+16), s.records...)
 	}
 	return nil
+}
+
+// mergeArrivals merges the per-app schedules, each nondecreasing in time by
+// the workload.Schedule contract, into one time-ordered stream of all total
+// requests. Ties go to the lower app index, then keep within-app order — the
+// order a stable sort of the concatenated streams by (time, app) gives — in
+// time linear in the request count for a fixed number of apps.
+func mergeArrivals(scheds []workload.Schedule, total int) []svcArrival {
+	out := make([]svcArrival, 0, total)
+	pos := make([]int, len(scheds))
+	for len(out) < total {
+		best := -1
+		for i, sc := range scheds {
+			if pos[i] < len(sc.Arrivals) &&
+				(best < 0 || sc.Arrivals[pos[i]].Time < scheds[best].Arrivals[pos[best]].Time) {
+				best = i
+			}
+		}
+		a := scheds[best].Arrivals[pos[best]]
+		pos[best]++
+		out = append(out, svcArrival{app: int32(best), units: a.Units, t: a.Time})
+	}
+	return out
 }
 
 // NewServiceSimSession builds a simulated open-system session on clu: the
@@ -232,7 +242,12 @@ func NewServiceSimSession(clu *cluster.Cluster, pol ServicePolicy, cfg SimConfig
 	if err := s.initService(np); err != nil {
 		return nil, err
 	}
-	se.eng.Grow(len(s.svc.arrivals) + 4*len(s.pus) + 16)
+	// serviceFeed chains the arrivals on the timer, so one is pending at a
+	// time. Every other pending event belongs to a unit (heartbeats and
+	// suspicion checks) or to an admitted block: its completion and, under
+	// speculation, its watchdog and its backup's completion. Only a session
+	// with admission disabled can outgrow this.
+	se.eng.Grow(4*len(s.pus) + 3*s.svc.ctrl.Policy().MaxInFlight + 16)
 	return s, nil
 }
 

@@ -1,8 +1,11 @@
 package starpu
 
 import (
+	"cmp"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -460,5 +463,152 @@ func TestServiceLiveSpeculation(t *testing.T) {
 	}
 	if copies := len(ran[0]) + len(ran[1]); copies <= len(rep.Records) {
 		t.Errorf("%d kernel runs for %d delivered blocks: no backup copy ran", copies, len(rep.Records))
+	}
+}
+
+// TestServiceArrivalMergeOrder: the merged request stream is exactly the
+// stable (time, app) sort of the concatenated per-app schedules — ties
+// across apps go to the lower app index, ties within an app keep the app's
+// order — on both constructors. The traces share timestamps across apps and
+// within one, and app 1's trace arrives unsorted.
+func TestServiceArrivalMergeOrder(t *testing.T) {
+	trace := func(times ...float64) workload.Spec {
+		tr := make([]workload.Arrival, len(times))
+		for i, at := range times {
+			tr[i] = workload.Arrival{Time: at, Units: int64(i + 1)} // units tell ties apart
+		}
+		return workload.Spec{Kind: workload.Trace, Trace: tr}
+	}
+	prof := apps.NewBlackScholes(apps.BlackScholesConfig{Options: 1 << 14}).Profile()
+	pol := ServicePolicy{
+		Apps: []ServiceApp{
+			{Name: "a", Profile: prof, Arrivals: trace(0.01, 0.01, 0.02, 0.03, 0.03, 0.03)},
+			{Name: "b", Profile: prof, Arrivals: trace(0.02, 0, 0.01, 0.02, 0.04, 0.01)},
+			{Name: "c", Profile: prof, Arrivals: trace(0.01, 0.03, 0.03, 0.05)},
+		},
+		Horizon: 0.06,
+	}
+	check := func(t *testing.T, s *Session, pol ServicePolicy) {
+		t.Helper()
+		var want []svcArrival
+		for i, a := range pol.Apps {
+			sp := a.Arrivals
+			sp.Seed = sp.Seed + pol.Seed*0x9E3779B9 + int64(i)*0x85EBCA6B
+			for _, ar := range sp.Generate(pol.Horizon).Arrivals {
+				want = append(want, svcArrival{app: int32(i), units: ar.Units, t: ar.Time})
+			}
+		}
+		slices.SortStableFunc(want, func(x, y svcArrival) int {
+			if c := cmp.Compare(x.t, y.t); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.app, y.app)
+		})
+		if !slices.Equal(s.svc.arrivals, want) {
+			t.Errorf("merged stream\n got %v\nwant %v", s.svc.arrivals, want)
+		}
+	}
+	t.Run("sim", func(t *testing.T) {
+		for _, p := range []ServicePolicy{pol, svcTestPolicy(4)} {
+			s, err := NewServiceSimSession(cluster.TableI(cluster.Config{Machines: 2, Seed: 3}), p, SimConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, s, p)
+		}
+	})
+	t.Run("live", func(t *testing.T) {
+		k := kernelFunc(func(lo, hi int64) {})
+		s, err := NewServiceLiveSession([]LiveKernel{k, k, k}, LiveConfig{
+			Workers: []LiveWorkerSpec{{Name: "w0"}, {Name: "w1"}},
+		}, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, s, pol)
+		if _, err := s.RunService(); err != nil { // stops the workers
+			t.Fatal(err)
+		}
+	})
+}
+
+// eventHeapCap returns the capacity of a simulated session's event heap.
+// sim.Engine keeps its heap unexported, and only this test reads it.
+func eventHeapCap(s *Session) int {
+	return reflect.ValueOf(s.eng.(*simEngine).eng).Elem().FieldByName("queue").Cap()
+}
+
+// TestServiceEventHeapPresized: the service constructor sizes the event
+// heap to what can be pending at once — the units' events, the in-flight
+// blocks' and the one chained arrival — not to the arrival count. An
+// overloaded session under Retry, Spec and Health, with a straggler and a
+// unit death, must finish without the heap ever growing.
+func TestServiceEventHeapPresized(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		clu := cluster.TableI(cluster.Config{Machines: 2, Seed: seed})
+		pol := svcChaosPolicy(clu)
+		pol.Apps[0].Arrivals.Rate *= 4 // 2x capacity: admission holds MaxInFlight
+		pol.Admission = workload.AdmissionPolicy{MaxInFlight: 32, MaxQueue: 16}
+		s, err := NewServiceSimSession(clu, pol, SimConfig{
+			Retry: true, Health: DefaultHealthPolicy(),
+			Spec: &SpeculationPolicy{DeadlineMultiplier: 2, MinObservations: 1, SlowAfter: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := eventHeapCap(s)
+		if err := s.ScheduleAt(1.0, func() { s.PUs()[1].Dev.SetSpeedFactor(0.05) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ScheduleAt(2.0, func() {
+			s.PUs()[2].Dev.SetSpeedFactor(0)
+			s.DeviceStateChanged(2)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.RunService()
+		if err != nil {
+			t.Fatalf("cluster seed %d: %v", seed, err)
+		}
+		checkServiceConservation(t, rep.Service)
+		if rep.Service.DeferredTotal == 0 {
+			t.Fatalf("cluster seed %d: admission never reached MaxInFlight; the heap is not loaded", seed)
+		}
+		var specs int64
+		for _, r := range rep.Resilience {
+			specs += r.Speculations
+		}
+		if specs == 0 {
+			t.Fatalf("cluster seed %d: no watchdog fired; no backup copy was pending", seed)
+		}
+		if got := eventHeapCap(s); got != built {
+			t.Errorf("cluster seed %d: event heap grew from %d to %d slots", seed, built, got)
+		}
+	}
+}
+
+// BenchmarkNewServiceSimSession builds one session of the repository
+// benchmark's service workload at its 2.0x load point: two Poisson apps on
+// two Table I machines, 600 s of arrivals.
+func BenchmarkNewServiceSimSession(b *testing.B) {
+	clu := cluster.TableI(cluster.Config{Machines: 2, Seed: 5})
+	bs := apps.NewBlackScholes(apps.BlackScholesConfig{Options: 100000}).Profile()
+	mm := apps.NewMatMul(apps.MatMulConfig{N: 8192}).Profile()
+	pol := ServicePolicy{
+		Apps: []ServiceApp{
+			{Name: "bs", Profile: bs, SLOSeconds: 0.25, Arrivals: workload.Spec{
+				Kind: workload.Poisson, Units: 64, Seed: 11, Rate: 2 * svcCapacityRPS(clu, bs, 64)}},
+			{Name: "mm", Profile: mm, SLOSeconds: 1, Arrivals: workload.Spec{
+				Kind: workload.Poisson, Units: 256, Seed: 23, Rate: 2 * svcCapacityRPS(clu, mm, 256)}},
+		},
+		Admission: workload.AdmissionPolicy{MaxInFlight: 32, MaxQueue: 16},
+		Horizon:   600,
+		Seed:      5,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewServiceSimSession(clu, pol, SimConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // latencyQuantiles are the standard per-block latency percentiles every
-// Report carries (ascending, as QuantilesInto requires).
+// Report carries.
 var latencyQuantiles = [3]float64{0.5, 0.99, 0.999}
 
 // Session is one execution of an application on a cluster under one

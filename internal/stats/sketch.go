@@ -61,11 +61,15 @@ func sketchIndex(v float64) int {
 	return i
 }
 
-// sketchValue is the geometric midpoint of bucket i, the value reported for
-// any rank that lands in the bucket.
-func sketchValue(i int) float64 {
-	return sketchMinVal * math.Exp((float64(i)+0.5)*sketchLnGamma)
-}
+// sketchValues[i] is the geometric midpoint of bucket i, the value reported
+// for any rank that lands in the bucket. It is tabulated once because the
+// per-request p99 reads would otherwise spend most of their time in math.Exp.
+var sketchValues = func() (v [sketchBuckets]float64) {
+	for i := range v {
+		v[i] = sketchMinVal * math.Exp((float64(i)+0.5)*sketchLnGamma)
+	}
+	return v
+}()
 
 // Observe adds one duration to the sketch. NaN, ±Inf and negative values
 // are ignored. After the first observation no call allocates.
@@ -213,58 +217,36 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	if q >= 1 {
 		return s.max
 	}
-	rank := uint64(math.Ceil(q * float64(s.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := s.lo; i <= s.hi; i++ {
-		cum += s.counts[i]
-		if cum >= rank {
-			return s.clamp(sketchValue(i))
-		}
-	}
-	return s.max
+	return s.clamp(sketchValues[s.bucketOf(q)])
 }
 
-// QuantilesInto fills dst[i] with Quantile(qs[i]) in one pass over the
-// occupied buckets. qs must be sorted ascending; dst must be at least as
+// bucketOf returns the bucket holding the ⌈q·n⌉-th smallest observation,
+// for q in (0, 1): the first bucket whose cumulative count reaches the rank.
+// Ranks above the median walk down from the top, where they lie — a p99
+// read visits a few buckets instead of nearly all of them. Both walks stop
+// at the same bucket: cum(lo..i) ≥ rank exactly when the count above i is
+// at most n − rank.
+func (s *QuantileSketch) bucketOf(q float64) int {
+	rank := max(uint64(math.Ceil(q*float64(s.n))), 1)
+	if rank > s.n/2 {
+		above, i := s.n-rank, s.hi
+		for tail := s.counts[i]; tail <= above; tail += s.counts[i] {
+			i--
+		}
+		return i
+	}
+	i := s.lo
+	for cum := s.counts[i]; cum < rank; cum += s.counts[i] {
+		i++
+	}
+	return i
+}
+
+// QuantilesInto fills dst[i] with Quantile(qs[i]). dst must be at least as
 // long as qs. It never allocates, making it cheap enough for per-event
 // metric-gauge refreshes.
 func (s *QuantileSketch) QuantilesInto(qs, dst []float64) {
-	if s == nil || s.n == 0 {
-		for i := range qs {
-			dst[i] = 0
-		}
-		return
-	}
-	j := 0
-	for j < len(qs) && !(qs[j] > 0) {
-		dst[j] = s.min
-		j++
-	}
-	var cum uint64
-	i := s.lo
-	for ; j < len(qs); j++ {
-		if qs[j] >= 1 {
-			dst[j] = s.max
-			continue
-		}
-		rank := uint64(math.Ceil(qs[j] * float64(s.n)))
-		if rank < 1 {
-			rank = 1
-		}
-		for i <= s.hi {
-			if cum+s.counts[i] >= rank {
-				break
-			}
-			cum += s.counts[i]
-			i++
-		}
-		if i > s.hi {
-			dst[j] = s.max
-			continue
-		}
-		dst[j] = s.clamp(sketchValue(i))
+	for i, q := range qs {
+		dst[i] = s.Quantile(q)
 	}
 }

@@ -233,6 +233,25 @@ func BenchmarkSketchObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkSketchQuantile is the live p99 read a service session makes on
+// every arrival and completion.
+func BenchmarkSketchQuantile(b *testing.B) {
+	g := NewRNG(5)
+	sk := NewQuantileSketch()
+	for i := 0; i < 100000; i++ {
+		sk.Observe(math.Exp(g.Normal(0, 1)))
+	}
+	var v float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v += sk.Quantile(0.99)
+	}
+	sketchSink = v
+}
+
+var sketchSink float64
+
 func BenchmarkSketchQuantilesInto(b *testing.B) {
 	g := NewRNG(5)
 	sk := NewQuantileSketch()
@@ -246,4 +265,93 @@ func BenchmarkSketchQuantilesInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sk.QuantilesInto(qs, dst)
 	}
+}
+
+// bottomUpQuantile is the reference the sketch's reads must reproduce bit
+// for bit: walk the buckets from the lowest to the first whose cumulative
+// count reaches ⌈q·n⌉, and report its midpoint from math.Exp.
+func bottomUpQuantile(s *QuantileSketch, q float64) float64 {
+	if s.n == 0 {
+		return 0
+	}
+	if !(q > 0) {
+		return s.min
+	}
+	if q >= 1 {
+		return s.max
+	}
+	rank := uint64(math.Ceil(q * float64(s.n)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum uint64
+	for i := s.lo; i <= s.hi; i++ {
+		cum += s.counts[i]
+		if cum >= rank {
+			return s.clamp(sketchMinVal * math.Exp((float64(i)+0.5)*sketchLnGamma))
+		}
+	}
+	return s.max
+}
+
+// TestSketchQuantileMatchesBottomUp: reading a quantile from the near end
+// of the bucket array, with tabulated midpoints, returns exactly what the
+// bottom-up walk over math.Exp midpoints returns — on fresh, merged and
+// reset-then-refilled sketches, at the extremes and around the median.
+func TestSketchQuantileMatchesBottomUp(t *testing.T) {
+	for i, v := range sketchValues {
+		if want := sketchMinVal * math.Exp((float64(i)+0.5)*sketchLnGamma); v != want {
+			t.Fatalf("sketchValues[%d] = %v, want %v", i, v, want)
+		}
+	}
+	qs := []float64{0, 1e-9, 0.5, 0.99, 0.999, 1}
+	check := func(name string, sk *QuantileSketch) {
+		t.Helper()
+		dst := make([]float64, len(qs))
+		sk.QuantilesInto(qs, dst)
+		for j, q := range qs {
+			want := bottomUpQuantile(sk, q)
+			if got := sk.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s n=%d q=%g: Quantile %v, bottom-up %v", name, sk.n, q, got, want)
+			}
+			if math.Float64bits(dst[j]) != math.Float64bits(want) {
+				t.Errorf("%s n=%d q=%g: QuantilesInto %v, bottom-up %v", name, sk.n, q, dst[j], want)
+			}
+		}
+	}
+	g := NewRNG(17)
+	fill := func(sk *QuantileSketch) {
+		n := 1 + g.Intn(2000)
+		mu, sigma := g.Normal(-3, 3), 0.1+3*g.Float64()
+		for k := 0; k < n; k++ {
+			v := math.Exp(g.Normal(mu, sigma))
+			if g.Intn(10) == 0 {
+				v = math.Round(v*100) / 100 // repeated values share buckets
+			}
+			sk.Observe(v)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, b := NewQuantileSketch(), NewQuantileSketch()
+		fill(a)
+		fill(b)
+		check("fresh", a)
+		a.Merge(b)
+		check("merged", a)
+		b.Reset()
+		fill(b)
+		check("reset", b)
+	}
+	for n := 1; n <= 4; n++ { // the smallest sketches, where every rank sits at an end
+		sk := NewQuantileSketch()
+		for k := 0; k < n; k++ {
+			sk.Observe(float64(k+1) * 1e-3)
+		}
+		check("tiny", sk)
+	}
+	extremes := NewQuantileSketch()
+	for _, v := range []float64{0, 1e-12, 1e-9, 1, 1e6, 1e9} {
+		extremes.Observe(v)
+	}
+	check("extremes", extremes)
 }

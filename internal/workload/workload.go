@@ -11,9 +11,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"plbhec/internal/stats"
 )
@@ -235,7 +236,15 @@ func expGap(rng *stats.RNG, rate float64) float64 {
 	return -math.Log(1-rng.Float64()) / rate
 }
 
+// arrivalsCap sizes a stream whose mean request count is mean: the mean
+// plus four standard deviations of a Poisson count, capped at MaxArrivals,
+// so a generator almost never grows its slice.
+func arrivalsCap(mean float64) int {
+	return int(min(math.Ceil(mean+4*math.Sqrt(mean))+16, MaxArrivals))
+}
+
 func (sp Spec) generatePoisson(out *Schedule, horizon float64) {
+	out.Arrivals = make([]Arrival, 0, arrivalsCap(sp.Rate*horizon))
 	rng := stats.NewRNG(sp.Seed)
 	t := expGap(rng, sp.Rate)
 	for t < horizon && len(out.Arrivals) < MaxArrivals {
@@ -293,6 +302,7 @@ func (sp Spec) generateTrace(out *Schedule, horizon float64) {
 	if len(sp.Trace) == 0 {
 		// No trace attached: a deterministic evenly-spaced stream at Rate,
 		// offset half a gap so the first request is not at t=0.
+		out.Arrivals = make([]Arrival, 0, arrivalsCap(sp.Rate*horizon))
 		gap := 1 / sp.Rate
 		t := 0.5 * gap
 		for t < horizon && len(out.Arrivals) < MaxArrivals {
@@ -313,7 +323,7 @@ func (sp Spec) generateTrace(out *Schedule, horizon float64) {
 			break
 		}
 	}
-	sort.SliceStable(out.Arrivals, func(i, j int) bool {
-		return out.Arrivals[i].Time < out.Arrivals[j].Time
+	slices.SortStableFunc(out.Arrivals, func(a, b Arrival) int {
+		return cmp.Compare(a.Time, b.Time)
 	})
 }
