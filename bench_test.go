@@ -10,9 +10,11 @@
 package plbhec_test
 
 import (
+	"flag"
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"plbhec/internal/apps"
@@ -258,12 +260,28 @@ func BenchmarkSolveN(b *testing.B) {
 // asserted every iteration. Next to the simulated makespan it reports the
 // solves, the failed ones (each falls back to an even split) and the τ
 // steps per solve, so a time won by a degraded path shows.
-func BenchmarkSim10kPU(b *testing.B) {
-	const totalUnits = 16 << 20
+func BenchmarkSim10kPU(b *testing.B) { simScale(b, 2000, 16<<20) }
+
+// BenchmarkSim100kPU is Sim10kPU ten times larger: 100,000 PUs (20,000
+// nodes) and 160M work units. One iteration takes seconds and several
+// hundred MB, so `-bench .` skips it; it runs only when the -bench pattern
+// names it:
+//
+//	go test -run xxx -bench Sim100kPU -benchmem -benchtime 1x .
+func BenchmarkSim100kPU(b *testing.B) {
+	if !strings.Contains(flag.Lookup("test.bench").Value.String(), "Sim100kPU") {
+		b.Skip("runs only when the -bench pattern names Sim100kPU")
+	}
+	simScale(b, 20000, 160<<20)
+}
+
+// simScale runs PLB-HeC with InitialBlockSize 16 on cluster.Synthetic(nodes,
+// 4) at cluster seed i for iteration i, over MatMul with totalUnits units.
+func simScale(b *testing.B, nodes int, totalUnits int64) {
 	var makespan float64
 	var solver starpu.SolverStats
 	for i := 0; i < b.N; i++ {
-		clu := cluster.Synthetic(2000, 4, cluster.Config{
+		clu := cluster.Synthetic(nodes, 4, cluster.Config{
 			Seed: int64(i), NoiseSigma: cluster.DefaultNoiseSigma,
 		})
 		app := apps.NewMatMul(apps.MatMulConfig{N: totalUnits})

@@ -22,13 +22,13 @@ import (
 // (schedule, seed) must reproduce every abort, requeue and backoff
 // bit-exactly. Update it only for deliberate numeric changes, alongside
 // goldenQuickSweepHash.
-const goldenChaosHash = "af7ff8daa01149d1"
+const goldenChaosHash = "8e1457f32687208e"
 
 // goldenPermutationHash pins PLB-HeC's per-identity unit totals on the
 // 3-machine permutation cluster (amd64). Together with
 // TestGoldenMachinePermutation's relabeling check it freezes the block
 // distribution itself, not just its permutation-invariance.
-const goldenPermutationHash = "0a736c108600cf05"
+const goldenPermutationHash = "537fb5273b8d950c"
 
 // chaosScenario is the canonical mixed-fault schedule used by the golden
 // test: every declarative fault kind except Straggler, timed to land inside

@@ -31,7 +31,7 @@ import (
 // (suspicions, false suspicions, rejoins, fenced completions, requeues,
 // detection lag) on amd64. Any change to heartbeat scheduling, detector
 // math, lease fencing, or requeue ordering shows up here.
-const goldenHealthSweepHash = "99cba324bd03e784"
+const goldenHealthSweepHash = "1fe86838cdf827b3"
 
 // withRunMetrics attaches a telemetry hub with a RunMetrics sink to the
 // session and returns the registry for counter assertions.

@@ -10,7 +10,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig2",
 		Paper: "Fig. 2",
-		Desc:  "Phase-annotated trace of one PLB-HeC run (modeling rounds, block-size selection, execution)",
+		Desc:  "Phase-annotated trace of one PLB-HeC run (per-unit probes, block-size selection, execution)",
 		Run:   runFig2,
 	})
 	register(Experiment{
@@ -43,16 +43,24 @@ func runFig2(o Options) error {
 		modelEnd = rep.Distributions[0].Time
 	}
 	fmt.Fprintf(o.Out, "performance modeling phase: 0.000s – %.3fs\n", modelEnd)
-	round := 0
-	lastEnd := 0.0
-	for _, r := range rep.Records {
-		if r.SubmitTime > lastEnd-1e-12 && r.ExecEnd <= modelEnd+1e-9 {
-			round++
-			fmt.Fprintf(o.Out, "  probing round %d starts at %.3fs\n", round, r.SubmitTime)
-			lastEnd = maxf(lastEnd, r.ExecEnd)
-		} else if r.ExecEnd <= modelEnd+1e-9 {
-			lastEnd = maxf(lastEnd, r.ExecEnd)
+	// Each unit probes on its own: list the probes it was sent before the
+	// first solve and when its last one ended.
+	for pu, name := range rep.PUNames {
+		fmt.Fprintf(o.Out, "  %-22s probes", name)
+		var n int
+		var end float64
+		for _, r := range rep.Records {
+			if r.PU == pu && r.SubmitTime < modelEnd {
+				n++
+				end = r.ExecEnd
+				fmt.Fprintf(o.Out, " %d", r.Units)
+			}
 		}
+		fmt.Fprintf(o.Out, " (%d, last ends at %.3fs)", n, end)
+		if len(rep.Distributions) > 0 && rep.Distributions[0].X[pu] == 0 {
+			fmt.Fprint(o.Out, ", left out of the first solve")
+		}
+		fmt.Fprintln(o.Out)
 	}
 	for i, d := range rep.Distributions {
 		fmt.Fprintf(o.Out, "block-size selection (%s) at %.3fs: shares", d.Label, d.Time)
@@ -97,11 +105,4 @@ func runFig3(o Options) error {
 		fmt.Fprintf(o.Out, "WARNING: expected at least one rebalance after the slowdown\n")
 	}
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -130,3 +130,34 @@ func TestShapeNetworkCompression(t *testing.T) {
 			slow, fast)
 	}
 }
+
+// TestShapeScale1kPU: on generated 1,000-PU clusters (the scale
+// experiment's first tier, seeds 1–3) PLB-HeC finishes no later than HDSS,
+// and its first solve comes before 15% of its makespan: per-unit probing
+// does not wait for the slowest CPU's first probe.
+func TestShapeScale1kPU(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale shape test")
+	}
+	r := NewRunner(nil, 1)
+	tier := scaleTiers(false)[0]
+	for seed := int64(1); seed <= scaleSeeds; seed++ {
+		var cells []Cell
+		for _, c := range scaleCells(tier, seed) {
+			if c.Name == PLBHeC || c.Name == HDSS {
+				cells = append(cells, c)
+			}
+		}
+		res, err := r.RunCells(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plb, hdss := readScaleRun(find(res, PLBHeC).LastReport), readScaleRun(find(res, HDSS).LastReport)
+		if plb.makespan > hdss.makespan {
+			t.Errorf("seed %d: PLB-HeC makespan %.0f exceeds HDSS's %.0f", seed, plb.makespan, hdss.makespan)
+		}
+		if plb.split <= 0 || plb.split >= 0.15*plb.makespan {
+			t.Errorf("seed %d: first solve at %.0f of %.0f s, want before 15%%", seed, plb.split, plb.makespan)
+		}
+	}
+}

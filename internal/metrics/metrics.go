@@ -177,3 +177,18 @@ func RenderGantt(rep *starpu.Report, width int) string {
 	fmt.Fprintf(&b, "%-16s 0%*s%.3fs\n", "", width-4, "", rep.Makespan)
 	return b.String()
 }
+
+// BusyFraction returns the share of the window [from, to) the units spent
+// running kernels: the kernel time inside the window, summed over units,
+// over the number of units times the window's length (0 for an empty
+// window).
+func BusyFraction(rep *starpu.Report, from, to float64) float64 {
+	if to <= from || len(rep.PUNames) == 0 {
+		return 0
+	}
+	var busy float64
+	for _, r := range rep.Records {
+		busy += max(0, min(r.ExecEnd, to)-max(r.ExecStart, from))
+	}
+	return busy / (float64(len(rep.PUNames)) * (to - from))
+}

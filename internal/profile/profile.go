@@ -83,8 +83,8 @@ type Model struct {
 	// would tell the solver to dump all work on a slow device.
 	FloorRate float64
 	// CapRate bounds the model from above beyond the sampled range (twice
-	// the slowest per-unit rate observed): a fit that explodes under
-	// extrapolation would otherwise starve a fast device of work.
+	// the per-unit time of the largest sampled block): a fit that explodes
+	// under extrapolation would otherwise starve a fast device of work.
 	CapRate float64
 	// MaxSample is the largest block size observed; the cap applies beyond
 	// it (inside the sampled range the fit is trusted).
@@ -205,7 +205,12 @@ func (s *Sampler) FitLive(horizon float64, dead []bool) (Models, error) {
 			// non-decreasing line is the constant mean.
 			g = fit.Linear{A2: mean(tys)}
 		}
-		floor, cap, maxX := rateBounds(s.Exec[pu])
+		floor, cap, maxX := rateBounds(s.Exec[pu], s.Trans[pu])
+		// Where the fit overshoots the largest block's measured time, the
+		// cap follows the fit, so E_p never steps down where it starts.
+		if e := 2 * (f.Eval(maxX) + g.Eval(maxX)) / maxX; e > cap {
+			cap = e
+		}
 		ms.PU[pu] = Model{F: f, G: g, FloorRate: floor, CapRate: cap, MaxSample: maxX}
 		if f.R2 < ms.MinR2 {
 			ms.MinR2 = f.R2
@@ -238,31 +243,36 @@ func rmse(f fit.Model, xs, ys []float64) float64 {
 }
 
 // rateBounds derives physical sanity bounds from the samples: the floor is
-// 0.8× the fastest seconds-per-unit rate ever observed (probing ends with
-// near-saturated blocks, so devices gain little beyond their best observed
-// rate), the cap twice the slowest, applied beyond maxX, the largest
-// sampled size.
-func rateBounds(samples []Sample) (floor, cap, maxX float64) {
-	best, worst := math.Inf(1), 0.0
-	for _, s := range samples {
+// 0.8× the fastest seconds-per-unit kernel rate ever observed (probing ends
+// with near-saturated blocks, so devices gain little beyond their best
+// observed rate), the cap twice the kernel-plus-transfer rate of the
+// largest sampled block (the slowest one if several share its size),
+// applied beyond maxX, that block's size (FitLive raises it to twice the
+// fitted per-unit time there when that is larger). The cap bounds E_p = F_p + G_p
+// where the fit extrapolates, so it counts the transfer G_p models, and it
+// is read where the extrapolation starts: a device's seconds per unit do
+// not grow with the block, so small, overhead-bound probes would only make
+// it loose. exec and trans hold the same blocks in the same order.
+func rateBounds(exec, trans []Sample) (floor, cap, maxX float64) {
+	best, atMax := math.Inf(1), 0.0
+	for i, s := range exec {
 		if s.Units <= 0 {
 			continue
 		}
-		r := s.Seconds / s.Units
-		if r < best {
+		if r := s.Seconds / s.Units; r < best {
 			best = r
 		}
-		if r > worst {
-			worst = r
-		}
+		r := (s.Seconds + trans[i].Seconds) / s.Units
 		if s.Units > maxX {
-			maxX = s.Units
+			maxX, atMax = s.Units, r
+		} else if s.Units == maxX && r > atMax {
+			atMax = r
 		}
 	}
 	if math.IsInf(best, 1) {
 		return 0, 0, 0
 	}
-	return best * 0.8, worst * 2, maxX
+	return best * 0.8, atMax * 2, maxX
 }
 
 // split unpacks samples into the sampler's reusable xs/ys scratch buffers.
@@ -281,39 +291,20 @@ func (s *Sampler) split(samples []Sample) (xs, ys []float64) {
 	return xs, ys
 }
 
-// NextProbeSizes implements the paper's probing-size rule: in round k with
-// multiplier m (2, 4, 8, ...), the fastest unit receives a block of m·base
-// units and every other unit a block scaled by the performance preview
-// t_f/t_k (§III.B), so faster units probe larger sizes and the round's
-// tasks finish together. Because each round's blocks are sized to finish
-// simultaneously, the preview ratio must be derived from measured
-// *throughput* (units per second), not from the previous round's (already
-// equalized) finish times: for round-1 equal blocks the two formulations
-// coincide with the paper's t_f/t_k, and for later rounds rates preserve
-// the speed ratio that equalized times erase.
-//
-// units and durations describe each unit's most recent probe block.
-func NextProbeSizes(mult, base float64, units, durations []float64) []float64 {
-	rates := make([]float64, len(units))
-	fastest := 0.0
-	for i := range rates {
-		if durations[i] > 0 && units[i] > 0 {
-			rates[i] = units[i] / durations[i]
-		}
-		if rates[i] > fastest {
-			fastest = rates[i]
-		}
+// ProbeSize implements the paper's probing-size rule for one unit whose
+// last block ran at rate units per second: with multiplier mult (2, 4, 8,
+// ...) the fastest unit receives a block of mult·base units and every
+// other unit one scaled by the performance preview t_f/t_k (§III.B), so
+// the probe takes about as long as the fastest unit's. The preview is
+// derived from measured *throughput* (units per second), not from finish
+// times: for equal first blocks the two coincide with the paper's t_f/t_k,
+// and after that only rates preserve the speed ratio, because probes sized
+// to finish together have equal times. Without a usable rate the size is
+// mult·base; it is never below one unit.
+func ProbeSize(mult, base, rate, fastest float64) float64 {
+	size := mult * base
+	if fastest > 0 && rate > 0 {
+		size = mult * base * rate / fastest
 	}
-	sizes := make([]float64, len(units))
-	for i, r := range rates {
-		if fastest <= 0 || r <= 0 {
-			sizes[i] = mult * base
-		} else {
-			sizes[i] = mult * base * r / fastest
-		}
-		if sizes[i] < 1 {
-			sizes[i] = 1
-		}
-	}
-	return sizes
+	return max(size, 1)
 }

@@ -178,12 +178,31 @@ func TestFallingTransferFloored(t *testing.T) {
 	}
 }
 
+// nextProbeSizes applies ProbeSize to one synchronized round: units and
+// durations describe each unit's most recent probe, and fastest is the
+// highest of their rates.
+func nextProbeSizes(mult, base float64, units, durations []float64) []float64 {
+	rates := make([]float64, len(units))
+	fastest := 0.0
+	for i := range rates {
+		if durations[i] > 0 && units[i] > 0 {
+			rates[i] = units[i] / durations[i]
+		}
+		fastest = max(fastest, rates[i])
+	}
+	sizes := make([]float64, len(units))
+	for i, r := range rates {
+		sizes[i] = ProbeSize(mult, base, r, fastest)
+	}
+	return sizes
+}
+
 func TestNextProbeSizesRatioRule(t *testing.T) {
 	// Two units: the first twice as fast. Round-1 blocks of 10 units each
 	// took 1s and 2s.
 	units := []float64{10, 10}
 	durations := []float64{1, 2}
-	sizes := NextProbeSizes(2, 10, units, durations)
+	sizes := nextProbeSizes(2, 10, units, durations)
 	if sizes[0] != 20 {
 		t.Errorf("fastest probe = %g, want 2·base = 20", sizes[0])
 	}
@@ -198,7 +217,7 @@ func TestNextProbeSizesEqualizedRounds(t *testing.T) {
 	// modeling phase of dynamic range.
 	units := []float64{100, 10}
 	durations := []float64{1, 1}
-	sizes := NextProbeSizes(4, 10, units, durations)
+	sizes := nextProbeSizes(4, 10, units, durations)
 	if sizes[0] != 40 {
 		t.Errorf("fast unit probe = %g, want 40", sizes[0])
 	}
@@ -208,14 +227,14 @@ func TestNextProbeSizesEqualizedRounds(t *testing.T) {
 }
 
 func TestNextProbeSizesDegenerate(t *testing.T) {
-	sizes := NextProbeSizes(2, 10, []float64{0, 0}, []float64{0, 0})
+	sizes := nextProbeSizes(2, 10, []float64{0, 0}, []float64{0, 0})
 	for _, sz := range sizes {
 		if sz != 20 {
 			t.Errorf("degenerate probe = %g, want mult·base", sz)
 		}
 	}
 	// Minimum block of one unit.
-	sizes = NextProbeSizes(2, 10, []float64{1, 1000}, []float64{1000, 1})
+	sizes = nextProbeSizes(2, 10, []float64{1, 1000}, []float64{1000, 1})
 	if sizes[0] < 1 {
 		t.Errorf("probe below one unit: %g", sizes[0])
 	}
@@ -231,7 +250,7 @@ func TestNextProbeSizesProperty(t *testing.T) {
 			units[i] = float64(r%50) + 1
 			durations[i] = 1
 		}
-		sizes := NextProbeSizes(8, 4, units, durations)
+		sizes := nextProbeSizes(8, 4, units, durations)
 		fastest := 0
 		for i := range units {
 			if units[i] > units[fastest] {

@@ -19,17 +19,17 @@ func emitPhase(s *starpu.Session, name string) {
 }
 
 // emitFit publishes one curve-fitting pass: a per-unit event carrying that
-// unit's RMSE (Value) and R² (Aux) for every unit not dead (the pass did
+// unit's RMSE (Value) and R² (Aux) for every unit not skipped (the pass did
 // not fit those), then one pass-level event (PU = -1) carrying the worst R²
 // so sinks can count passes exactly once.
-func emitFit(s *starpu.Session, ms profile.Models, dead []bool) {
+func emitFit(s *starpu.Session, ms profile.Models, skip []bool) {
 	tel := s.Telemetry()
 	if !tel.Enabled() {
 		return
 	}
 	now := s.Now()
 	for i := range ms.PU {
-		if dead[i] {
+		if skip[i] {
 			continue
 		}
 		tel.Emit(telemetry.Event{
@@ -42,23 +42,30 @@ func emitFit(s *starpu.Session, ms profile.Models, dead []bool) {
 
 // PLBHeC is the paper's scheduler (Algorithm 2). It runs three phases:
 //
-//  1. Performance modeling (§III.B, Algorithm 1): four synchronized probing
-//     rounds whose block sizes start at InitialBlockSize and grow with
-//     multipliers 2, 4, 8, each unit's size scaled by t_f/t_k so rounds
-//     finish together; then least-squares fits of F_p and G_p, probing
-//     further (doubling the multiplier) until every fit reaches R² ≥ 0.7 or
-//     20% of the data has been consumed.
+//  1. Performance modeling (§III.B, Algorithm 1): every unit probes on its
+//     own, with no round barrier, so no unit waits for the slowest one. Its
+//     first probe is InitialBlockSize; when probe k finishes, probe k+1
+//     starts at once with multiplier 2^k, scaled by the unit's last
+//     measured rate over the fastest rate seen at that stage, so a unit's
+//     probes take about as long as the fastest unit's. Least-squares fits of
+//     F_p and G_p start once the units holding fewer than need (at first 4)
+//     samples can carry at most lateShare of the estimated throughput; a
+//     fit below R² 0.7, or probes far smaller than the blocks the fit will
+//     size, raises need by one. The 20% data cap starts the execution phase
+//     whatever the fit.
 //  2. Block-size selection (§III.C): the fitted equation system (Eq. 5) is
 //     solved by water-filling under Σx = remaining, x ≥ 0,
 //     equal-finish-time conditions; unit g receives blocks of size
-//     x_g/ExecutionSteps.
+//     x_g/ExecutionSteps. Units with fewer than minProbes samples are left
+//     out, like dead ones: they keep probing and join at the next
+//     rebalance.
 //  3. Execution and rebalancing (§III.D): units re-request blocks of their
 //     selected size asynchronously; if two units' task finish times drift
 //     apart by more than Threshold × (typical block time), the scheduler
 //     refits the curves with all accumulated samples, re-solves, and
 //     redistributes after a synchronization — units that detect the
 //     threshold still receive one filler task while the others drain
-//     (Fig. 3).
+//     (Fig. 3). Probes in flight do not hold up the synchronization.
 type PLBHeC struct {
 	Config
 	// Threshold is the rebalancing trigger as a fraction of a block's
@@ -83,16 +90,37 @@ type PLBHeC struct {
 	// branch.
 	failSolves bool
 
-	phase        int // modeling, executing, draining
-	sampler      *profile.Sampler
-	models       profile.Models
-	modelsOK     bool
-	round        int
-	mult         float64
-	roundTime    []float64 // per-PU duration of the current probing round's block
-	roundUnits   []float64 // per-PU size of the current probing round's block
-	roundPending int
-	usedUnits    float64 // units consumed by the modeling phase
+	phase     int // modeling, executing, draining
+	sampler   *profile.Sampler
+	models    profile.Models
+	modelsOK  bool
+	usedUnits float64 // units consumed by the modeling phase
+
+	// Per-unit probing. need is the sample count every probed unit must
+	// reach before the first fit; it starts at minProbes and grows by one
+	// per rejected fit. probeOwner maps the sequence number of each probe in
+	// flight to the unit it was sent to (a requeued or speculated probe may
+	// finish elsewhere), and inProbe marks the units with one in flight.
+	need       int
+	probeOwner map[int]int
+	inProbe    []bool
+	// rate is each unit's throughput over its last finished block (units/s,
+	// 0 before the first); rateSum sums it over live units and needRate
+	// over live units holding need samples.
+	rate              []float64
+	rateSum, needRate float64
+	// level is the multiplier exponent of each unit's latest probe, and
+	// levelRate[j] the fastest rate a probe of level j has run at.
+	level     []int
+	levelRate [maxProbes]float64
+	// unprobed counts live units still inside their first probe and ready
+	// those holding minProbes samples or more.
+	unprobed, ready int
+	// late marks live units left out of the current distribution because
+	// they held fewer than minProbes samples when it was solved; skip is
+	// dead || late, the mask of units the fits and solves leave out.
+	late, skip []bool
+	joined     []int // scratch: units a rebalance lets in
 
 	share      []float64 // normalized distribution x_g (recorded for Fig. 6)
 	blockUnits []float64 // per-PU execution block size
@@ -148,8 +176,10 @@ type plbStats struct {
 	// solved counts successful solves and steps the water-filling τ steps
 	// they took.
 	solved, steps float64
-	modelRounds   float64
-	failures      float64
+	// modelRounds is the fewest samples held by a unit that takes part in
+	// the first solve.
+	modelRounds float64
+	failures    float64
 }
 
 const (
@@ -162,8 +192,17 @@ const (
 	// modelDataCap stops the modeling phase once this fraction of the data
 	// has been consumed (paper: 20%).
 	modelDataCap = 0.20
-	// maxModelRounds bounds probing (safety net beyond the data cap).
-	maxModelRounds = 12
+	// minProbes is the number of samples a unit needs to take part in a
+	// solve: the paper's four probing rounds, counted per unit.
+	minProbes = 4
+	// maxProbes bounds need (safety net beyond the data cap): a fit with
+	// every probed unit at maxProbes samples starts the execution phase
+	// whatever its quality.
+	maxProbes = 12
+	// lateShare is the largest share of the estimated throughput the units
+	// short of need samples may carry when the first solve starts without
+	// them.
+	lateShare = 0.05
 	// coverageFactor: probing continues while a unit's anticipated
 	// execution block exceeds this multiple of its largest probe.
 	coverageFactor = 16
@@ -196,13 +235,16 @@ func (p *PLBHeC) Stats() map[string]float64 {
 	}
 }
 
-// Start launches the first probing round: every unit gets a block of
-// InitialBlockSize.
+// Start sends every unit its first probe, a block of InitialBlockSize.
 func (p *PLBHeC) Start(s *starpu.Session) {
 	n := len(s.PUs())
 	p.sampler = profile.NewSampler(n)
-	p.roundTime = make([]float64, n)
-	p.roundUnits = make([]float64, n)
+	p.probeOwner = make(map[int]int, n)
+	p.inProbe = make([]bool, n)
+	p.rate = make([]float64, n)
+	p.level = make([]int, n)
+	p.late = make([]bool, n)
+	p.skip = make([]bool, n)
 	p.lastDur = make([]float64, n)
 	p.durs = newDurRange(n)
 	p.share = make([]float64, n)
@@ -217,113 +259,192 @@ func (p *PLBHeC) Start(s *starpu.Session) {
 	}
 	p.solver = ipm.NewSolver(p.Solver)
 	p.phase = phaseModeling
-	p.round = 1
-	p.mult = 1
+	p.need = minProbes
+	p.unprobed = n
 	p.thrScale = 1
 	emitPhase(s, "modeling")
 
-	for _, pu := range s.PUs() {
-		if s.Remaining() == 0 {
-			break
-		}
-		got := s.Assign(pu, p.initialBlock())
-		p.usedUnits += float64(got)
-		if got > 0 {
-			p.roundPending++
-		}
+	for i := range s.PUs() {
+		p.probe(s, i)
 	}
 }
 
-// TaskFinished dispatches on the current phase.
+// TaskFinished dispatches on the current phase; a finished probe goes to
+// its unit's probing sequence whatever the phase.
 func (p *PLBHeC) TaskFinished(s *starpu.Session, rec starpu.TaskRecord) {
-	p.sampler.Add(rec.PU, float64(rec.Units), rec.ExecSeconds(), rec.TransferSeconds())
 	if p.scanFailures(s) && p.phase == phaseExecuting && s.Remaining() > 0 {
 		// A unit died: force a redistribution over the survivors.
 		p.rebalance = true
 		p.rebalCause = "failure"
 	}
-	switch p.phase {
-	case phaseModeling:
-		p.modelingFinished(s, rec)
-	case phaseExecuting:
+	p.sampler.Add(rec.PU, float64(rec.Units), rec.ExecSeconds(), rec.TransferSeconds())
+	if !p.dead[rec.PU] {
+		p.noteSample(rec.PU, float64(rec.Units)/(rec.ExecEnd-rec.TransferStart))
+	}
+	owner, probe := p.probeOwner[rec.Seq]
+	if probe {
+		delete(p.probeOwner, rec.Seq)
+		p.inProbe[owner] = false
+		if owner == rec.PU {
+			j := p.level[owner]
+			p.levelRate[j] = max(p.levelRate[j], p.rate[owner])
+		}
+	}
+	switch {
+	case p.phase == phaseModeling:
+		p.modelingFinished(s, owner, probe)
+	case probe:
+		p.probeFinished(s, owner)
+	case p.phase == phaseExecuting:
 		p.executingFinished(s, rec)
-	case phaseDraining:
+	default:
 		p.drainingFinished(s, rec)
 	}
 }
 
 // --- Phase 1: performance modeling -----------------------------------------
 
-func (p *PLBHeC) modelingFinished(s *starpu.Session, rec starpu.TaskRecord) {
-	p.roundTime[rec.PU] = rec.ExecEnd - rec.TransferStart
-	p.roundUnits[rec.PU] = float64(rec.Units)
-	p.roundPending--
-	if p.roundPending > 0 {
-		return // the probing round is synchronized
+// probe sends unit i its next probe: InitialBlockSize first (level 0),
+// then after k samples a probe of level k. Its size is profile.ProbeSize's
+// rule with multiplier 2^k, the unit's rate scaled against the fastest
+// rate seen at the level of its latest probe or below: the rates compared
+// were measured over blocks of about the same duration, as in a
+// synchronized round, and a slow unit that reaches a level first is still
+// compared with the fast ones. A probe never exceeds the block the unit
+// would get if the remaining data were split by measured rates, so a unit
+// that keeps probing while others catch up, or while it is left out of
+// the distribution, samples up to the block sizes the fit will be used
+// for and no further.
+func (p *PLBHeC) probe(s *starpu.Session, i int) {
+	size := p.initialBlock()
+	if k := p.sampler.Count(i); k > 0 {
+		var fastest float64
+		for _, r := range p.levelRate[:p.level[i]+1] {
+			fastest = max(fastest, r)
+		}
+		j := min(k, maxProbes-1)
+		size = profile.ProbeSize(math.Ldexp(1, j), size, p.rate[i], fastest)
+		if p.rateSum > 0 {
+			size = min(size, p.rate[i]/p.rateSum*float64(s.Remaining())/p.steps())
+		}
+		p.level[i] = j
 	}
-	p.stats.modelRounds++
+	seq := s.NextSeq()
+	got := s.Assign(s.PUs()[i], size)
+	if got == 0 {
+		return
+	}
+	p.probeOwner[seq] = i
+	p.inProbe[i] = true
+	if p.phase == phaseModeling {
+		p.usedUnits += float64(got)
+	}
+}
 
+// noteSample updates live unit pu's rate and the probing counters after a
+// block of it finished (its sample count just grew by one).
+func (p *PLBHeC) noteSample(pu int, rate float64) {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		rate = 0
+	}
+	old := p.rate[pu]
+	p.rate[pu] = rate
+	p.rateSum += rate - old
+	k := p.sampler.Count(pu)
+	switch {
+	case k > p.need:
+		p.needRate += rate - old
+	case k == p.need:
+		p.needRate += rate
+	}
+	if k == 1 {
+		p.unprobed--
+	}
+	if k == minProbes {
+		p.ready++
+	}
+}
+
+// modelingFinished starts the execution phase when the first solve is due
+// and the fit allows it; otherwise the probe's unit gets its next probe.
+func (p *PLBHeC) modelingFinished(s *starpu.Session, owner int, probe bool) {
 	if s.Remaining() == 0 {
 		return // the modeling phase consumed everything; run is complete
 	}
-
-	needMoreRounds := p.round < 4
-	if !needMoreRounds {
-		// Try to fit after the fourth round and after each extra round.
-		ms, err := p.sampler.FitLive(float64(s.Remaining()), p.dead)
-		p.stats.fits++
-		s.ChargeFit()
-		if err == nil {
-			p.models, p.modelsOK = ms, true
-			emitFit(s, ms, p.dead)
-			capUnits := modelDataCap * float64(s.TotalUnits())
-			if p.usedUnits >= capUnits || p.round >= maxModelRounds {
-				p.beginExecution(s)
-				return
-			}
-			if ms.GoodEnough() && p.coverageOK(s) {
-				p.beginExecution(s)
-				return
-			}
-		}
-		// Fit failed, not good enough, or probes nowhere near the block
-		// sizes the fit will be used for: generate more points (Alg. 1).
+	if p.solveDue(s) && p.fitFirst(s) {
+		return
 	}
-
-	p.round++
-	p.mult *= 2
-	sizes := profile.NextProbeSizes(p.mult, p.initialBlock(), p.roundUnits, p.roundTime)
-	// Never let one probing round exceed the remaining data.
-	var want float64
-	for _, sz := range sizes {
-		want += sz
+	if probe && !p.dead[owner] {
+		p.probe(s, owner)
 	}
-	if rem := float64(s.Remaining()); want > rem {
-		scale := rem / want
-		for i := range sizes {
-			sizes[i] *= scale
-		}
-	}
-	for i, pu := range s.PUs() {
-		if s.Remaining() == 0 {
-			break
-		}
-		if p.dead[i] {
-			continue
-		}
-		if sizes[i] < 1 {
-			sizes[i] = 1
-		}
-		got := s.Assign(pu, sizes[i])
-		p.usedUnits += float64(got)
-		if got > 0 {
-			p.roundPending++
-		}
-	}
-	if p.roundPending == 0 && s.Remaining() > 0 {
-		// Could not submit anything (pathological); drop to execution with
-		// whatever model we have.
+	if s.InFlight() == 0 {
+		// Nothing could be sent (every unit dead); drop to execution with
+		// whatever model there is.
 		p.beginExecution(s)
+	}
+}
+
+// solveDue reports whether the first solve should be tried: some unit
+// holds minProbes samples, and either the data cap is reached or the units
+// holding fewer than need samples carry at most lateShare of the estimated
+// throughput. A unit past its first probe is estimated at its last
+// measured rate; one still inside it at InitialBlockSize/now, the most it
+// can be running at.
+func (p *PLBHeC) solveDue(s *starpu.Session) bool {
+	if p.ready == 0 {
+		return false
+	}
+	if p.usedUnits >= modelDataCap*float64(s.TotalUnits()) {
+		return true
+	}
+	pending := float64(p.unprobed) * p.initialBlock() / s.Now()
+	return p.rateSum-p.needRate+pending <= lateShare*(p.rateSum+pending)
+}
+
+// fitFirst fits the units holding minProbes samples and starts the
+// execution phase if the models are good enough, cover the block sizes
+// they will be used for, or the data cap or maxProbes forces it. Otherwise
+// need rises by one, so the units take one more sample each before the
+// next try (Alg. 1's "generate more points").
+func (p *PLBHeC) fitFirst(s *starpu.Session) bool {
+	for i := range p.late {
+		p.late[i] = !p.dead[i] && p.sampler.Count(i) < minProbes
+		p.skip[i] = p.dead[i] || p.late[i]
+	}
+	ms, err := p.sampler.FitLive(float64(s.Remaining()), p.skip)
+	p.stats.fits++
+	s.ChargeFit()
+	p.models, p.modelsOK = ms, err == nil
+	if err == nil {
+		emitFit(s, ms, p.skip)
+	}
+	capped := p.usedUnits >= modelDataCap*float64(s.TotalUnits())
+	if capped || err == nil && (p.need >= maxProbes || ms.GoodEnough() && p.coverageOK(s)) {
+		p.beginExecution(s)
+		return true
+	}
+	p.need++
+	p.needRate = 0
+	for i, r := range p.rate {
+		if !p.dead[i] && p.sampler.Count(i) >= p.need {
+			p.needRate += r
+		}
+	}
+	return false
+}
+
+// probeFinished hands unit i its next block after its probe finished
+// outside the modeling phase: another probe while it is left out of the
+// distribution, its execution block once it has joined.
+func (p *PLBHeC) probeFinished(s *starpu.Session, i int) {
+	switch {
+	case p.dead[i] || s.Remaining() == 0:
+	case p.late[i]:
+		p.probe(s, i)
+	case p.blockUnits[i] >= 0.5:
+		s.Assign(s.PUs()[i], p.blockUnits[i])
+	default:
+		p.keepAlive(s)
 	}
 }
 
@@ -332,13 +453,17 @@ func (p *PLBHeC) modelingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 // phase (estimated from measured throughputs, no solver needed). R² only
 // measures interpolation quality; this guards the *extrapolation* the
 // block-size selection will perform — an implementation refinement of
-// Algorithm 1's "generate more points" loop.
+// Algorithm 1's "generate more points" loop. Units left out of the fit are
+// left out here too.
 func (p *PLBHeC) coverageOK(s *starpu.Session) bool {
 	n := p.sampler.NumPU()
 	rates := make([]float64, n)
 	maxProbe := make([]float64, n)
 	var sum float64
 	for pu := 0; pu < n; pu++ {
+		if p.skip[pu] {
+			continue
+		}
 		for _, sm := range p.sampler.Exec[pu] {
 			if sm.Units > maxProbe[pu] && sm.Seconds > 0 {
 				maxProbe[pu] = sm.Units
@@ -350,12 +475,8 @@ func (p *PLBHeC) coverageOK(s *starpu.Session) bool {
 	if sum <= 0 {
 		return true
 	}
-	steps := float64(p.ExecutionSteps)
-	if steps < 1 {
-		steps = 1
-	}
 	for pu := 0; pu < n; pu++ {
-		anticipated := rates[pu] / sum * float64(s.Remaining()) / steps
+		anticipated := rates[pu] / sum * float64(s.Remaining()) / p.steps()
 		if anticipated >= 1 && anticipated > coverageFactor*maxProbe[pu] {
 			return false
 		}
@@ -380,7 +501,11 @@ func (p *PLBHeC) beginExecution(s *starpu.Session) {
 		return
 	}
 	if !p.modelsOK {
-		// No usable model (e.g. tiny inputs): degrade to even split.
+		// No usable model (e.g. tiny inputs): degrade to even split over
+		// every live unit.
+		for i := range p.late {
+			p.late[i], p.skip[i] = false, p.dead[i]
+		}
 		p.evenShareAlive()
 	} else {
 		p.firstModels = p.models
@@ -388,12 +513,21 @@ func (p *PLBHeC) beginExecution(s *starpu.Session) {
 		// derive block deadlines from the fitted model; the closure tracks
 		// p.models, so refits sharpen the deadlines automatically.
 		s.SetPredictor(func(pu int, units float64) float64 {
-			if !p.modelsOK || pu >= len(p.models.PU) {
+			if !p.modelsOK || pu >= len(p.models.PU) || p.skip[pu] {
 				return 0
 			}
 			return p.models.PU[pu].Eval(units)
 		})
 		p.solveDistribution(s)
+	}
+	fewest := math.Inf(1)
+	for i, skip := range p.skip {
+		if !skip {
+			fewest = min(fewest, float64(p.sampler.Count(i)))
+		}
+	}
+	if !math.IsInf(fewest, 1) {
+		p.stats.modelRounds = fewest
 	}
 	s.RecordDistribution("modeling-phase", p.share)
 	p.submitBlocks(s)
@@ -406,7 +540,7 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	p.curves = p.models.Curves(p.curves[:0])
 	curves := p.curves
 	for i := range curves {
-		if p.dead[i] {
+		if p.skip[i] {
 			curves[i] = deadCurve{}
 		}
 	}
@@ -447,18 +581,19 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	}
 }
 
-// submitBlocks hands every unit its first block of the new distribution.
+// submitBlocks hands every unit not busy with a probe its first block of
+// the new distribution, or its next probe while it is left out.
 func (p *PLBHeC) submitBlocks(s *starpu.Session) {
-	steps := p.ExecutionSteps
-	if steps < 1 {
-		steps = 1
-	}
-	p.setBlocks(float64(s.Remaining()), float64(steps))
+	p.setBlocks(float64(s.Remaining()), p.steps())
 	for i, pu := range s.PUs() {
 		if s.Remaining() == 0 {
 			break
 		}
-		if !p.dead[i] && p.blockUnits[i] >= 0.5 {
+		switch {
+		case p.dead[i] || p.inProbe[i]:
+		case p.late[i]:
+			p.probe(s, i)
+		case p.blockUnits[i] >= 0.5:
 			s.Assign(pu, p.blockUnits[i])
 		}
 	}
@@ -467,6 +602,10 @@ func (p *PLBHeC) submitBlocks(s *starpu.Session) {
 		p.keepAlive(s)
 	}
 }
+
+// steps is ExecutionSteps, at least 1: the number of blocks each unit's
+// share is split into.
+func (p *PLBHeC) steps() float64 { return float64(max(p.ExecutionSteps, 1)) }
 
 // --- Phase 3: execution and rebalancing -------------------------------------
 
@@ -501,9 +640,10 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	// a 10%-of-a-block-time threshold gives a good trade-off (§III.D).
 	// Detection is debounced over two consecutive completions so a single
 	// noisy measurement cannot force a synchronization, and suppressed in
-	// the tail (less than one round of work left), where a redistribution
-	// could not be acted on anyway.
-	tail := float64(s.Remaining()) < p.roundTotal
+	// the tail, where a redistribution could not be acted on anyway: with
+	// less than two rounds of work left, the drain's filler blocks take up
+	// to one of them and the re-solve would split almost nothing.
+	tail := float64(s.Remaining()) < 2*p.roundTotal
 	if !p.rebalance && p.Threshold > 0 && fullBlock && !tail {
 		if p.imbalanced(rec.PU, dur, p.Threshold*p.thrScale*p.blockTime) {
 			p.overCount++
@@ -529,7 +669,9 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 		})
 		emitPhase(s, "draining")
 		p.drainSeq = s.NextSeq()
-		p.drainOld = s.InFlight()
+		// Probes in flight run outside the distribution: the drain does not
+		// wait for them.
+		p.drainOld = s.InFlight() - len(p.probeOwner)
 		p.drainingFinished(s, rec)
 		return
 	}
@@ -563,9 +705,23 @@ func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 				p.regime[i] = 1
 			}
 		}
-		if ms, err := p.sampler.FitLive(float64(s.Remaining()), p.dead); err == nil {
+		// Left-out units that now hold minProbes samples join the refit and
+		// the solve; if the refit fails they stay out, so the models kept
+		// cover exactly the units in the solve.
+		p.joined = p.joined[:0]
+		for i, late := range p.late {
+			if late && p.sampler.Count(i) >= minProbes {
+				p.late[i], p.skip[i] = false, false
+				p.joined = append(p.joined, i)
+			}
+		}
+		if ms, err := p.sampler.FitLive(float64(s.Remaining()), p.skip); err == nil {
 			p.models, p.modelsOK = ms, true
-			emitFit(s, ms, p.dead)
+			emitFit(s, ms, p.skip)
+		} else {
+			for _, i := range p.joined {
+				p.late[i], p.skip[i] = true, true
+			}
 		}
 		p.stats.fits++
 		s.ChargeFit()
@@ -584,11 +740,7 @@ func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 			// Units still running filler tasks adopt the new block sizes
 			// as they finish; only a fully drained session needs a fresh
 			// submission round.
-			steps := float64(p.ExecutionSteps)
-			if steps < 1 {
-				steps = 1
-			}
-			p.setBlocks(float64(s.Remaining()), steps)
+			p.setBlocks(float64(s.Remaining()), p.steps())
 			if s.InFlight() == 0 {
 				p.submitBlocks(s)
 			} else if p.blockUnits[rec.PU] >= 0.5 && !p.dead[rec.PU] {
@@ -606,16 +758,17 @@ func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	p.keepAlive(s)
 }
 
-// evenShareAlive spreads the distribution evenly over surviving units.
+// evenShareAlive spreads the distribution evenly over the surviving units
+// the solve would have covered (none dead or left out).
 func (p *PLBHeC) evenShareAlive() {
 	alive := 0
 	for i := range p.share {
-		if !p.dead[i] {
+		if !p.skip[i] {
 			alive++
 		}
 	}
 	for i := range p.share {
-		if p.dead[i] || alive == 0 {
+		if p.skip[i] || alive == 0 {
 			p.share[i] = 0
 		} else {
 			p.share[i] = 1 / float64(alive)
@@ -648,12 +801,31 @@ func (p *PLBHeC) scanFailures(s *starpu.Session) bool {
 	changed := false
 	for i, pu := range s.PUs() {
 		if !p.dead[i] && pu.Dev.Failed() {
+			p.stopProbing(i)
 			p.markDead(i)
 			s.NoteDeviceDown(i)
 			changed = true
 		}
 	}
 	return changed
+}
+
+// stopProbing takes failed unit i out of the probing counters and out of
+// the late units: from now on it is left out as dead.
+func (p *PLBHeC) stopProbing(i int) {
+	k := p.sampler.Count(i)
+	if k == 0 {
+		p.unprobed--
+	}
+	if k >= minProbes {
+		p.ready--
+	}
+	if k >= p.need {
+		p.needRate -= p.rate[i]
+	}
+	p.rateSum -= p.rate[i]
+	p.rate[i] = 0
+	p.late[i], p.skip[i] = false, true
 }
 
 // l1Distance returns Σ|a_i − b_i|.

@@ -80,8 +80,9 @@ func TestPLBHeCModelingPhaseStructure(t *testing.T) {
 	p := NewPLBHeC(Config{InitialBlockSize: 8})
 	rep := simRun(t, 4, 16384, p, 3)
 	stats := rep.SchedulerStats
+	// modelRounds is the fewest probes any unit in the first solve took.
 	if stats["modelRounds"] < 4 {
-		t.Errorf("modeling rounds = %g, want ≥ 4 (the paper's four probing rounds)", stats["modelRounds"])
+		t.Errorf("modeling rounds = %g, want ≥ 4 (every unit in the first solve probed at least four times)", stats["modelRounds"])
 	}
 	if stats["solves"] < 1 || stats["fits"] < 1 {
 		t.Errorf("stats = %v: expected at least one fit and one solve", stats)
