@@ -227,13 +227,13 @@ func solveNProblem(n int) ipm.Problem {
 // BenchmarkSolveN measures one block-size solve as the unit count grows
 // across the thousand-PU range, on a Solver whose workspaces persist. It
 // fails on a solver error or a split that does not sum to the total, and
-// reports the water-filling τ steps per solve.
+// reports the water-filling τ steps and curve evaluations per solve.
 func BenchmarkSolveN(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256, 1024} {
 		prob := solveNProblem(n)
 		b.Run(itoa(int64(n)), func(b *testing.B) {
 			sv := ipm.NewSolver(ipm.Options{})
-			steps := 0
+			steps, evals := 0, 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := sv.Solve(prob)
@@ -248,8 +248,10 @@ func BenchmarkSolveN(b *testing.B) {
 					b.Fatalf("split sums to %g, want %g", sum, prob.Total)
 				}
 				steps += res.Iterations
+				evals += res.Evaluations
 			}
 			b.ReportMetric(float64(steps)/float64(b.N), "tau-steps/op")
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 		})
 	}
 }
@@ -258,8 +260,9 @@ func BenchmarkSolveN(b *testing.B) {
 // water-filling solves, execution — on a generated 10,000-PU cluster
 // (2000 nodes × 1 CPU + 4 GPUs). Work conservation and record sanity are
 // asserted every iteration. Next to the simulated makespan it reports the
-// solves, the failed ones (each falls back to an even split) and the τ
-// steps per solve, so a time won by a degraded path shows.
+// solves, the failed ones (each falls back to an even split), and the τ
+// steps and curve evaluations per solve, so a time won by a degraded path
+// shows.
 func BenchmarkSim10kPU(b *testing.B) { simScale(b, 2000, 16<<20) }
 
 // BenchmarkSim100kPU is Sim10kPU ten times larger: 100,000 PUs (20,000
@@ -310,6 +313,7 @@ func simScale(b *testing.B, nodes int, totalUnits int64) {
 	b.ReportMetric(solver.Solves, "solves/op")
 	b.ReportMetric(solver.Solves-solver.ColdStarts, "failed-solves/op")
 	b.ReportMetric(solver.MeanIterations(), "tau-steps/solve")
+	b.ReportMetric(solver.MeanEvaluations(), "evals/solve")
 }
 
 // BenchmarkWarmRebalance runs the Fig. 3 slowdown scenario, whose

@@ -18,9 +18,10 @@ func synthSamples(n int) (xs, ys []float64) {
 	return
 }
 
-// collinearSamples is the stream the scale10k refits take the
-// least-squares fallback on: blocks far below a horizon of 1e7 units, so
-// every 1/x value sits at its clamp, and e^{x/s} ≈ 1 + x/s is linear.
+// collinearSamples is a stream like the scale10k refits' on which some
+// candidate sets' normal equations are singular: blocks far below a
+// horizon of 1e7 units, so every 1/x value sits at its clamp, and
+// e^{x/s} ≈ 1 + x/s is linear.
 func collinearSamples() (xs, ys []float64, horizon float64) {
 	for x := 16.0; x <= 2048; x *= 2 {
 		xs = append(xs, x, x*1.5)
@@ -199,13 +200,13 @@ func TestFitterLine(t *testing.T) {
 // has seen a stream, refitting it (the per-round profiling refit) performs
 // zero heap allocations. That holds on the three paths scale10k takes: a
 // well-conditioned stream; a collinear one, whose {1, x, 1/x} and
-// {1, x, eˣ} sets take the least-squares fallback; and a horizon that
-// shrinks on every refit, as the remaining work does, so the scale rows
-// are rebuilt each time.
+// {1, x, eˣ} normal equations are singular, so Fit skips those sets; and
+// a horizon that shrinks on every refit, as the remaining work does, so
+// the scale rows are rebuilt each time.
 func TestWarmRefitZeroAlloc(t *testing.T) {
 	smooth, smoothY := synthSamples(10)
 	flat, flatY, far := collinearSamples()
-	// The collinear stream must really take the fallback.
+	// The collinear stream's {1, x, 1/x} system must really be singular.
 	var probe Fitter
 	var ws Workspace
 	if _, err := probe.Fit(&ws, flat, flatY, far); err != nil {
@@ -213,7 +214,7 @@ func TestWarmRefitZeroAlloc(t *testing.T) {
 	}
 	inv := setOf(bOne, bX, bInv)
 	if ws.solve(inv.idx, probe.ata[:], probe.aty[:], ws.coef[0][:3]) == nil {
-		t.Fatal("the collinear stream's {1, x, 1/x} normal equations solved; want the fallback")
+		t.Fatal("the collinear stream's {1, x, 1/x} normal equations solved; want them singular")
 	}
 	txs := []float64{128, 256, 512, 1024}
 	tys := []float64{0.001, 0.0018, 0.0034, 0.0066}
@@ -371,4 +372,109 @@ func TestGramMatchesPerSetAccumulators(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rsquared is the scoring the Workspace's tabulated basis values replaced,
+// kept as its oracle: R², adjusted R² and the residual sum of squares of
+// model m on the samples, each prediction from m.Eval.
+func rsquared(m Model, xs, ys []float64, p int) (r2, adj, ssRes float64) {
+	var mean float64
+	for _, y := range ys {
+		mean += y
+	}
+	mean /= float64(len(ys))
+	var ssTot float64
+	for i, x := range xs {
+		d := ys[i] - m.Eval(x)
+		ssRes += d * d
+		t := ys[i] - mean
+		ssTot += t * t
+	}
+	if ssTot == 0 {
+		// All y equal: a perfect fit has no residual; call it 1.
+		if ssRes < 1e-18 {
+			return 1, 1, ssRes
+		}
+		return 0, 0, ssRes
+	}
+	r2 = 1 - ssRes/ssTot
+	n := float64(len(xs))
+	den := n - float64(p) - 1
+	if den <= 0 {
+		return r2, r2, ssRes
+	}
+	adj = 1 - (1-r2)*(n-1)/den
+	return r2, adj, ssRes
+}
+
+// TestScoreMatchesOracle: the R², adjusted R² and residual sum of squares
+// Fitter.Fit and Fitter.Line report equal rsquared's bit for bit, on
+// random append-only streams with history rewrites and a moving horizon,
+// on TestWarmRefitZeroAlloc's smooth, collinear and shrinking-horizon
+// streams, and on falling samples, where Fit returns the rising line.
+func TestScoreMatchesOracle(t *testing.T) {
+	bits := math.Float64bits
+	var ws Workspace
+	check := func(name string, f *Fitter, xs, ys []float64, horizon float64) {
+		t.Helper()
+		m, err := f.Fit(&ws, xs, ys, horizon)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r2, adj, ss := rsquared(m, xs, ys, len(m.Coef))
+		if bits(m.R2) != bits(r2) || bits(m.AdjR2) != bits(adj) || bits(ws.SSR()) != bits(ss) {
+			t.Fatalf("%s: %v scores R² %v, adj %v, SSR %v; the oracle %v, %v, %v", name, m, m.R2, m.AdjR2, ws.SSR(), r2, adj, ss)
+		}
+		txs, tys := xs, make([]float64, len(ys))
+		for i, y := range ys {
+			tys[i] = 1e-3 * y
+		}
+		l, err := f.Line(&ws, txs, tys)
+		if err != nil {
+			t.Fatalf("%s: line: %v", name, err)
+		}
+		lm := Model{Bases: lineSet.bases, Coef: linalg.Vector{l.A2, l.A1}, Scale: 1}
+		if r2, _, _ := rsquared(lm, txs, tys, 2); bits(l.R2) != bits(r2) {
+			t.Fatalf("%s: line R² %v, the oracle %v", name, l.R2, r2)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 40; trial++ {
+		var f Fitter
+		rate, lat := 1e-4*(1+rng.Float64()), 0.01*rng.Float64()
+		var xs, ys []float64
+		horizon := math.Pow(10, 3+4*rng.Float64())
+		for step := 0; step < 16; step++ {
+			if rng.Intn(5) > 0 || len(xs) < 2 {
+				x := math.Round(math.Pow(2, 3+8*rng.Float64()))
+				xs = append(xs, x)
+				ys = append(ys, lat+rate*x*(1+0.05*rng.NormFloat64()))
+			} else {
+				for i := range ys {
+					ys[i] *= 0.5 + rng.Float64()
+				}
+			}
+			if rng.Intn(4) > 0 {
+				horizon *= 0.5 + rng.Float64()
+			}
+			if len(xs) >= 2 {
+				check("random", &f, xs, ys, horizon)
+			}
+		}
+	}
+
+	smooth, smoothY := synthSamples(10)
+	flat, flatY, far := collinearSamples()
+	var f Fitter
+	check("smooth", &f, smooth, smoothY, 30000)
+	f = Fitter{}
+	check("collinear", &f, flat, flatY, far)
+	f = Fitter{}
+	for i := 0; i < 20; i++ {
+		check("shrinking horizon", &f, flat, flatY, far*math.Pow(0.99, float64(i)))
+	}
+	xs := linspace(8, 512, 8)
+	f = Fitter{}
+	check("falling", &f, xs, apply(xs, func(x float64) float64 { return 10 - 0.01*x }), 4096)
 }

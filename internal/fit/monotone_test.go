@@ -133,16 +133,26 @@ func TestMonotoneMatchesDenseGrid(t *testing.T) {
 }
 
 // TestBasisSlopeMatchesEval: each basis's Slope is Eval's derivative, on
-// both sides of its clamp.
+// both sides of its clamp, for every basis of basisTable; and evalBases,
+// which evaluates them all at once, matches each Eval bit for bit.
 func TestBasisSlopeMatchesEval(t *testing.T) {
 	const s = 1000.0
-	for _, b := range []Basis{basisOne, basisLog, basisX, basisX2, basisX3, basisExp, basisXExp, basisXLog, basisInv} {
-		for _, x := range []float64{1e-10, 0.5, 3, 70, 900, 2500} {
+	for i, b := range basisTable {
+		if b.id != i {
+			t.Fatalf("basisTable[%d] is %s with index %d", i, b.Name, b.id)
+		}
+		for _, x := range []float64{0, 1e-10, 0.5, 3, 70, 900, 2500} {
+			var v [nBases]float64
+			evalBases(&v, x, s)
+			if got, want := v[i], b.Eval(x, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s at %g: evalBases %v, Eval %v", b.Name, x, got, want)
+			}
+			if x == 0 {
+				continue
+			}
 			h := 1e-6 * (x + 1)
-			if b.Clamp != nil {
-				if p := b.Clamp(s); x-h < p && x+h >= p {
-					continue // the difference straddles the clamp
-				}
+			if p := b.Clamp(s); p > 0 && x-h < p && x+h >= p {
+				continue // the difference straddles the clamp
 			}
 			numeric := (b.Eval(x+h, s) - b.Eval(x-h, s)) / (2 * h)
 			if got := b.Slope(x, s); math.Abs(got-numeric) > 1e-5*(math.Abs(numeric)+1e-6) {

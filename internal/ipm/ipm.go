@@ -67,6 +67,8 @@ type Result struct {
 	// Iterations counts the water-filling τ steps: the trial makespans
 	// tried after the two initial bracket ends.
 	Iterations int
+	// Evaluations counts the curve evaluations the solve made.
+	Evaluations int
 	// KKTResidual is |Σ x_g(τ) − Total| / Total at the returned τ, before
 	// the split is rescaled to sum to Total exactly.
 	KKTResidual float64
@@ -115,6 +117,7 @@ type scaled struct {
 	p         Problem
 	n         int
 	timeScale float64
+	evals     int // curve evaluations since the count was last reset
 }
 
 // init (re)binds s to p, recomputing the scaling. It allocates nothing, so
@@ -124,6 +127,7 @@ func (s *scaled) init(p Problem) error {
 	even := p.Total / float64(n)
 	ts := 0.0
 	finiteCurves := 0
+	s.evals += n
 	for _, c := range p.Curves {
 		v := c.Eval(even)
 		if math.IsInf(v, 1) || math.IsNaN(v) {
@@ -146,6 +150,7 @@ func (s *scaled) init(p Problem) error {
 
 // eval returns the scaled time Ê_g(u) for scaled work u ∈ [0,1].
 func (s *scaled) eval(g int, u float64) float64 {
+	s.evals++
 	v := s.p.Curves[g].Eval(u*s.p.Total) / s.timeScale
 	if math.IsNaN(v) {
 		return math.Inf(1)

@@ -39,6 +39,7 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 		return Result{}, fmt.Errorf("ipm: empty problem (n=%d total=%g)", n, p.Total)
 	}
 
+	sv.sc.evals = 0
 	if err := sv.activeSet(p); err != nil {
 		return Result{}, err
 	}
@@ -51,7 +52,7 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 		// One live unit takes everything.
 		g := sv.active[0]
 		sv.xfull[g] = p.Total
-		return Result{X: sv.xfull, Tau: p.Curves[g].Eval(p.Total), WallTime: time.Since(start)}, nil
+		return Result{X: sv.xfull, Tau: p.Curves[g].Eval(p.Total), Evaluations: sv.sc.evals + 1, WallTime: time.Since(start)}, nil
 	}
 
 	sv.curves = sv.curves[:0]
@@ -68,6 +69,7 @@ func (sv *Solver) Solve(p Problem) (Result, error) {
 	sv.x = resizeVec(sv.x, len(sv.active))
 	res := sv.sc.resultInto(sv.x, sv.fill.hi.x, tau)
 	res.Iterations = steps
+	res.Evaluations = sv.sc.evals
 	res.KKTResidual = math.Abs(capacity - 1)
 	if err := validResult(res, p.Total); err != nil {
 		return Result{}, err
@@ -91,6 +93,7 @@ func (sv *Solver) activeSet(p Problem) error {
 	}
 	for {
 		even := p.Total / float64(len(sv.active))
+		sv.sc.evals += len(sv.active)
 		kept := sv.active[:0]
 		for _, g := range sv.active {
 			v := p.Curves[g].Eval(even)

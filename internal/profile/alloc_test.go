@@ -4,13 +4,15 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"plbhec/internal/fit"
 )
 
 // scaleSampler returns n units sampled the way a large PLB-HeC run samples
 // them: five probing rounds of doubling blocks, then twelve execution-phase
 // blocks near each unit's share, with 5% noise. The blocks are tiny next to
-// a horizon of 1.6e7 units, so the refits take the collinear least-squares
-// fallback for {1, x, 1/x} and {1, x, eˣ}.
+// a horizon of 1.6e7 units, so the normal equations of {1, x, 1/x}, and
+// of {1, x, eˣ} on some units, are singular and the refits skip those sets.
 func scaleSampler(n int) *Sampler {
 	rng := rand.New(rand.NewSource(1))
 	s := NewSampler(n)
@@ -91,5 +93,41 @@ func BenchmarkFitLive10k(b *testing.B) {
 		if _, err := s.FitAll(horizon * math.Pow(0.97, float64(1+i%64))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// rmse is the root-mean-square residual FitLive computed by re-evaluating
+// the fitted curve over its samples, kept as the oracle of the residual
+// sum the fit now returns.
+func rmse(f fit.Model, xs, ys []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var ss float64
+	for i := range xs {
+		d := f.Eval(xs[i]) - ys[i]
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)))
+}
+
+// TestFitLiveRMSEMatchesOracle: every unit's RMSE from FitLive equals
+// rmse over its samples bit for bit, on a first fit and on warm refits
+// whose horizon shrinks.
+func TestFitLiveRMSEMatchesOracle(t *testing.T) {
+	s := scaleSampler(200)
+	horizon := 1.6e7
+	for round := 0; round < 3; round++ {
+		ms, err := s.FitAll(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pu := range ms.PU {
+			xs, ys := s.split(s.Exec[pu])
+			if got, want := ms.RMSE[pu], rmse(ms.PU[pu].F, xs, ys); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("round %d unit %d: RMSE %v, the oracle %v", round, pu, got, want)
+			}
+		}
+		horizon *= 0.97
 	}
 }

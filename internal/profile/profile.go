@@ -91,8 +91,9 @@ type Model struct {
 	MaxSample float64
 }
 
-// Eval returns E_p(x).
-func (m Model) Eval(x float64) float64 {
+// Eval returns E_p(x). The pointer receiver spares the solver, which calls
+// it through ipm.Curve, a copy of the model on every evaluation.
+func (m *Model) Eval(x float64) float64 {
 	v := m.F.Eval(x) + m.G.Eval(x)
 	if floor := m.FloorRate * x; v < floor {
 		return floor
@@ -192,7 +193,7 @@ func (s *Sampler) FitLive(horizon float64, dead []bool) (Models, error) {
 		at := len(coef)
 		coef = append(coef, f.Coef...)
 		f.Coef = coef[at:len(coef):len(coef)]
-		ms.RMSE[pu] = rmse(f, xs, ys)
+		ms.RMSE[pu] = math.Sqrt(s.ws.SSR() / float64(len(xs)))
 		txs, tys := s.split(s.Trans[pu]) // reuses the xs/ys scratch
 		g, err := ft.Line(&s.ws, txs, tys)
 		if err != nil {
@@ -226,20 +227,6 @@ func mean(ys []float64) float64 {
 		sum += y
 	}
 	return sum / float64(len(ys))
-}
-
-// rmse is the root-mean-square residual of the fitted curve over the
-// samples it was fitted to.
-func rmse(f fit.Model, xs, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var ss float64
-	for i := range xs {
-		d := f.Eval(xs[i]) - ys[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // rateBounds derives physical sanity bounds from the samples: the floor is

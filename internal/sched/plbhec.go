@@ -173,9 +173,9 @@ func (p *PLBHeC) FirstModels() profile.Models { return p.firstModels }
 type plbStats struct {
 	fits, solves, rebalances float64
 	solverSeconds            float64
-	// solved counts successful solves and steps the water-filling τ steps
-	// they took.
-	solved, steps float64
+	// solved counts successful solves, steps the water-filling τ steps
+	// they took and evals their curve evaluations.
+	solved, steps, evals float64
 	// modelRounds is the fewest samples held by a unit that takes part in
 	// the first solve.
 	modelRounds float64
@@ -229,6 +229,7 @@ func (p *PLBHeC) Stats() map[string]float64 {
 		"solverSeconds":    p.stats.solverSeconds,
 		"solverSolved":     p.stats.solved,
 		"solverIterations": p.stats.steps,
+		"solverEvals":      p.stats.evals,
 		"modelRounds":      p.stats.modelRounds,
 		"modelUnits":       p.usedUnits,
 		"failures":         p.stats.failures,
@@ -569,6 +570,7 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	p.stats.solverSeconds += res.WallTime.Seconds()
 	p.stats.solved++
 	p.stats.steps += float64(res.Iterations)
+	p.stats.evals += float64(res.Evaluations)
 	// End carries the solve's host wall time (not engine time): EvSolve is
 	// rendered as an instant, so the field is free for the metric.
 	s.Telemetry().Emit(telemetry.Event{

@@ -168,6 +168,7 @@ func NewLiveSession(kernel LiveKernel, cfg LiveConfig) *Session {
 	for _, w := range cfg.Workers {
 		le.queueName = append(le.queueName, w.Name+"/queue")
 	}
+	s.initLinks(len(cfg.Workers))
 	for i := range cfg.Workers {
 		ch := make(chan liveAssign, 16)
 		le.workers = append(le.workers, ch)
@@ -303,7 +304,7 @@ func (e *liveEngine) handleDone(d liveDone) {
 	if c.state == copyRunning && d.start > c.rec.TransferStart {
 		// emitLink merges overlapping queue-wait intervals per worker, so
 		// concurrently queued blocks cannot push LinkBusy past wall time.
-		e.queueBusy[c.rec.PU] += s.emitLink(e.queueName[c.rec.PU],
+		e.queueBusy[c.rec.PU] += s.emitLink(c.rec.PU, e.queueName[c.rec.PU],
 			c.rec.TransferStart, d.start, c.rec.Units)
 	}
 	s.deliver(c)

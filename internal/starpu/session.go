@@ -113,11 +113,13 @@ type Session struct {
 	// summary for Report.Locality.
 	res      *residency.Tracker
 	locStats *LocalityReport
-	// linkCover tracks, per link name, the end of the furthest interval
-	// emitted so far: emitLink clamps each sample's start to it, so
-	// overlapping intervals (requeues, speculative copies, queued live
-	// blocks) merge instead of double-counting link occupancy.
-	linkCover map[string]float64
+	// linkCover tracks, per link index, the end of the furthest interval
+	// emitted so far (−Inf before the first): emitLink clamps each
+	// sample's start to it, so overlapping intervals (requeues,
+	// speculative copies, queued live blocks) merge instead of
+	// double-counting link occupancy. The engine numbers its links and
+	// sizes it with initLinks.
+	linkCover []float64
 
 	// overheadLog accumulates the fit/solve intervals charged to the
 	// master's clock, surfaced as Report.OverheadSpans.
@@ -164,24 +166,30 @@ func (s *Session) AttachTelemetry(t *telemetry.Telemetry) { s.tel = t }
 // methods are nil-safe, so schedulers can emit unconditionally.
 func (s *Session) Telemetry() *telemetry.Telemetry { return s.tel }
 
-// emitLink publishes one link-occupancy interval (engine-internal) and
-// returns the seconds it newly covers on the link. Per link, each sample's
+// initLinks sizes the link-coverage table for n links, indexed 0…n−1.
+func (s *Session) initLinks(n int) {
+	s.linkCover = make([]float64, n)
+	for i := range s.linkCover {
+		s.linkCover[i] = math.Inf(-1)
+	}
+}
+
+// emitLink publishes one link-occupancy interval on link (its index) and
+// name (its telemetry label), engine-internal, and returns the seconds it
+// newly covers on the link. Per link, each sample's
 // start is clamped to the furthest end emitted so far, so overlapping
 // intervals — requeued blocks, speculative backup copies, concurrently
 // queued live blocks — merge into their union instead of double-counting:
 // summed widths can never exceed wall time. Samples fully covered by
 // earlier ones (and zero-width ones) are dropped entirely.
-func (s *Session) emitLink(name string, start, end float64, units int64) float64 {
-	if cover, ok := s.linkCover[name]; ok && start < cover {
+func (s *Session) emitLink(link int, name string, start, end float64, units int64) float64 {
+	if cover := s.linkCover[link]; start < cover {
 		start = cover
 	}
 	if end <= start {
 		return 0
 	}
-	if s.linkCover == nil {
-		s.linkCover = make(map[string]float64, 8)
-	}
-	s.linkCover[name] = end
+	s.linkCover[link] = end
 	if s.tel != nil {
 		s.tel.Emit(telemetry.Event{
 			Kind: telemetry.EvLinkSample, Time: start, End: end,
@@ -431,6 +439,7 @@ func (s *Session) Run(sched Scheduler) (*Report, error) {
 			Solves:       st["solves"],
 			ColdStarts:   st["solverSolved"],
 			Iterations:   st["solverIterations"],
+			Evaluations:  st["solverEvals"],
 			SolveSeconds: st["solverSeconds"],
 		}
 	}

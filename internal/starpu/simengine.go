@@ -24,11 +24,12 @@ type simEngine struct {
 	puRes   []*sim.Resource
 
 	// Per-PU precomputed link routing (indexed by PU ID): nil entries mean
-	// the hop does not apply (master-local NIC, CPU-side PCIe).
+	// the hop does not apply (master-local NIC, CPU-side PCIe). machOf is
+	// the PU's machine index mi: its NIC is link 2·mi of the session's
+	// coverage table and its PCIe link 2·mi+1.
 	nicOfPU  []*sim.Resource
 	pcieOfPU []*sim.Resource
-	nicName  []string // telemetry label of the PU's NIC hop
-	pcieName []string // telemetry label of the PU's PCIe hop
+	machOf   []int32
 	machines []*cluster.Machine
 	nicRes   []*sim.Resource // per machine, cluster order (for linkBusy)
 	pcieRes  []*sim.Resource
@@ -106,8 +107,7 @@ func newSimSession(clu *cluster.Cluster, profile device.KernelProfile, appName s
 		session:  s,
 		nicOfPU:  make([]*sim.Resource, n),
 		pcieOfPU: make([]*sim.Resource, n),
-		nicName:  make([]string, n),
-		pcieName: make([]string, n),
+		machOf:   make([]int32, n),
 	}
 	// One NIC and one PCIe resource per machine, built in cluster order.
 	// Every slice is sized from the catalog up front: at 10k PUs the
@@ -127,18 +127,18 @@ func newSimSession(clu *cluster.Cluster, profile device.KernelProfile, appName s
 	for i, pu := range s.pus {
 		se.puRes = append(se.puRes, sim.NewResource(se.eng, pu.Name()))
 		mi := machineIdx[pu.Machine]
+		se.machOf[i] = int32(mi)
 		if !pu.Machine.IsMaster {
 			se.nicOfPU[i] = se.nicRes[mi]
-			se.nicName[i] = se.nicRes[mi].Name()
 		}
 		if pu.IsGPU() {
 			se.pcieOfPU[i] = se.pcieRes[mi]
-			se.pcieName[i] = se.pcieRes[mi].Name()
 		}
 	}
 	// Every in-flight copy holds at most one pending completion event;
 	// pre-sizing past the PU count keeps the steady state allocation-free.
 	se.eng.Grow(4*n + 16)
+	s.initLinks(2 * len(clu.Machines))
 	s.eng = se
 	s.startHeartbeatPump()
 	return s, se
@@ -209,12 +209,12 @@ func (e *simEngine) transfer(pu *cluster.PU, bytes float64, units int64, t float
 	if nic := e.nicOfPU[pu.ID]; nic != nil && bytes > 0 {
 		var s0 float64
 		s0, t = nic.AcquireAfter(t, pu.Machine.NIC.TransferSeconds(bytes), nil)
-		e.session.emitLink(e.nicName[pu.ID], s0, t, units)
+		e.session.emitLink(2*int(e.machOf[pu.ID]), nic.Name(), s0, t, units)
 	}
 	if pcie := e.pcieOfPU[pu.ID]; pcie != nil && bytes > 0 {
 		var s0 float64
 		s0, t = pcie.AcquireAfter(t, pu.Machine.PCIe.TransferSeconds(bytes), nil)
-		e.session.emitLink(e.pcieName[pu.ID], s0, t, units)
+		e.session.emitLink(2*int(e.machOf[pu.ID])+1, pcie.Name(), s0, t, units)
 	}
 	return t
 }

@@ -322,7 +322,17 @@ type SolverStats struct {
 	ColdStarts   float64 // successful solves
 	Fallbacks    float64 // always 0
 	Iterations   float64 // cumulative water-filling τ steps across successful solves
+	Evaluations  float64 // cumulative curve evaluations across successful solves
 	SolveSeconds float64 // cumulative host wall-clock time in the solver
+}
+
+// MeanEvaluations is the average curve-evaluation count per successful
+// solve.
+func (s SolverStats) MeanEvaluations() float64 {
+	if s.ColdStarts > 0 {
+		return s.Evaluations / s.ColdStarts
+	}
+	return 0
 }
 
 // MeanIterations is the average τ step count per successful solve.
