@@ -297,9 +297,9 @@ func (p *PLBHeC) TaskFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	case probe:
 		p.probeFinished(s, owner)
 	case p.phase == phaseExecuting:
-		p.executingFinished(s, rec)
+		p.executingFinished(s, &rec)
 	default:
-		p.drainingFinished(s, rec)
+		p.drainingFinished(s, &rec)
 	}
 }
 
@@ -611,7 +611,7 @@ func (p *PLBHeC) steps() float64 { return float64(max(p.ExecutionSteps, 1)) }
 
 // --- Phase 3: execution and rebalancing -------------------------------------
 
-func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
+func (p *PLBHeC) executingFinished(s *starpu.Session, rec *starpu.TaskRecord) {
 	dur := rec.ExecEnd - rec.TransferStart
 	fullBlock := float64(rec.Units) >= 0.9*p.blockUnits[rec.PU]
 	if p.modelsOK && rec.Units > 0 {
@@ -689,7 +689,7 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 
 // drainingFinished handles completions while a rebalance waits for the
 // synchronization point (all pre-detection tasks finished).
-func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
+func (p *PLBHeC) drainingFinished(s *starpu.Session, rec *starpu.TaskRecord) {
 	if rec.Seq < p.drainSeq {
 		p.drainOld--
 	}

@@ -28,6 +28,12 @@ type Handler interface {
 	Fire()
 }
 
+// handlerFunc adapts a plain func to Handler. A func value is one pointer
+// word, so storing it in the interface does not allocate.
+type handlerFunc func()
+
+func (f handlerFunc) Fire() { f() }
+
 // Engine is a discrete-event simulator instance.
 type Engine struct {
 	now    float64
@@ -52,11 +58,7 @@ func (e *Engine) Steps() uint64 { return e.nSteps }
 // causality violations. NaN and +Inf times panic for the same reason: a NaN
 // comparison would corrupt the heap order, and a +Inf event could never
 // causally fire, silently leaking its callback.
-func (e *Engine) At(t float64, fn func()) {
-	e.check(t)
-	e.seq++
-	e.push(event{t: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t float64, fn func()) { e.Schedule(t, handlerFunc(fn)) }
 
 // Schedule is At for pooled handlers: h.Fire() runs at absolute virtual
 // time t. Unlike At, which typically costs one closure allocation at the
@@ -130,17 +132,12 @@ func (e *Engine) step() {
 	}
 	e.now = ev.t
 	e.nSteps++
-	if ev.h != nil {
-		ev.h.Fire()
-	} else {
-		ev.fn()
-	}
+	ev.h.Fire()
 }
 
 type event struct {
 	t   float64
 	seq uint64 // tiebreaker: FIFO among simultaneous events
-	fn  func()
 	h   Handler
 }
 

@@ -197,12 +197,11 @@ func (s *Session) initService(pol ServicePolicy) error {
 	sv.feed = s.serviceFeed
 	s.svc = sv
 	s.appName = "service"
-	// Grow the record log to the offered-load ceiling so the steady-state
-	// arrival → dispatch → complete cycle stays allocation-free (the
-	// zero-alloc guard test pins this).
-	if cap(s.records) < total {
-		s.records = append(make([]TaskRecord, 0, total+16), s.records...)
-	}
+	// Size the record log's first chunk to the offered-load ceiling: the
+	// log stays one chunk, so the steady-state arrival → dispatch → complete
+	// cycle stays allocation-free (the zero-alloc guard test pins this) and
+	// the Report takes the chunk without a copy.
+	s.log.reserve(total + 16)
 	return nil
 }
 

@@ -139,7 +139,7 @@ type Session struct {
 	unitCopies []copyList
 	nCopies    int
 
-	records       []TaskRecord
+	log           recordLog
 	distributions []Distribution
 	sched         Scheduler
 	violation     error
@@ -214,8 +214,12 @@ func (s *Session) Remaining() int64 { return s.remaining }
 // InFlight returns the number of blocks currently assigned but unfinished.
 func (s *Session) InFlight() int { return s.inflight }
 
-// Records returns all completed task records so far.
-func (s *Session) Records() []TaskRecord { return s.records }
+// Records returns all completed task records so far, in completion order,
+// also after a failed run. The first call after the log has outgrown its
+// first chunk copies the chunks into one exact-length slice, which later
+// calls return until another record arrives; a run's Report.Records is
+// that slice.
+func (s *Session) Records() []TaskRecord { return s.log.all() }
 
 // NextSeq returns the sequence number the next assigned block will carry.
 // Schedulers use it to partition in-flight tasks into "before" and "after"
@@ -345,7 +349,7 @@ func (s *Session) checkCtx() {
 func (s *Session) onComplete(rec TaskRecord) {
 	s.inflight--
 	s.inflightPU[rec.PU]--
-	s.records = append(s.records, rec)
+	s.log.add(rec)
 	if s.tel != nil {
 		s.tel.Emit(telemetry.Event{
 			Kind: telemetry.EvTaskComplete, Time: rec.SubmitTime, End: rec.ExecEnd,
@@ -412,14 +416,23 @@ func (s *Session) Run(sched Scheduler) (*Report, error) {
 	rep := &Report{
 		SchedulerName: sched.Name(),
 		AppName:       s.appName,
-		Records:       s.records,
+		Records:       s.log.all(),
 		Distributions: s.distributions,
 		TotalUnits:    s.total,
 	}
-	for _, rec := range s.records {
-		if rec.ExecEnd > rep.Makespan {
-			rep.Makespan = rec.ExecEnd
+	if len(rep.Records) > 0 {
+		sk := stats.NewQuantileSketch()
+		for i := range rep.Records {
+			rec := &rep.Records[i]
+			if rec.ExecEnd > rep.Makespan {
+				rep.Makespan = rec.ExecEnd
+			}
+			sk.Observe(rec.TotalSeconds())
 		}
+		rep.Latency = sk
+		var lat [3]float64
+		sk.QuantilesInto(latencyQuantiles[:], lat[:])
+		rep.LatencyP50, rep.LatencyP99, rep.LatencyP999 = lat[0], lat[1], lat[2]
 	}
 	if s.svc != nil {
 		rep.Service = s.serviceReportFinal(rep.Makespan)
@@ -447,16 +460,6 @@ func (s *Session) Run(sched Scheduler) (*Report, error) {
 	rep.Locality = s.localityReportFinal()
 	rep.Resilience = append([]PUResilience(nil), s.resilience...)
 	rep.OverheadSpans = append([]OverheadSpan(nil), s.overheadLog...)
-	if len(s.records) > 0 {
-		sk := stats.NewQuantileSketch()
-		for _, rec := range s.records {
-			sk.Observe(rec.TotalSeconds())
-		}
-		rep.Latency = sk
-		var lat [3]float64
-		sk.QuantilesInto(latencyQuantiles[:], lat[:])
-		rep.LatencyP50, rep.LatencyP99, rep.LatencyP999 = lat[0], lat[1], lat[2]
-	}
 	return rep, nil
 }
 
@@ -485,14 +488,14 @@ func (s *Session) initCommon(total int64) {
 		s.slowCount = make([]int, n)
 	}
 	s.initHealth()
-	// Pre-size the record log at 64 records per unit, capped at 8192
-	// records but never below 8 per unit. This is a starting size, not a
-	// bound: the record count depends on the scheduler and the input, and
-	// many runs outgrow it. Greedy writes one record per small block, far
+	// Size the record log's first chunk at 64 records per unit, capped at
+	// 8192 records but never below 8 per unit, so it is allocated at
+	// set-up rather than in the run. The record count depends on the
+	// scheduler and the input: Greedy writes one record per small block, far
 	// more than 64 per unit on the paper's inputs, and PLB-HeC at 10,000
-	// units writes about 17 per unit against the floor of 8. Those runs
-	// grow the log by append, about 1.25× at a time, and the growth copies
-	// are most of a closed run's allocation.
+	// units writes about 17 per unit against the floor of 8. A run that
+	// outgrows the first chunk adds chunks (see recordLog.add), and its
+	// Report copies the log once.
 	est := 64 * len(s.pus)
 	if est > 8192 {
 		est = 8192
@@ -500,7 +503,54 @@ func (s *Session) initCommon(total int64) {
 			est = floor
 		}
 	}
-	if est > 0 {
-		s.records = make([]TaskRecord, 0, est)
+	s.log.reserve(est)
+}
+
+// recordLog is the session's log of completed blocks. Each record is
+// written once into the last chunk and never moved: a full chunk is kept
+// and the next one is sized to a quarter of the records so far, at least
+// 256 and at most 64Ki records, so a long run holds a logarithmic number of
+// chunks at most a quarter empty, and growing the log copies nothing. all
+// joins the chunks once, when the records are read.
+type recordLog struct {
+	chunks [][]TaskRecord // every chunk but the last is full
+	n      int            // records in all chunks
+}
+
+// reserve makes the first chunk hold at least n records; set-up calls it
+// before any record is added.
+func (l *recordLog) reserve(n int) {
+	if l.n == 0 && n > 0 && (len(l.chunks) == 0 || cap(l.chunks[0]) < n) {
+		l.chunks = [][]TaskRecord{make([]TaskRecord, 0, n)}
 	}
+}
+
+// add appends rec, opening a new chunk when the last one is full.
+func (l *recordLog) add(rec TaskRecord) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		l.chunks = append(l.chunks, make([]TaskRecord, 0, min(max(l.n/4, 256), 1<<16)))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], rec)
+	l.n++
+}
+
+// all returns every record in order. A log of one chunk is returned as is;
+// a longer one is copied into one exact-length slice, which replaces the
+// chunks so that a second call copies nothing.
+func (l *recordLog) all() []TaskRecord {
+	switch len(l.chunks) {
+	case 0:
+		return nil
+	case 1:
+		return l.chunks[0]
+	}
+	out := make([]TaskRecord, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	clear(l.chunks[1:])
+	l.chunks = append(l.chunks[:0], out)
+	return out
 }
