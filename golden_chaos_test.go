@@ -28,7 +28,7 @@ const goldenChaosHash = "8e1457f32687208e"
 // 3-machine permutation cluster (amd64). Together with
 // TestGoldenMachinePermutation's relabeling check it freezes the block
 // distribution itself, not just its permutation-invariance.
-const goldenPermutationHash = "537fb5273b8d950c"
+const goldenPermutationHash = "7b2d5cbe6b3ca188"
 
 // chaosScenario is the canonical mixed-fault schedule used by the golden
 // test: every declarative fault kind except Straggler, timed to land inside

@@ -20,7 +20,7 @@ import (
 // alters even one bit of one float shows up here. Deliberate numeric
 // changes must update this constant AND document the observed metric deltas
 // in EXPERIMENTS.md (as PR 2 did for 2.34x→2.33x).
-const goldenQuickSweepHash = "5167ddc1982954e3"
+const goldenQuickSweepHash = "c90b345d88a8ed3e"
 
 // goldenCells is a small but representative slice of the quick sweep: every
 // application kind, mixed sizes, the paper's scheduler plus one profile-based

@@ -172,8 +172,9 @@ type Model struct {
 	AdjR2 float64 // adjusted for the number of coefficients
 }
 
-// Eval returns the model value at x.
-func (m Model) Eval(x float64) float64 {
+// Eval returns the model value at x. The pointer receiver spares each
+// evaluation a copy of the model: Eval is too large to be inlined.
+func (m *Model) Eval(x float64) float64 {
 	var y float64
 	for i, b := range m.Bases {
 		y += m.Coef[i] * b.Eval(x, m.Scale)
@@ -183,7 +184,7 @@ func (m Model) Eval(x float64) float64 {
 
 // Slope returns the model's derivative dy/dx at x, from the bases'
 // analytic derivatives.
-func (m Model) Slope(x float64) float64 {
+func (m *Model) Slope(x float64) float64 {
 	var d float64
 	for i, b := range m.Bases {
 		d += m.Coef[i] * b.Slope(x, m.Scale)

@@ -247,7 +247,7 @@ func FuzzSolverInputs(f *testing.F) {
 				}
 				return
 			}
-			curves = append(curves, m)
+			curves = append(curves, &m)
 		}
 		total := 1024.0
 		if len(vals) > 0 {

@@ -61,11 +61,14 @@ func emitFit(s *starpu.Session, ms profile.Models, skip []bool) {
 //     rebalance.
 //  3. Execution and rebalancing (§III.D): units re-request blocks of their
 //     selected size asynchronously; if two units' task finish times drift
-//     apart by more than Threshold × (typical block time), the scheduler
-//     refits the curves with all accumulated samples, re-solves, and
-//     redistributes after a synchronization — units that detect the
-//     threshold still receive one filler task while the others drain
-//     (Fig. 3). Probes in flight do not hold up the synchronization.
+//     apart by more than Threshold × (typical block time), and the spread
+//     over the rounds left would save more than the fit and solve the
+//     session charges for a rebalance, the scheduler refits the curves with
+//     all accumulated samples, re-solves, and redistributes after a
+//     synchronization — units that detect the threshold still receive one
+//     filler task while the others drain (Fig. 3). A detection that would
+//     not pay back keeps the distribution; a unit's failure always
+//     redistributes. Probes in flight do not hold up the synchronization.
 type PLBHeC struct {
 	Config
 	// Threshold is the rebalancing trigger as a fraction of a block's
@@ -172,7 +175,10 @@ func (p *PLBHeC) FirstModels() profile.Models { return p.firstModels }
 
 type plbStats struct {
 	fits, solves, rebalances float64
-	solverSeconds            float64
+	// declined counts threshold detections whose rebalance would not have
+	// paid back its charged fit and solve.
+	declined      float64
+	solverSeconds float64
 	// solved counts successful solves, steps the water-filling τ steps
 	// they took and evals their curve evaluations.
 	solved, steps, evals float64
@@ -223,16 +229,17 @@ func (p *PLBHeC) Name() string { return "plb-hec" }
 // Stats implements starpu.StatsReporter.
 func (p *PLBHeC) Stats() map[string]float64 {
 	return map[string]float64{
-		"fits":             p.stats.fits,
-		"solves":           p.stats.solves,
-		"rebalances":       p.stats.rebalances,
-		"solverSeconds":    p.stats.solverSeconds,
-		"solverSolved":     p.stats.solved,
-		"solverIterations": p.stats.steps,
-		"solverEvals":      p.stats.evals,
-		"modelRounds":      p.stats.modelRounds,
-		"modelUnits":       p.usedUnits,
-		"failures":         p.stats.failures,
+		"fits":               p.stats.fits,
+		"solves":             p.stats.solves,
+		"rebalances":         p.stats.rebalances,
+		"rebalancesDeclined": p.stats.declined,
+		"solverSeconds":      p.stats.solverSeconds,
+		"solverSolved":       p.stats.solved,
+		"solverIterations":   p.stats.steps,
+		"solverEvals":        p.stats.evals,
+		"modelRounds":        p.stats.modelRounds,
+		"modelUnits":         p.usedUnits,
+		"failures":           p.stats.failures,
 	}
 }
 
@@ -278,7 +285,9 @@ func (p *PLBHeC) TaskFinished(s *starpu.Session, rec starpu.TaskRecord) {
 		p.rebalance = true
 		p.rebalCause = "failure"
 	}
-	p.sampler.Add(rec.PU, float64(rec.Units), rec.ExecSeconds(), rec.TransferSeconds())
+	// The fields are read directly: the TaskRecord methods have value
+	// receivers, and each call would copy the record.
+	p.sampler.Add(rec.PU, float64(rec.Units), rec.ExecEnd-rec.ExecStart, rec.TransferEnd-rec.TransferStart)
 	if !p.dead[rec.PU] {
 		p.noteSample(rec.PU, float64(rec.Units)/(rec.ExecEnd-rec.TransferStart))
 	}
@@ -645,7 +654,10 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec *starpu.TaskRecord) {
 	// the tail, where a redistribution could not be acted on anyway: with
 	// less than two rounds of work left, the drain's filler blocks take up
 	// to one of them and the re-solve would split almost nothing.
+	// A detection starts the drain only when the rebalance pays back what
+	// it is charged (see payback); otherwise the distribution stays.
 	tail := float64(s.Remaining()) < 2*p.roundTotal
+	var saving, cost float64
 	if !p.rebalance && p.Threshold > 0 && fullBlock && !tail {
 		if p.imbalanced(rec.PU, dur, p.Threshold*p.thrScale*p.blockTime) {
 			p.overCount++
@@ -653,9 +665,14 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec *starpu.TaskRecord) {
 			p.overCount = 0
 		}
 		if p.overCount >= 2 {
-			p.rebalance = true
-			p.rebalCause = "threshold"
 			p.overCount = 0
+			saving, cost = p.payback(s)
+			if saving > cost {
+				p.rebalance = true
+				p.rebalCause = "threshold"
+			} else {
+				p.stats.declined++
+			}
 		}
 	}
 
@@ -668,6 +685,7 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec *starpu.TaskRecord) {
 		p.stats.rebalances++
 		s.Telemetry().Emit(telemetry.Event{
 			Kind: telemetry.EvRebalance, Time: s.Now(), PU: -1, Name: p.rebalCause,
+			Value: saving, Aux: cost,
 		})
 		emitPhase(s, "draining")
 		p.drainSeq = s.NextSeq()
@@ -758,6 +776,19 @@ func (p *PLBHeC) drainingFinished(s *starpu.Session, rec *starpu.TaskRecord) {
 		return
 	}
 	p.keepAlive(s)
+}
+
+// payback returns a threshold rebalance's predicted saving and its charged
+// cost, in seconds. The saving is the spread of the full-block durations
+// over the units taking part in detection, which the slowest unit adds to
+// every round, times the rounds of work left. The cost is one fit and one
+// solve as the session charges them: zero on the live engine, where every
+// detection pays back. This weighs the paper's threshold trade-off between
+// imbalance and synchronization cost (§III.D) at each detection.
+func (p *PLBHeC) payback(s *starpu.Session) (saving, cost float64) {
+	saving = p.durs.spread() * float64(s.Remaining()) / p.roundTotal
+	ov := s.Overheads()
+	return saving, ov.FitSeconds + ov.SolveSeconds
 }
 
 // evenShareAlive spreads the distribution evenly over the surviving units
@@ -941,6 +972,10 @@ func (r *durRange) without(i int) (hi, lo float64) {
 	}
 	return hi, lo
 }
+
+// spread returns the maximum minus the minimum over every present leaf,
+// read at the root.
+func (r *durRange) spread() float64 { return r.hi[1] - r.lo[1] }
 
 // keepAlive prevents a stall when work remains but every active unit went
 // idle because its computed share was zero: the fastest-known unit absorbs

@@ -263,6 +263,16 @@ func (s *Session) Assign(pu *cluster.PU, units float64) int64 {
 	return n
 }
 
+// Overheads returns what ChargeFit and ChargeSolve add to the clock: the
+// session's OverheadModel on the simulation engine, zero on the live
+// engine, where nothing is charged.
+func (s *Session) Overheads() OverheadModel {
+	if !s.chargeOn {
+		return OverheadModel{}
+	}
+	return s.overheads
+}
+
 // ChargeFit charges one curve-fitting pass to the clock (simulation only).
 func (s *Session) ChargeFit() { s.charge(s.overheads.FitSeconds, "fit") }
 

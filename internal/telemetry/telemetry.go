@@ -54,8 +54,11 @@ const (
 	// EvCoverage reports modeling-phase data coverage: Time, Value
 	// (fraction of the input consumed by probing).
 	EvCoverage
-	// EvRebalance marks a triggered redistribution: Time, Name (cause:
-	// "threshold", "failure", "iteration").
+	// EvRebalance marks a started redistribution: Time, Name (cause:
+	// "threshold", "failure", "iteration"). A PLB-HeC "threshold" event
+	// carries the predicted saving in Value and the charged fit and solve
+	// in Aux (seconds); a detection that does not pay back starts no
+	// rebalance and emits nothing.
 	EvRebalance
 	// EvFailover marks a unit observed failed: Time, PU, Name (unit name).
 	EvFailover
